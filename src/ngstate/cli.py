@@ -86,6 +86,14 @@ def _resolve_threads(args):
     return value
 
 
+def _finite_float(text):
+    """argparse type for every float flag: nan and inf are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_grid(text, default):
     if text is None:
         return default
@@ -447,14 +455,14 @@ def _add_common(p):
     p.add_argument("--threads", type=int,
                    help="worker threads across artifacts "
                         "(default: NGSTATE_THREADS or 1)")
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=_finite_float, default=1e-3,
                    help="convergence spread tolerance (default: 1e-3)")
 
 
 def _add_wigner_flags(p):
     p.add_argument("--N-list", dest="n_list", type=int, nargs="+",
                    help="even dof counts for the large-N extrapolation")
-    p.add_argument("--v-max", type=float,
+    p.add_argument("--v-max", type=_finite_float,
                    help="quadrature cutoff override (default: automatic)")
 
 
@@ -466,90 +474,90 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig1_c4", help="four-point ratio curves")
-    p.add_argument("--n", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, nargs="+",
                    help="occupation numbers (default: 0 1 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity grid (default: 201 points on [0, 20])")
     _add_common(p)
 
     p = sub.add_parser("fig2_purity", help="purity ratio curves")
-    p.add_argument("--n", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, nargs="+",
                    help="occupation numbers (default: 0 0.1 0.5 1 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity grid (default: 201 points on [0, 20])")
     _add_common(p)
 
     p = sub.add_parser("fig3_dsurface", help="matrix-element surfaces")
-    p.add_argument("--n", type=float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity values (default: 0 0.5 1 15)")
-    p.add_argument("--c4-ratio", type=float,
+    p.add_argument("--c4-ratio", type=_finite_float,
                    help="set x through the four-point ratio instead of --x")
     p.add_argument("--grid", help="u x v resolution WxH (default: 201x201)")
-    p.add_argument("--u-max", type=float,
+    p.add_argument("--u-max", type=_finite_float,
                    help="u-axis maximum (default: past the ridge)")
-    p.add_argument("--v-max", type=float, help="v-axis maximum (default: 4)")
+    p.add_argument("--v-max", type=_finite_float, help="v-axis maximum (default: 4)")
     _add_common(p)
 
     p = sub.add_parser("fig4_dslices", help="matrix-element v=0 slices")
-    p.add_argument("--n", type=float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity values (default: 0 0.5 1 15)")
-    p.add_argument("--c4-ratio", type=float,
+    p.add_argument("--c4-ratio", type=_finite_float,
                    help="set x through the four-point ratio instead of --x")
     p.add_argument("--grid", help="u resolution W or WxH (default: 201)")
-    p.add_argument("--u-max", type=float,
+    p.add_argument("--u-max", type=_finite_float,
                    help="u-axis maximum (default: past the widest ridge)")
     _add_common(p)
 
     p = sub.add_parser("fig5_wigner", help="radial Wigner grids")
-    p.add_argument("--n", type=float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity values (default: 0 0.5 1 15)")
-    p.add_argument("--c4-ratio", type=float,
+    p.add_argument("--c4-ratio", type=_finite_float,
                    help="set x through the four-point ratio instead of --x")
     p.add_argument("--grid", help="u x r resolution WxH (default: 101x101)")
-    p.add_argument("--u-max", type=float,
+    p.add_argument("--u-max", type=_finite_float,
                    help="u-axis maximum (default: past the ridge)")
-    p.add_argument("--r-max", type=float,
+    p.add_argument("--r-max", type=_finite_float,
                    help="r-axis maximum (default: 2)")
     _add_wigner_flags(p)
     _add_common(p)
 
     p = sub.add_parser("fig6_contours", help="physical Wigner contours")
-    p.add_argument("--n", type=float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity (default: 15)")
-    p.add_argument("--c4-ratio", type=float,
+    p.add_argument("--c4-ratio", type=_finite_float,
                    help="set x through the four-point ratio instead of --x")
-    p.add_argument("--gamma", type=float,
+    p.add_argument("--gamma", type=_finite_float,
                    help="squeezing strength in [0, 1) (default: 0.9)")
-    p.add_argument("--phi", type=float, nargs="+",
+    p.add_argument("--phi", type=_finite_float, nargs="+",
                    help="squeeze angles, one panel pair each (default: 0 pi)")
     p.add_argument("--mode", choices=("para", "perp"),
                    help="projection mode (default: both)")
     p.add_argument("--grid", help="phi x pi resolution WxH (default: 41x41)")
-    p.add_argument("--u-max", type=float,
+    p.add_argument("--u-max", type=_finite_float,
                    help="phi-axis maximum (default: automatic window)")
-    p.add_argument("--r-max", type=float,
+    p.add_argument("--r-max", type=_finite_float,
                    help="pi-axis maximum (default: automatic window)")
     _add_wigner_flags(p)
     _add_common(p)
 
     p = sub.add_parser("fig7_slice", help="strong-nongaussianity Wigner slice")
-    p.add_argument("--n", type=float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=float, nargs="+",
+    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
+    p.add_argument("--x", type=_finite_float, nargs="+",
                    help="nongaussianity (default: 3000, i.e. x >> n^2)")
-    p.add_argument("--c4-ratio", type=float,
+    p.add_argument("--c4-ratio", type=_finite_float,
                    help="set x through the four-point ratio instead of --x")
-    p.add_argument("--gamma", type=float,
+    p.add_argument("--gamma", type=_finite_float,
                    help="squeezing strength in [0, 1) (default: 0)")
-    p.add_argument("--phi", type=float,
+    p.add_argument("--phi", type=_finite_float,
                    help="squeeze angle (default: 0)")
     p.add_argument("--mode", choices=("para", "perp"),
                    help="projection mode (default: para)")
     p.add_argument("--grid", help="phi resolution W (default: 201)")
-    p.add_argument("--u-max", type=float,
+    p.add_argument("--u-max", type=_finite_float,
                    help="phi-axis maximum (default: 1.4x the peak phi)")
     _add_wigner_flags(p)
     _add_common(p)

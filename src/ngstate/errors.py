@@ -44,3 +44,7 @@ class AsymptoticRegimeViolation(NgStateError):
 
 class ConfigError(NgStateError):
     """Command-line or preset configuration is invalid."""
+
+
+class BracketError(NgStateError):
+    """A root solve or cut search found no sign change within its bracket."""

@@ -1,27 +1,16 @@
 """Root solvers for the three self-consistency (gap/saddle) equations.
 
-All three equations share one shape,
+Each has the shape (s - z0_sq)/xi = RHS(s) with an RHS that decreases in s
+and diverges at the floor of its domain, so LHS - RHS has one sign change:
 
-    (s - z0_sq)/xi = RHS(s),
+    solve_gap         1/h_trace(s)            s > 0        RHS >= 1/s
+    solve_gap_tilde   1/h2(s)                 s > 0        RHS >= 1/s
+    solve_saddle_uv   f0 + fu*u^2 + fv*v^2    s > -pi^2    RHS >= 2/(s + pi^2)
 
-with a right-hand side that decreases monotonically in s and diverges to
-+infinity at the left edge of its domain, while the left-hand side is an
-increasing straight line.  The difference LHS - RHS is therefore strictly
-increasing with a single sign change, which makes plain bracketed
-bisection both safe and bitwise deterministic -- no damping, no starting
-guesses, no luck involved.  The solvers below differ only in the RHS
-kernel and the domain:
-
-    solve_gap         1/h_trace(s)            s in (0, inf)
-    solve_gap_tilde   1/h2(s)                 s in (0, inf)
-    solve_saddle_uv   f0 + fu*u^2 + fv*v^2    s in (-pi^2, inf)
-
-The grid front end solve_saddle_uv_many runs the same bisection on whole
-numpy arrays at once (one kernel evaluation per iteration for the entire
-grid), which is what keeps large surface sweeps cheap.
-
-For x = 0 every equation degenerates (xi = 0 pins s = z0_sq exactly), so
-the solvers return the closed-form answer without iterating.
+The last column (for f0, the first term of 2 sum_k 1/(s + k^2 pi^2)) puts
+the root past the positive root of a quadratic, half of which is the lower
+bracket end; with s0 = max(z0_sq, 1), max(s0, z0_sq + xi*RHS(s0)) is the
+upper end.  _find_root solves all of them and x_from_c4; x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -34,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import specfun as _sf
+from .errors import BracketError
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from .statemap import ReducedState
@@ -48,8 +38,10 @@ __all__ = [
     "solve_trace_raw",
 ]
 
-_MAX_ITER = 160
-_HI_CAP = 1e250
+# elements solved together: bounds the solver's scratch memory
+_BLOCK = 8192
+_XRTOL = 2.0 * np.finfo(float).eps
+_XATOL = 4.0 * np.finfo(float).tiny
 
 
 class Branch(Enum):
@@ -62,7 +54,8 @@ class SaddleSolution:
     """A solved squared frequency with bookkeeping.
 
     residual is the defining-equation mismatch at s, measured relative to
-    the magnitude of the left-hand side (or 1 if that is smaller).
+    the magnitude of the left-hand side (or 1 if that is smaller);
+    iterations counts the evaluations of the equation the solve needed.
     """
 
     s: float
@@ -75,44 +68,88 @@ def _branch_of(s):
     return Branch.REAL if s >= 0.0 else Branch.IMAGINARY_CONTINUED
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _find_root(g, lo, hi, *args):
+    """Element-wise root of g(s, *args) = 0 with g(lo) <= 0 <= g(hi).
+
+    Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
+    145): inverse quadratic interpolation where the last three points make
+    it safe, bisection otherwise.  lo, hi and args broadcast; g gets flat
+    blocks of _BLOCK elements.  A point's root and evaluation count are kept
+    from the step its bracket falls below 2 eps relative, so they depend on
+    that point alone.  Blocks keep their size to the end, as arrays that
+    shrink to varying sizes fragment the heap.  Returns (root, nfev).
+    """
+    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
+    root = np.empty(lo.shape)
+    nfev = np.empty(lo.shape, dtype=int)
+    for start in range(0, lo.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        p = [a.flat[blk] for a in args]
+        # x1: newest point; x2: bracket end opposite to it; x3: the one before
+        x1, x2 = lo.flat[blk], hi.flat[blk]
+        f1, f2 = g(x1, *p), g(x2, *p)
+        ok = (f1 <= 0.0) & (f2 >= 0.0)
+        if not np.all(ok):
+            raise BracketError(f"no sign change at {np.size(ok) - np.count_nonzero(ok)} points")
+        finished = np.zeros(x1.shape, dtype=bool)
+        evals, t = 2, 0.5
+        while True:
+            x = x1 + t * (x2 - x1)
+            f = g(x, *p)
+            evals += 1
+            same = np.sign(f) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            best = np.abs(f1) < np.abs(f2)
+            xm = np.where(best, x1, x2)
+            tol = _XRTOL * np.abs(xm) + _XATOL
+            dx = np.abs(x2 - x1)
+            new = ((np.where(best, f1, f2) == 0.0) | (dx < tol)) & ~finished
+            if new.any():
+                at = start + np.flatnonzero(new)
+                root.flat[at], nfev.flat[at] = xm[new], evals
+                finished |= new
+                if finished.all():
+                    break
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            t = np.where(finished, 0.5,
+                         np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx))
+    return root, nfev
+
+
+def _solve(z0_sq, xi, rhs, floor, c, *args):
+    """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor)."""
+    b, d = z0_sq - floor, c * xi
+    q = math.sqrt(b * b + 4.0 * d)  # positive root of e^2 - b e - d:
+    e = 0.5 * (b + q) if b >= 0.0 else 2.0 * d / (q - b)
+    # floor + e/2 can round onto the floor; the bracket check then refuses
+    lo = max(floor + 0.5 * e, math.nextafter(floor, math.inf))
+    s0 = max(z0_sq, 1.0)
+    hi = np.maximum(s0, z0_sq + xi * rhs(s0, *args))
+    return _find_root(lambda s, *a: (s - z0_sq) / xi - rhs(s, *a), lo, hi, *args)
+
+
 def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     """Solve (s - z0_sq)/xi = 1/kernel(s) for s > 0 (raw-parameter form).
 
     kernel is h_trace for the physical state, h2 for the doubled-parameter
-    system that shows up in purity work; both vanish linearly at s = 0+ so
-    the RHS always dominates at the left end and a bracket exists.
+    system that shows up in purity work; both satisfy kernel(s) <= s.
     """
     if not xi > 0:
         raise ValueError(f"solve_trace_raw needs xi > 0, got {xi}")
-
-    def g(s):
-        return (s - z0_sq) / xi - 1.0 / kernel(s)
-
-    lo = 1e-6
-    while g(lo) >= 0.0:
-        lo /= 16.0
-        if lo < 1e-300:
-            raise RuntimeError("failed to bracket the trace gap equation from below")
-    hi = max(z0_sq, 1.0)
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > _HI_CAP:
-            raise RuntimeError("failed to bracket the trace gap equation from above")
-    it = 0
-    # width tolerance must be relative to s itself: roots can sit at
-    # s ~ 1e-5 (large n) and an absolute cutoff would leave the scaled
-    # residual orders of magnitude above the 1e-12 contract
-    while it < _MAX_ITER and (hi - lo) > 1e-15 * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    s = 0.5 * (lo + hi)
-    scale = max(1.0, abs((s - z0_sq) / xi))
-    return SaddleSolution(s=s, branch=Branch.REAL, residual=g(s) / scale,
-                          iterations=it)
+    s, nfev = _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0)
+    s = float(s)
+    lhs = (s - z0_sq) / xi
+    return SaddleSolution(s=s, branch=Branch.REAL,
+                          residual=(lhs - 1.0 / kernel(s)) / max(1.0, abs(lhs)),
+                          iterations=int(nfev))
 
 
 def solve_gap(state: "ReducedState") -> SaddleSolution:
@@ -136,63 +173,21 @@ def _rhs_many(s, u_sq, v_sq):
     return f0 + fu * u_sq + fv * v_sq
 
 
-def solve_saddle_uv_many(state: "ReducedState", u_sq, v_sq, max_iter=_MAX_ITER):
+def solve_saddle_uv_many(state: "ReducedState", u_sq, v_sq):
     """Vectorized matrix-element saddle solve over arrays of (u^2, v^2).
 
-    Returns (s, iterations) where s has the broadcast shape of the inputs.
-    The bracket is shared by all points (the equation's difference
-    function is increasing in s and decreasing in u^2, v^2), then plain
-    synchronized bisection runs on the whole array at once.
+    Returns (s, nfev) where s has the broadcast shape of the inputs and
+    nfev is the most evaluations of the equation any point needed.
     """
+    u_sq, v_sq = np.broadcast_arrays(np.asarray(u_sq, float),
+                                     np.asarray(v_sq, float))
     if state.x == 0.0:
-        u_sq, v_sq = np.broadcast_arrays(np.asarray(u_sq, float),
-                                         np.asarray(v_sq, float))
         return np.full(u_sq.shape, state.z0_sq), 0
-    u_sq = np.asarray(u_sq, dtype=float)
-    v_sq = np.asarray(v_sq, dtype=float)
     if np.any(u_sq < 0) or np.any(v_sq < 0):
         raise ValueError("u_sq and v_sq must be >= 0")
-    u_sq, v_sq = np.broadcast_arrays(u_sq, v_sq)
-    z0_sq, xi = state.z0_sq, state.xi
-
-    def g(s):
-        return (s - z0_sq) / xi - _rhs_many(s, u_sq, v_sq)
-
-    # Every step below is strictly per-element: each point's bracket and
-    # bisection trajectory depend only on that point, never on which other
-    # points happen to share the call.  That is what makes grid results
-    # bitwise independent of how a surface is chunked across workers.
-    pole = -math.pi ** 2
-
-    # Left end: f0 ~ 2/eps at s = -pi^2 + eps beats any finite LHS once
-    # eps is small enough; walk each point in until it does.
-    eps = np.full(u_sq.shape, 1e-9)
-    need = g(pole + eps) >= 0.0
-    while np.any(need):
-        eps = np.where(need, eps / 1000.0, eps)
-        if np.any(eps[need] < 1e-14):
-            raise RuntimeError("failed to bracket the saddle equation at the pole")
-        need = need & (g(pole + eps) >= 0.0)
-    lo = pole + eps
-
-    hi = np.full(u_sq.shape, max(z0_sq, 1.0))
-    need = g(hi) < 0.0
-    while np.any(need):
-        hi = np.where(need, hi * 2.0, hi)
-        if np.any(hi[need] > _HI_CAP):
-            raise RuntimeError("failed to bracket the saddle equation from above")
-        need = need & (g(hi) < 0.0)
-
-    # Fixed-count bisection (no data-dependent early exit): after max_iter
-    # halvings every interval is at the floating-point floor, and skipping
-    # a shared convergence test keeps each element's result independent of
-    # its neighbours.
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi), max_iter
+    s, nfev = _solve(state.z0_sq, state.xi, _rhs_many, _sf.POLE_MAIN, 2.0,
+                     u_sq, v_sq)
+    return s, int(nfev.max(initial=0))
 
 
 def solve_saddle_uv(state: "ReducedState", u_sq: float, v_sq: float) -> SaddleSolution:

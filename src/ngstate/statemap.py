@@ -20,7 +20,7 @@ cheap consistency check used in the tests.
 import math
 from dataclasses import dataclass
 
-from .errors import HeisenbergViolation, NonPositiveA, Unreachable
+from .errors import BracketError, HeisenbergViolation, NonPositiveA, Unreachable
 from . import saddle as _saddle
 from . import specfun as _sf
 
@@ -221,23 +221,14 @@ def x_from_c4(n: float, c4_half_ratio: float) -> float:
         return 0.0
     from . import observables as _obs  # deferred: observables imports us
 
-    ratio = lambda x: _obs.c4_half_ratio_nx(n, x)
-    hi = 1.0
-    while ratio(hi) > c4_half_ratio:
-        hi *= 4.0
-        if hi > _X_CAP:
-            raise Unreachable(
-                f"c4_half_ratio = {c4_half_ratio} is below the saturation "
-                f"floor for n = {n} (ratio at x = {_X_CAP:g} is {ratio(_X_CAP):.12f})"
-            )
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = ratio(mid)
-        if abs(val - c4_half_ratio) < 1e-10:
-            return mid
-        if val > c4_half_ratio:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def g(y):  # solved in y = x/(1+x), on which the ratio is close to linear
+        return c4_half_ratio - _obs.c4_half_ratio_nx(n, y.item() / (1.0 - y.item()))
+
+    try:
+        y, _ = _saddle._find_root(g, 0.0, _X_CAP / (1.0 + _X_CAP))
+    except BracketError:
+        raise Unreachable(
+            f"c4_half_ratio = {c4_half_ratio} is below the saturation floor for n = "
+            f"{n} (ratio at x = {_X_CAP:g} is {_obs.c4_half_ratio_nx(n, _X_CAP):.12f})"
+        ) from None
+    return float(y / (1.0 - y))

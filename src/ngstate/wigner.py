@@ -38,7 +38,7 @@ import numpy as np
 
 from . import densmat as _dm
 from . import specfun as _sf
-from .errors import NotConverged, QuadratureNonPositive
+from .errors import BracketError, NotConverged, QuadratureNonPositive
 from .statemap import GaussianMoments, ReducedState
 
 __all__ = [
@@ -198,7 +198,7 @@ def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
             return float(v[np.argmax(dropped, axis=1)].max())
         probe_hi *= 2.0
         if probe_hi > 1e4:
-            raise RuntimeError("envelope failed to decay below the quadrature cut")
+            raise BracketError("envelope failed to decay below the quadrature cut")
 
 
 def _panel_count(v_max: float, n_max: int, r_max: float,

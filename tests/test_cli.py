@@ -180,6 +180,35 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig1_c4", "--x", "nan"],
+    ["fig1_c4", "--x", "inf"],
+    ["fig2_purity", "--n", "inf"],
+    ["fig3_dsurface", "--x", "nan"],
+])
+def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "nf"
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+def test_bracket_failure_exits_1_with_meta(tmp_path, capsys, monkeypatch):
+    # an envelope that never decays leaves the quadrature cut unbracketed
+    monkeypatch.setattr(wigner._dm, "ln_d_many", lambda state, u_sq, v_sq:
+                        np.zeros(np.broadcast_shapes(np.shape(u_sq), np.shape(v_sq))))
+    out = tmp_path / "br"
+    code = cli.main(["fig5_wigner", "--x", "1", "--grid", "3x3",
+                     "--out", str(out)])
+    assert code == 1
+    capsys.readouterr()
+    meta = _read_meta(out)
+    assert meta["wigner_x1.converged"] is False
+    assert "envelope" in meta["wigner_x1.error"]
+
+
 def test_not_converged_exits_1_with_partial_output(tmp_path, capsys):
     out = tmp_path / "nc"
     code = cli.main(["fig5_wigner", "--x", "15", "--N-list", "4", "6", "8",

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ngstate import ReducedState
 from ngstate import saddle
 from ngstate import specfun as sf
+from ngstate.errors import BracketError
 from ngstate.saddle import Branch
 
 LN2_SQ = 0.48045301391820142
@@ -68,6 +71,9 @@ def test_solve_gap_tilde_large_n_quadratic_limit():
 def test_solve_trace_raw_validation():
     with pytest.raises(ValueError):
         saddle.solve_trace_raw(0.5, 0.0)
+    # the shared root-finder refuses ends without a sign change
+    with pytest.raises(BracketError):
+        saddle._find_root(lambda s: s - 2.0, np.array([3.0]), np.array([4.0]))
 
 
 def test_saddle_uv_center_point():
@@ -115,7 +121,9 @@ def test_saddle_uv_uniqueness_scan():
         v_sq = float(rng.uniform(0.0, 20.0))
         st = ReducedState.from_nx(n, x)
         # scan past the solver's own root so the crossing is inside the grid
-        s_root = saddle.solve_saddle_uv(st, u_sq, v_sq).s
+        sol = saddle.solve_saddle_uv(st, u_sq, v_sq)
+        assert abs(sol.residual) < 1e-12, (n, x, u_sq, v_sq)
+        s_root = sol.s
         hi = max(60.0, 2.0 * abs(s_root) + 10.0)
         grid = np.linspace(-math.pi ** 2 + 1e-6, hi, 30001)
         f0, fu, fv = sf.small_f(grid)
@@ -153,3 +161,34 @@ def test_vectorized_broadcasting_and_validation():
     assert s.shape == (7, 3)
     with pytest.raises(ValueError):
         saddle.solve_saddle_uv_many(st, np.array([-1.0]), np.array([0.0]))
+    # a sub-block is bit-identical to the full grid, across solver blocks
+    st = ReducedState.from_nx(10.0, 15.0)
+    u = np.linspace(0.0, 300.0, 150)[:, None]
+    v = np.linspace(0.0, 40.0, 90)[None, :]
+    assert u.size * v.size > saddle._BLOCK
+    s, _ = saddle.solve_saddle_uv_many(st, u, v)
+    sub, _ = saddle.solve_saddle_uv_many(st, u[41:133], v[:, 7:64])
+    assert np.array_equal(sub, s[41:133, 7:64])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.floats(0.05, 30.0), x=hst.floats(0.01, 40.0),
+       u_sq=hst.floats(0.0, 50.0), v_sq=hst.floats(0.0, 20.0))
+def test_saddle_properties(n, x, u_sq, v_sq):
+    st = ReducedState.from_nx(n, x)
+    u = u_sq + np.array([0.0, 0.5, 1.0])
+    s, _ = saddle.solve_saddle_uv_many(st, u, v_sq)
+    # residual bound of the defining equation; at small xi one ulp of s
+    # moves the scaled residual by more than 1e-12, so that step is allowed
+    f0, fu, fv = sf.small_f(s)
+    lhs = (s - st.z0_sq) / st.xi
+    scale = np.maximum(1.0, np.abs(lhs))
+    resid = (lhs - (f0 + fu * u + fv * v_sq)) / scale
+    ulp_step = np.spacing(np.abs(s)) / st.xi / scale
+    assert np.all(np.abs(resid) < 1e-12 + ulp_step)
+    # s rises with u^2
+    assert np.all(np.diff(s) > 0)
+    # a point's root does not depend on the points solved alongside it
+    for i in range(u.size):
+        alone, _ = saddle.solve_saddle_uv_many(st, u[i:i + 1], v_sq)
+        assert alone[0] == s[i]

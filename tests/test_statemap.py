@@ -135,12 +135,12 @@ def test_x_from_c4_roundtrip_and_window():
     assert x_from_c4(10.0, 0.0) == 0.0
     target = -30.0 / 31.0
     x = x_from_c4(10.0, target)
-    assert abs(c4_half_ratio_nx(10.0, x) - target) < 1e-10
+    assert abs(c4_half_ratio_nx(10.0, x) - target) <= 1e-14
     # the large-n inversion of this target would give exactly 15
     assert 13.0 < x < 17.0
     for n, tgt in [(0.3, -0.2), (1.0, -0.6), (10.0, -0.96)]:
         xr = x_from_c4(n, tgt)
-        assert abs(c4_half_ratio_nx(n, xr) - tgt) < 1e-10
+        assert abs(c4_half_ratio_nx(n, xr) - tgt) <= 1e-14
 
 
 def test_x_from_c4_unreachable_and_invalid():

@@ -13,7 +13,7 @@ import pytest
 
 from ngstate import densmat as dm
 from ngstate import wigner as wg
-from ngstate.errors import NotConverged, QuadratureNonPositive
+from ngstate.errors import BracketError, NotConverged, QuadratureNonPositive
 from ngstate.statemap import ReducedState
 
 
@@ -225,6 +225,14 @@ def test_not_converged_raises():
     with pytest.raises(NotConverged) as info:
         wg.ln_w(st, 1.0, 0.0, wg.WignerSettings(n_list=(4, 6, 8)))
     assert info.value.spread > 1e-3
+
+
+def test_envelope_cut_failure_is_typed(monkeypatch):
+    # a flat ln d never drops below the cut, however far the probe widens
+    monkeypatch.setattr(dm, "ln_d_many", lambda state, u_sq, v_sq:
+                        np.zeros(np.broadcast_shapes(np.shape(u_sq), np.shape(v_sq))))
+    with pytest.raises(BracketError):
+        wg._auto_v_max(ReducedState.from_nx(10.0, 1.0), 1.0, 4)
 
 
 # ---------------------------------------------------------------------------
