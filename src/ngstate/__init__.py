@@ -16,6 +16,7 @@ from .errors import (
     NgStateError,
     NonPositiveA,
     NotConverged,
+    PrecisionLoss,
     QuadratureNonPositive,
     RegimeError,
     Unreachable,

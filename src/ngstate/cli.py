@@ -151,6 +151,14 @@ def _u_peak(state):
     return 1.0
 
 
+def _quad_diag(result, tol, **extra):
+    """The preset's own diagnostics, then the quadrature and convergence
+    fields of a WignerGrid or ProjectionGrid."""
+    spread_max = float(np.max(result.spread))
+    return {**extra, "max_spread": spread_max, "converged": spread_max <= tol,
+            "quad_v_max": result.v_max, "quad_points": result.quad_points}
+
+
 def _u_axis(state, nu, u_max):
     if u_max is not None:
         return np.linspace(0.0, u_max, nu)
@@ -266,10 +274,7 @@ def _plan_fig5(args):
             u = _u_axis(state, nu, args.u_max)
             r = np.linspace(0.0, r_max, nr)
             grid = _wig.wigner_grid(state, u, r, settings)
-            spread_max = float(np.max(grid.spread))
-            diag = {"u_max": float(u[-1]), "max_spread": spread_max,
-                    "converged": spread_max <= args.tol,
-                    "quad_v_max": grid.v_max, "quad_points": grid.quad_points}
+            diag = _quad_diag(grid, args.tol, u_max=float(u[-1]))
             return ("u", "r", "ln_w_norm", "spread"), list(grid.rows()), diag
 
         jobs.append(_Job(f"wigner_x{_tag(x)}", build))
@@ -316,12 +321,8 @@ def _plan_fig6(args):
                 proj = _wig.project_physical(
                     sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis,
                     settings)
-                spread_max = float(np.max(proj.spread))
-                diag = {"phi_max": phi_max, "pi_max": pi_max,
-                        "max_spread": spread_max,
-                        "converged": spread_max <= args.tol,
-                        "quad_v_max": proj.v_max,
-                        "quad_points": proj.quad_points}
+                diag = _quad_diag(proj, args.tol, phi_max=phi_max,
+                                  pi_max=pi_max)
                 return (("phi", "pi", "ln_w_norm"), list(proj.rows()), diag)
 
             jobs.append(_Job(f"contours_phi{_tag(phi_s)}_{mode}", build))
@@ -358,11 +359,7 @@ def _plan_fig7(args):
         pi_axis = np.array([0.0])
         proj = _wig.project_physical(
             sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis, settings)
-        spread_max = float(np.max(proj.spread))
-        diag = {"phi_max": phi_max, "phi_peak": phi0,
-                "max_spread": spread_max,
-                "converged": spread_max <= args.tol,
-                "quad_v_max": proj.v_max, "quad_points": proj.quad_points}
+        diag = _quad_diag(proj, args.tol, phi_max=phi_max, phi_peak=phi0)
         return ("phi", "pi", "ln_w_norm"), list(proj.rows()), diag
 
     meta = {"n": n, "x": x, "gamma": gamma, "phi": phi_s, "mode": mode,

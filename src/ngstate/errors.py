@@ -48,3 +48,7 @@ class ConfigError(NgStateError):
 
 class BracketError(NgStateError):
     """A root solve or cut search found no sign change within its bracket."""
+
+
+class PrecisionLoss(NgStateError):
+    """A closed form cannot be evaluated in double precision at these inputs."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import saddle as _saddle
 from . import specfun as _sf
+from .errors import PrecisionLoss
 from .statemap import N_SMALL, ReducedState
 
 __all__ = [
@@ -115,6 +116,7 @@ def purity(state: ReducedState) -> PurityReport:
 
     with q = (1+2n~(n~+1))/(1+4n~(n~+1)) and kappa~ = h_trace(z~^2).
     Assembled in log space; exact value 1/(2n+1) returned at x = 0.
+    Raises PrecisionLoss where n~ or p is not representable as a double.
     """
     n, x = state.n, state.x
     p_gauss = 1.0 / (2.0 * n + 1.0)
@@ -124,6 +126,8 @@ def purity(state: ReducedState) -> PurityReport:
     sol = _saddle.solve_gap_tilde(state)
     z_t = math.sqrt(sol.s)
     t = math.exp(-z_t)
+    if t == 1.0:
+        raise PrecisionLoss(f"purity: n~ overflows at n = {n:.6g}, x = {x:.6g}")
     n_t = t / (1.0 - t)
     kappa_t = _sf.h_trace(sol.s)
     q = (1.0 + 2.0 * n_t * (n_t + 1.0)) / (1.0 + 4.0 * n_t * (n_t + 1.0))
@@ -134,8 +138,10 @@ def purity(state: ReducedState) -> PurityReport:
             - math.log(n) - math.log1p(n)
             - math.log1p(2.0 * n_t)
             + expo)
-    p = math.exp(ln_p)
-    ratio = math.exp(ln_p + math.log1p(2.0 * n))
+    try:
+        p, ratio = math.exp(ln_p), math.exp(ln_p + math.log1p(2.0 * n))
+    except OverflowError:
+        raise PrecisionLoss(f"purity: p overflows at n = {n:.6g}, x = {x:.6g}") from None
     return PurityReport(p=p, p_gaussian=p_gauss, ratio=ratio,
                         n_tilde=n_t, kappa_tilde=kappa_t)
 

@@ -22,10 +22,14 @@ x = 0 the integral is a Weber integral with the exact value
 ln w_N = ln w_inf - ln(2)/N, so the extrapolation is exact there; the
 closed Gaussian form ln_w_gaussian_exact is exposed as the oracle.
 
+Grids, projections and single points share one assembly, which builds
+each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS.
+
 Every quadrature mesh is a pure function of the call inputs (state, grid,
-settings), and each grid point's value depends only on that point plus
-the shared mesh -- results are bitwise reproducible no matter how a
-caller distributes points over workers.
+settings), so results are bitwise reproducible however a caller
+distributes calls over workers.  A projection row's values do not depend
+on the other rows while the call's table fits one block; otherwise, and
+for tensor grids, other points can move a value in its last digits.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ __all__ = [
 
 _GL_ORDER = 16
 _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
+# Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
+# every default preset (<= 188 r x 384 nodes), below the probe's peak memory
+_TABLE_ELEMS = 3 << 15
 
 
 class Extrapolation(Enum):
@@ -223,18 +230,13 @@ def _gl_mesh(v_max: float, n_panels: int):
     return v, w
 
 
-def _ln_w_single_point_r0(N: int, g_full_row, weights, v) -> float:
-    g_max = float(g_full_row.max())
-    integral = float(np.sum((weights / v) * np.exp(N * (g_full_row - g_max))))
-    # integrand is positive; only total envelope underflow could zero it
-    if integral <= 0.0:
-        raise QuadratureNonPositive(f"r = 0 integral vanished at N = {N}")
-    return (0.5 * math.log(4.0 * math.pi * N) - math.lgamma(N / 2.0) / N
-            + g_max + math.log(integral) / N)
+def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
+    """ln w for each N at the points (u_sq[i], r_rows[i, k]): (nN, nu, nr).
 
-
-def _assemble_grid_per_n(state, u_sq, r, n_list, v, w):
-    """ln w for each N over a tensor grid: (nN, nu, nr)."""
+    r_rows has one row per u, or one row for every u (a tensor grid).  The
+    Bessel table is built once per distinct positive r, in blocks; only the
+    points' own entries are checked and logged.
+    """
     ln_v = np.log(v)
     lnd = _dm.ln_d_many(state, u_sq[:, None], (v * v)[None, :])  # (nu, nodes)
     g_half = 0.5 * ln_v[None, :] + lnd
@@ -242,65 +244,49 @@ def _assemble_grid_per_n(state, u_sq, r, n_list, v, w):
     gmax_h = g_half.max(axis=1)
     gmax_f = g_full.max(axis=1)
 
-    pos = r > 0.0
-    r_pos = r[pos]
-    out = np.empty((len(n_list), u_sq.size, r.size))
-    for i_n, N in enumerate(n_list):
-        order = N // 2 - 1
-        if r_pos.size:
+    shared = r_rows.shape[0] < u_sq.size
+    r_rows = np.broadcast_to(r_rows, (u_sq.size, r_rows.shape[1]))
+    out = np.empty((len(n_list),) + r_rows.shape)
+    flat = out.reshape(len(n_list), -1)
+    pos = r_rows.ravel() > 0.0
+    at = np.flatnonzero(pos)
+    r_pos, inv = np.unique(r_rows.ravel()[at], return_inverse=True)
+    block = max(1, _TABLE_ELEMS // v.size)
+    for lo in range(0, r_pos.size, block):
+        r_blk = r_pos[lo:lo + block]
+        mine = np.flatnonzero((inv >= lo) & (inv < lo + block))
+        pts, col = at[mine], inv[mine] - lo
+        row = pts // r_rows.shape[1]
+        # a tensor grid needs every (u, r) pair; else each row takes only
+        # the table rows of its own r values
+        edges = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
+        for i_n, N in enumerate(n_list):
             envelope = np.exp(N * (g_half - gmax_h[:, None])) * w  # (nu, nodes)
-            bes = _sf.bessel_j(order, N * np.outer(r_pos, v))      # (nr+, nodes)
-            integral = envelope @ bes.T                            # (nu, nr+)
+            bes = _sf.bessel_j(N // 2 - 1, N * np.outer(r_blk, v))
+            if shared:
+                integral = (envelope @ bes.T)[row, col]
+            else:
+                integral = np.concatenate([bes[col[a:b]] @ envelope[row[a]]
+                                           for a, b in zip(edges, edges[1:])])
             if np.any(integral <= 0.0):
-                bad = np.argwhere(integral <= 0.0)[0]
+                bad = int(np.argmax(integral <= 0.0))
                 raise QuadratureNonPositive(
                     f"oscillatory quadrature lost positivity at N = {N}, "
-                    f"u^2 = {u_sq[bad[0]]:.6g}, r = {r_pos[bad[1]]:.6g}")
-            prefac = np.log(N * r_pos / 2.0) / N + 0.5 * np.log(8.0 * math.pi / r_pos)
-            out[i_n][:, pos] = (np.log(integral) / N + gmax_h[:, None]
-                                + prefac[None, :])
-        if np.any(~pos):
-            env0 = np.exp(N * (g_full - gmax_f[:, None])) * (w / v)
-            integral0 = env0.sum(axis=1)
-            if np.any(integral0 <= 0.0):
-                raise QuadratureNonPositive(f"r = 0 integral vanished at N = {N}")
-            col = (0.5 * math.log(4.0 * math.pi * N) - math.lgamma(N / 2.0) / N
-                   + gmax_f + np.log(integral0) / N)
-            out[i_n][:, ~pos] = col[:, None]
-    return out
-
-
-def _assemble_rows_per_n(state, u_sq, r_rows, n_list, v, w):
-    """Same as above for a per-row r matrix (nu, nr): (nN, nu, nr)."""
-    ln_v = np.log(v)
-    lnd = _dm.ln_d_many(state, u_sq[:, None], (v * v)[None, :])
-    g_half = 0.5 * ln_v[None, :] + lnd
-    g_full = ln_v[None, :] + lnd
-
-    out = np.empty((len(n_list), u_sq.size, r_rows.shape[1]))
-    for i_u in range(u_sq.size):
-        row_r = r_rows[i_u]
-        pos = row_r > 0.0
-        r_pos = row_r[pos]
-        gh = g_half[i_u]
-        gf = g_full[i_u]
-        gmax_h = float(gh.max())
-        for i_n, N in enumerate(n_list):
-            order = N // 2 - 1
-            if r_pos.size:
-                envelope = np.exp(N * (gh - gmax_h)) * w
-                bes = _sf.bessel_j(order, N * np.outer(r_pos, v))
-                integral = bes @ envelope
-                if np.any(integral <= 0.0):
-                    bad = int(np.argwhere(integral <= 0.0)[0][0])
-                    raise QuadratureNonPositive(
-                        f"oscillatory quadrature lost positivity at N = {N}, "
-                        f"u^2 = {u_sq[i_u]:.6g}, r = {r_pos[bad]:.6g}")
-                out[i_n, i_u, pos] = (np.log(integral) / N + gmax_h
-                                      + np.log(N * r_pos / 2.0) / N
-                                      + 0.5 * np.log(8.0 * math.pi / r_pos))
-            if np.any(~pos):
-                out[i_n, i_u, ~pos] = _ln_w_single_point_r0(N, gf, w, v)
+                    f"u^2 = {u_sq[row[bad]]:.6g}, r = {r_blk[col[bad]]:.6g}")
+            prefac = np.log(N * r_blk / 2.0) / N + 0.5 * np.log(8.0 * math.pi / r_blk)
+            flat[i_n, pts] = np.log(integral) / N + gmax_h[row] + prefac[col]
+    at0 = np.flatnonzero(~pos)
+    row0 = at0 // r_rows.shape[1]
+    for i_n, N in enumerate(n_list):
+        if not at0.size:
+            break
+        env0 = np.exp(N * (g_full - gmax_f[:, None])) * (w / v)
+        integral0 = env0.sum(axis=1)[row0]
+        if np.any(integral0 <= 0.0):
+            raise QuadratureNonPositive(f"r = 0 integral vanished at N = {N}")
+        flat[i_n, at0] = (0.5 * math.log(4.0 * math.pi * N)
+                          - math.lgamma(N / 2.0) / N
+                          + gmax_f[row0] + np.log(integral0) / N)
     return out
 
 
@@ -328,13 +314,37 @@ def _extrapolate(vals, n_list, scheme: Extrapolation):
     return steps[-1], np.abs(steps[-1] - vals[-1])
 
 
-def _prepare(state, u_sq, r_max, settings):
+def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
+    """Mesh for the points, then ln w per N -> (per_n, v_max, nodes)."""
+    r_max = float(r_rows.max()) if r_rows.size else 0.0
     v_max = settings.v_max if settings.v_max is not None else \
         _auto_v_max(state, u_sq, settings.n_list[0])
     n_panels = _panel_count(v_max, settings.n_list[-1], r_max,
                             settings.quad_points)
     v, w = _gl_mesh(v_max, n_panels)
-    return v, w, v_max, n_panels * _GL_ORDER
+    per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w)
+    return per_n, v_max, n_panels * _GL_ORDER
+
+
+def _point_per_n(state, u_sq, r_sq, n_list, settings):
+    """ln w for each N at one point, as a 1x1 grid: (nN,)."""
+    if u_sq < 0 or r_sq < 0:
+        raise ValueError("u_sq and r_sq must be >= 0")
+    per_n, _, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
+                                     np.array([[math.sqrt(r_sq)]]), n_list,
+                                     settings)
+    return per_n[:, 0, 0]
+
+
+def _normalised(state, u_sq, r_rows, settings):
+    """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
+    max = 0: the fields shared by WignerGrid and ProjectionGrid."""
+    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows,
+                                              settings.n_list, settings)
+    value, spread = _extrapolate(per_n, settings.n_list, settings.extrapolation)
+    top = float(value.max())
+    return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
+                quad_points=n_quad, v_max=v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +358,7 @@ def ln_w_at_N(state: ReducedState, u_sq: float, r_sq: float, N: int,
     N = int(N)
     if N < 4 or N % 2:
         raise ValueError(f"N must be even and >= 4, got {N}")
-    if u_sq < 0 or r_sq < 0:
-        raise ValueError("u_sq and r_sq must be >= 0")
-    u_arr = np.array([u_sq], dtype=float)
-    r_arr = np.array([math.sqrt(r_sq)], dtype=float)
-    v, w, _, _ = _prepare(state, u_arr, float(r_arr[0]), settings)
-    out = _assemble_grid_per_n(state, u_arr, r_arr, (N,), v, w)
-    return float(out[0, 0, 0])
+    return float(_point_per_n(state, u_sq, r_sq, (N,), settings)[0])
 
 
 def ln_w(state: ReducedState, u_sq: float, r_sq: float,
@@ -364,14 +368,9 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float,
     Raises NotConverged when the scheme's last step exceeds spread_tol.
     """
     settings = settings or WignerSettings()
-    if u_sq < 0 or r_sq < 0:
-        raise ValueError("u_sq and r_sq must be >= 0")
-    u_arr = np.array([u_sq], dtype=float)
-    r_arr = np.array([math.sqrt(r_sq)], dtype=float)
-    v, w, _, _ = _prepare(state, u_arr, float(r_arr[0]), settings)
-    per_n = _assemble_grid_per_n(state, u_arr, r_arr, settings.n_list, v, w)
-    value, spread = _extrapolate(per_n, settings.n_list, settings.extrapolation)
-    value, spread = float(value[0, 0]), float(spread[0, 0])
+    per_n = _point_per_n(state, u_sq, r_sq, settings.n_list, settings)
+    value, spread = map(float, _extrapolate(per_n, settings.n_list,
+                                            settings.extrapolation))
     if spread > settings.spread_tol:
         raise NotConverged(
             f"ln w spread {spread:.3e} above tolerance {settings.spread_tol:.3e} "
@@ -394,14 +393,8 @@ def wigner_grid(state: ReducedState, u, r,
         raise ValueError("u and r must be one-dimensional")
     if np.any(u < 0) or np.any(r < 0):
         raise ValueError("grid values must be >= 0")
-    u_sq = u * u
-    r_max = float(r.max()) if r.size else 0.0
-    v, w, v_max, n_quad = _prepare(state, u_sq, r_max, settings)
-    per_n = _assemble_grid_per_n(state, u_sq, r, settings.n_list, v, w)
-    value, spread = _extrapolate(per_n, settings.n_list, settings.extrapolation)
-    top = float(value.max())
-    return WignerGrid(u=u, r=r, ln_w_norm=value - top, spread=spread,
-                      ln_w_max=top, quad_points=n_quad, v_max=v_max)
+    return WignerGrid(u=u, r=r,
+                      **_normalised(state, u * u, r[None, :], settings))
 
 
 def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
@@ -437,12 +430,5 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
                               + (rho * phi[:, None]) ** 2)
     else:
         raise ValueError(f"unknown projection mode {mode!r}")
-    r_rows = np.sqrt(r_sq)
-    r_max = float(r_rows.max()) if r_rows.size else 0.0
-    v, w, v_max, n_quad = _prepare(state, u_sq, r_max, settings)
-    per_n = _assemble_rows_per_n(state, u_sq, r_rows, settings.n_list, v, w)
-    value, spread = _extrapolate(per_n, settings.n_list, settings.extrapolation)
-    top = float(value.max())
-    return ProjectionGrid(phi=phi, pi=pi_arr, ln_w_norm=value - top,
-                          spread=spread, ln_w_max=top, mode=mode,
-                          quad_points=n_quad, v_max=v_max)
+    return ProjectionGrid(phi=phi, pi=pi_arr, mode=mode,
+                          **_normalised(state, u_sq, np.sqrt(r_sq), settings))

@@ -209,6 +209,19 @@ def test_bracket_failure_exits_1_with_meta(tmp_path, capsys, monkeypatch):
     assert "envelope" in meta["wigner_x1.error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--x", "1e20"],               # ln p overflows
+    ["--n", "1e17", "--x", "1"],   # n~ = 1/(e^z~ - 1) with e^-z~ == 1.0
+])
+def test_purity_out_of_precision_exits_1_with_meta(tmp_path, capsys, argv):
+    out = tmp_path / "pp"
+    assert cli.main(["fig2_purity", *argv, "--out", str(out)]) == 1
+    capsys.readouterr()
+    meta = _read_meta(out)
+    assert meta["purity.converged"] is False
+    assert "purity" in meta["purity.error"]
+
+
 def test_not_converged_exits_1_with_partial_output(tmp_path, capsys):
     out = tmp_path / "nc"
     code = cli.main(["fig5_wigner", "--x", "15", "--N-list", "4", "6", "8",

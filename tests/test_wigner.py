@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
 from ngstate import wigner as wg
-from ngstate.errors import BracketError, NotConverged, QuadratureNonPositive
+from ngstate.errors import (BracketError, NgStateError, NotConverged,
+                            QuadratureNonPositive)
 from ngstate.statemap import ReducedState
 
 
@@ -182,6 +185,70 @@ def test_grid_matches_scalar_with_pinned_mesh():
             val, _ = wg.ln_w(st, ui * ui, rk * rk, settings)
             assert grid.ln_w_norm[i, k] + grid.ln_w_max == pytest.approx(
                 val, abs=1e-13)
+    # projection rows too: without tilt, para maps pi to r = 2 sqrt(A)|pi|,
+    # so each row mixes r = 0, a repeated r and a distinct r
+    sq = wg.SqueezeParams(n=10.0, gamma=0.0, phi=0.0)
+    big_a = st.kappa * sq.moments().F
+    phi = np.array([0.7, 2.4]) * math.sqrt(big_a)
+    pi = np.array([0.0, 0.55, -0.55, 1.1]) / (2.0 * math.sqrt(big_a))
+    proj = wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi, pi,
+                               settings)
+    full = proj.ln_w_norm + proj.ln_w_max
+    for i, ph in enumerate(phi):
+        for k, pk in enumerate(pi):
+            val, _ = wg.ln_w(st, ph * ph / big_a, 4.0 * big_a * pk * pk,
+                             settings)
+            assert full[i, k] == pytest.approx(val, abs=1e-13)
+    # a row computed alone equals the same row of the full call
+    alone = wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi[1:],
+                                pi, settings)
+    np.testing.assert_array_equal(alone.ln_w_norm[0] + alone.ln_w_max, full[1])
+
+
+def _spy_bessel(monkeypatch):
+    """Record (order, rows) of every Bessel table the engine builds."""
+    calls = []
+    real = wg._sf.bessel_j
+
+    def spy(order, argument):
+        calls.append((order, argument.shape[0]))
+        return real(order, argument)
+
+    monkeypatch.setattr(wg._sf, "bessel_j", spy)
+    return calls
+
+
+def _symmetric_projection(settings):
+    """A para projection without tilt, so r = 2 sqrt(A)|pi| in every row:
+    each row holds r = 0 and each positive r twice, all rows the same."""
+    sq = wg.SqueezeParams(n=10.0, gamma=0.5, phi=0.0)
+    phi = np.linspace(-1.0, 1.0, 5)
+    pi = np.array([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
+    return wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi, pi,
+                               settings)
+
+
+def test_bessel_table_once_per_distinct_r(monkeypatch):
+    # each N builds its table once per distinct positive r, not per row
+    calls = _spy_bessel(monkeypatch)
+    settings = wg.WignerSettings(n_list=(4, 8, 12))
+    proj = _symmetric_projection(settings)
+    for N in settings.n_list:
+        rows = [rows for order, rows in calls if order == N // 2 - 1]
+        assert sum(rows) == 3
+        assert max(rows) <= max(1, wg._TABLE_ELEMS // proj.quad_points)
+
+
+def test_bessel_blocks_match_one_table(monkeypatch):
+    # a table cut into blocks gives the values of the single table
+    settings = wg.WignerSettings(n_list=(4, 8, 12))
+    one = _symmetric_projection(settings)
+    calls = _spy_bessel(monkeypatch)
+    monkeypatch.setattr(wg, "_TABLE_ELEMS", 2 * one.quad_points)
+    blocked = _symmetric_projection(settings)
+    assert [rows for order, rows in calls if order == 1] == [2, 1]
+    np.testing.assert_allclose(blocked.ln_w_norm, one.ln_w_norm,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_grid_rows_order():
@@ -225,6 +292,21 @@ def test_not_converged_raises():
     with pytest.raises(NotConverged) as info:
         wg.ln_w(st, 1.0, 0.0, wg.WignerSettings(n_list=(4, 6, 8)))
     assert info.value.spread > 1e-3
+
+
+@hsettings(max_examples=40, deadline=None, derandomize=True)
+@given(n=hst.floats(0.3, 20.0), x=hst.floats(0.0, 40.0),
+       u_sq=hst.floats(0.0, 4.0), r_sq=hst.floats(0.0, 4.5))
+def test_ln_w_finite_or_typed(n, x, u_sq, r_sq):
+    # inside the README window (N r^2 / 4 <= 45 at N = 40) every call
+    # returns a finite value or raises the library's own error; for n below
+    # about 2 the quadrature can fail there (NotConverged or
+    # QuadratureNonPositive), which is typed
+    try:
+        value, spread = wg.ln_w(ReducedState.from_nx(n, x), u_sq, r_sq)
+    except NgStateError:
+        return
+    assert math.isfinite(value) and math.isfinite(spread)
 
 
 def test_envelope_cut_failure_is_typed(monkeypatch):
