@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     HeisenbergViolation,
     NgStateError,
+    NonFiniteValue,
     NonPositiveA,
     NotConverged,
     PrecisionLoss,

@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from importlib import metadata as _ilmd
 
 import numpy as np
@@ -62,14 +61,6 @@ def _version():
 def _tag(value):
     """File-name token for a parameter value: 0.5 -> '0p5'."""
     return _io.format_number(float(value)).replace(".", "p").replace("-", "m")
-
-
-@dataclass
-class _Job:
-    """One output artifact: a builder returning (header, rows, diag)."""
-
-    name: str
-    fn: object
 
 
 def _resolve_threads(args):
@@ -166,7 +157,7 @@ def _u_axis(state, nu, u_max):
 
 
 # ---------------------------------------------------------------------------
-# preset planners: args -> (jobs, shared metadata)
+# preset planners: args -> ({artifact name: builder}, shared metadata)
 
 def _plan_fig1(args):
     n_values = [float(v) for v in (args.n if args.n is not None else _FIG1_N)]
@@ -175,17 +166,13 @@ def _plan_fig1(args):
     x_values = _resolve_x(args, _SWEEP_X, None)
 
     def build():
-        rows = []
-        for n in n_values:
-            for x in x_values:
-                if n == 0.0:
-                    ratio = _obs.c4_ratio_small_n(x)
-                else:
-                    ratio = _obs.c4_half_ratio_nx(n, x)
-                rows.append((n, x, ratio))
-        return ("n", "x", "c4_ratio"), rows, {}
+        ratio = [[_obs.c4_ratio_small_n(x) if n == 0.0
+                  else _obs.c4_half_ratio_nx(n, x) for x in x_values]
+                 for n in n_values]
+        return (("n", "x", "c4_ratio"),
+                _io.tensor_table(n_values, x_values, ratio), {})
 
-    return [_Job("c4_ratio", build)], {"n": n_values, "x": x_values}
+    return {"c4_ratio": build}, {"n": n_values, "x": x_values}
 
 
 def _plan_fig2(args):
@@ -195,18 +182,17 @@ def _plan_fig2(args):
     x_values = _resolve_x(args, _SWEEP_X, None)
 
     def build():
-        rows = []
-        for n in n_values:
-            for x in x_values:
-                if n == 0.0:
-                    # pure-state limit: the purity stays 1 for every x
-                    rows.append((n, x, 1.0, 1.0, 1.0))
-                else:
+        # n = 0 is the pure-state limit: the purity stays 1 for every x
+        p = np.ones((3, len(n_values), len(x_values)))
+        for i, n in enumerate(n_values):
+            for k, x in enumerate(x_values):
+                if n != 0.0:
                     rep = _obs.purity(ReducedState.from_nx(n, x))
-                    rows.append((n, x, rep.p, rep.p_gaussian, rep.ratio))
-        return ("n", "x", "p", "p_gaussian", "ratio"), rows, {}
+                    p[:, i, k] = rep.p, rep.p_gaussian, rep.ratio
+        return (("n", "x", "p", "p_gaussian", "ratio"),
+                _io.tensor_table(n_values, x_values, *p), {})
 
-    return [_Job("purity", build)], {"n": n_values, "x": x_values}
+    return {"purity": build}, {"n": n_values, "x": x_values}
 
 
 def _plan_fig3(args):
@@ -216,7 +202,7 @@ def _plan_fig3(args):
     if nv < 2:
         raise ConfigError("fig3_dsurface needs a two-dimensional --grid")
     v_top = args.v_max if args.v_max is not None else 4.0
-    jobs = []
+    jobs = {}
     for x in x_values:
         state = ReducedState.from_nx(n, x)
 
@@ -224,10 +210,11 @@ def _plan_fig3(args):
             u = _u_axis(state, nu, args.u_max)
             v = np.linspace(0.0, v_top, nv)
             surf = _dm.d_surface(state, u, v)
-            return (("u", "v", "ln_d_norm"), list(surf.rows()),
+            return (("u", "v", "ln_d_norm"),
+                    _io.tensor_table(u, v, surf.ln_d_norm),
                     {"u_max": float(u[-1]), "v_max": float(v[-1])})
 
-        jobs.append(_Job(f"dsurface_x{_tag(x)}", build))
+        jobs[f"dsurface_x{_tag(x)}"] = build
     meta = {"n": n, "x": x_values, "grid_w": nu, "grid_h": nv}
     return jobs, meta
 
@@ -244,16 +231,13 @@ def _plan_fig4(args):
         else:
             top = max(float(_dm.default_grid(s, 2, 2)[0][-1]) for s in states)
         u = np.linspace(0.0, top, nu)
-        rows = []
-        for x, state in zip(x_values, states):
-            curve = _dm.ln_d_many(state, u * u, 0.0)
-            curve = curve - curve.max()
-            rows.extend((x, float(ui), float(ci))
-                        for ui, ci in zip(u, curve))
-        return ("x", "u", "ln_d_norm"), rows, {"u_max": float(top)}
+        curves = [_dm.ln_d_many(state, u * u, 0.0) for state in states]
+        return (("x", "u", "ln_d_norm"),
+                _io.tensor_table(x_values, u, [c - c.max() for c in curves]),
+                {"u_max": float(top)})
 
     meta = {"n": n, "x": x_values, "grid_w": nu}
-    return [_Job("dslices", build)], meta
+    return {"dslices": build}, meta
 
 
 def _plan_fig5(args):
@@ -266,7 +250,7 @@ def _plan_fig5(args):
     if r_max <= 0.0:
         raise ConfigError("--r-max must be positive")
     settings = _wigner_settings(args)
-    jobs = []
+    jobs = {}
     for x in x_values:
         state = ReducedState.from_nx(n, x)
 
@@ -275,9 +259,10 @@ def _plan_fig5(args):
             r = np.linspace(0.0, r_max, nr)
             grid = _wig.wigner_grid(state, u, r, settings)
             diag = _quad_diag(grid, args.tol, u_max=float(u[-1]))
-            return ("u", "r", "ln_w_norm", "spread"), list(grid.rows()), diag
+            return (("u", "r", "ln_w_norm", "spread"),
+                    _io.tensor_table(u, r, grid.ln_w_norm, grid.spread), diag)
 
-        jobs.append(_Job(f"wigner_x{_tag(x)}", build))
+        jobs[f"wigner_x{_tag(x)}"] = build
     meta = {"n": n, "x": x_values, "grid_w": nu, "grid_h": nr,
             "r_max": r_max, "n_list": list(settings.n_list)}
     return jobs, meta
@@ -298,7 +283,7 @@ def _plan_fig6(args):
     settings = _wigner_settings(args, default_n_list=_FIG6_N_LIST)
     state = ReducedState.from_nx(n, x)
     u_top = max(1.0, _u_peak(state))
-    jobs = []
+    jobs = {}
     for phi_s in phi_values:
         try:
             sq = _wig.SqueezeParams(n=n, gamma=gamma, phi=phi_s)
@@ -323,9 +308,11 @@ def _plan_fig6(args):
                     settings)
                 diag = _quad_diag(proj, args.tol, phi_max=phi_max,
                                   pi_max=pi_max)
-                return (("phi", "pi", "ln_w_norm"), list(proj.rows()), diag)
+                return (("phi", "pi", "ln_w_norm"),
+                        _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
+                        diag)
 
-            jobs.append(_Job(f"contours_phi{_tag(phi_s)}_{mode}", build))
+            jobs[f"contours_phi{_tag(phi_s)}_{mode}"] = build
     meta = {"n": n, "x": x, "gamma": gamma, "phi": phi_values,
             "mode": modes, "grid_w": nphi, "grid_h": npi,
             "n_list": list(settings.n_list)}
@@ -360,11 +347,12 @@ def _plan_fig7(args):
         proj = _wig.project_physical(
             sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis, settings)
         diag = _quad_diag(proj, args.tol, phi_max=phi_max, phi_peak=phi0)
-        return ("phi", "pi", "ln_w_norm"), list(proj.rows()), diag
+        return (("phi", "pi", "ln_w_norm"),
+                _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm), diag)
 
     meta = {"n": n, "x": x, "gamma": gamma, "phi": phi_s, "mode": mode,
             "grid_w": nphi, "n_list": list(settings.n_list)}
-    return [_Job("slice", build)], meta
+    return {"slice": build}, meta
 
 
 _PLANNERS = {
@@ -381,18 +369,26 @@ _PLANNERS = {
 # ---------------------------------------------------------------------------
 # execution and output
 
-def _execute(jobs, threads):
-    def run(job):
+def _execute(jobs, threads, out_dir, fmt):
+    """Run each builder, which returns (header, table, diag), and write its
+    table: name -> (file, rows, diag), or the NgStateError of the build or
+    of the write (a table holding NaN or inf)."""
+    write = _io.write_csv if fmt == "csv" else _io.write_json_rows
+
+    def run(name, build):
         try:
-            return job.fn()
+            header, table, diag = build()
+            write(os.path.join(out_dir, f"{name}.{fmt}"), header, table)
+            return f"{name}.{fmt}", len(table), diag
         except NgStateError as exc:
             return exc
 
     if threads == 1 or len(jobs) == 1:
-        return {job.name: run(job) for job in jobs}
+        return {name: run(name, build) for name, build in jobs.items()}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(job.name, pool.submit(run, job)) for job in jobs]
-        return {name: fut.result() for name, fut in futures}
+        futures = {name: pool.submit(run, name, build)
+                   for name, build in jobs.items()}
+        return {name: fut.result() for name, fut in futures.items()}
 
 
 def _cmd_figure(preset, args):
@@ -402,29 +398,22 @@ def _cmd_figure(preset, args):
     jobs, meta = _PLANNERS[preset](args)
     out_dir = args.out if args.out is not None else f"ngstate_{preset}"
     os.makedirs(out_dir, exist_ok=True)
-    results = _execute(jobs, threads)
+    results = _execute(jobs, threads, out_dir, args.format)
 
     meta.update({"preset": preset, "version": _version(), "threads": threads,
                  "format": args.format, "tol": args.tol, "out": out_dir})
     ok = True
-    for job in jobs:
-        result = results[job.name]
+    for name, result in results.items():
         if isinstance(result, Exception):
-            meta[f"{job.name}.converged"] = False
-            meta[f"{job.name}.error"] = str(result)
+            meta[f"{name}.converged"] = False
+            meta[f"{name}.error"] = str(result)
             ok = False
             continue
-        header, rows, diag = result
-        filename = f"{job.name}.{args.format}"
-        path = os.path.join(out_dir, filename)
-        if args.format == "csv":
-            _io.write_csv(path, header, rows)
-        else:
-            _io.write_json_rows(path, header, rows)
-        meta[f"{job.name}.file"] = filename
-        meta[f"{job.name}.rows"] = len(rows)
+        filename, n_rows, diag = result
+        meta[f"{name}.file"] = filename
+        meta[f"{name}.rows"] = n_rows
         for key, value in diag.items():
-            meta[f"{job.name}.{key}"] = value
+            meta[f"{name}.{key}"] = value
         if diag.get("converged") is False:
             ok = False
     _io.write_metadata(os.path.join(out_dir, "meta.json"), meta)

@@ -216,12 +216,6 @@ class DSurface:
     ln_d_norm: np.ndarray  # shape (u.size, v.size)
     ln_d_max: float
 
-    def rows(self):
-        """Row-major (u, v, ln_d_norm) tuples for serialization."""
-        for i, ui in enumerate(self.u):
-            for j, vj in enumerate(self.v):
-                yield float(ui), float(vj), float(self.ln_d_norm[i, j])
-
 
 def default_grid(state: ReducedState, nu: int = 201, nv: int = 201):
     """Default surface extent: past the ridge in u, several widths in v."""

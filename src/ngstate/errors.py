@@ -52,3 +52,7 @@ class BracketError(NgStateError):
 
 class PrecisionLoss(NgStateError):
     """A closed form cannot be evaluated in double precision at these inputs."""
+
+
+class NonFiniteValue(NgStateError):
+    """A table holds NaN or inf; the writers refuse it."""

@@ -1,51 +1,74 @@
 """Plain-text artifact writers: CSV tables and a flat JSON metadata sidecar.
 
-Numbers are rendered with nine significant digits ('%.9g') so repeated
-runs produce byte-identical files regardless of thread count or platform
-math-library quirks upstream of the rounding.  CSV files carry a single
-header row, comma separators, and LF line endings.  Metadata is one flat
-JSON object (sorted keys, two-space indent): every resolved configuration
-value of a run, enough to reproduce the data from the sidecar alone.
+A table is a 2-D float array; tensor_table lays one out from two axes and
+fields on their grid.  Numbers are rendered with nine significant digits
+('%.9g') so repeated runs produce byte-identical files regardless of
+thread count or platform math-library quirks upstream of the rounding; a
+table holding NaN or inf is refused (NonFiniteValue) and not written.
+CSV files carry one header row, comma separators, and LF line endings.
+Metadata is one flat JSON object (sorted keys, two-space indent): every
+resolved configuration value of a run, enough to reproduce the data.
 """
 
-import csv
 import json
+
+import numpy as np
+
+from .errors import NonFiniteValue
+
+_BLOCK_ROWS = 4096  # rows turned into Python floats at a time
 
 
 def format_number(value):
     """Nine-significant-digit text for floats; integers stay exact."""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not table values")
     if isinstance(value, int):
         return str(value)
     return format(float(value) + 0.0, ".9g")  # +0.0 folds -0.0 into 0
 
 
+def tensor_table(a, b, *fields):
+    """Rows (a[i], b[k], field[i, k], ...) for every i and k, b fastest;
+    each field has shape (a.size, b.size)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    table = np.empty((a.size, b.size, 2 + len(fields)))
+    table[..., 0], table[..., 1] = a[:, None], b
+    for col, field in enumerate(fields, 2):
+        table[..., col] = field
+    return table.reshape(a.size * b.size, -1)
+
+
+def _lines(header, rows):
+    """Each row's '%.9g' text; the table is checked before any is made."""
+    table = np.asarray(rows, dtype=float) + 0.0  # +0.0 folds -0.0 into 0
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"expected {len(header)} columns, got shape {table.shape}")
+    if bad := np.count_nonzero(~np.isfinite(table)):
+        raise NonFiniteValue(f"{bad} non-finite values in a table of "
+                             f"{len(table)} rows; not written")
+    template = ",".join(["%.9g"] * len(header))
+    return (template % tuple(row) for start in range(0, len(table), _BLOCK_ROWS)
+            for row in table[start:start + _BLOCK_ROWS].tolist())
+
+
 def write_csv(path, header, rows):
+    lines = _lines(header, rows)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_number(v) for v in row])
-
-
-def _rounded(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    return float(format_number(value))
+        fh.write(",".join(header) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_json_rows(path, header, rows):
-    """The same table as write_csv, as {"header": [...], "rows": [...]}."""
-    payload = {"header": list(header),
-               "rows": [[_rounded(v) for v in row] for row in rows]}
+    """The same table as write_csv, as {"header": [...], "rows": [...]}
+    with each value the float its '%.9g' text reads back as."""
+    lines = _lines(header, rows)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write('{"header": %s, "rows": [' % json.dumps(list(header)))
+        for k, line in enumerate(lines):
+            fh.write((", " if k else "") + json.dumps([float(t) for t in line.split(",")]))
+        fh.write("]}\n")
 
 
 def _flat_value(value):

@@ -10,7 +10,8 @@ and diverges at the floor of its domain, so LHS - RHS has one sign change:
 The last column (for f0, the first term of 2 sum_k 1/(s + k^2 pi^2)) puts
 the root past the positive root of a quadratic, half of which is the lower
 bracket end; with s0 = max(z0_sq, 1), max(s0, z0_sq + xi*RHS(s0)) is the
-upper end.  _find_root solves all of them and x_from_c4; x = 0 pins s = z0_sq.
+upper end, moved up a double at a time where it rounds onto or below the
+root.  _find_root solves all of them and x_from_c4; x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -69,9 +70,11 @@ def _branch_of(s):
     return Branch.REAL if s >= 0.0 else Branch.IMAGINARY_CONTINUED
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _find_root(g, lo, hi, *args):
-    """Element-wise root of g(s, *args) = 0 with g(lo) <= 0 <= g(hi).
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _find_root(g, lo, hi, *args, climb=False):
+    """Element-wise root of g(s, *args) = 0 with g(lo) <= 0 <= g(hi), or,
+    with climb, g(lo) <= 0 and g > 0 somewhere above hi: an hi where g < 0
+    then moves up one double at a time until g >= 0 there.
 
     Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation where the last three points make
@@ -89,11 +92,15 @@ def _find_root(g, lo, hi, *args):
         # x1: newest point; x2: bracket end opposite to it; x3: the one before
         x1, x2 = lo.flat[blk], hi.flat[blk]
         f1, f2 = g(x1, *p), g(x2, *p)
+        evals, t = 2, 0.5
+        while climb and np.any(low := f2 < 0.0):
+            x2 = np.where(low, np.nextafter(x2, np.inf), x2)
+            f2 = g(x2, *p)
+            evals += 1
         ok = (f1 <= 0.0) & (f2 >= 0.0)
         if not np.all(ok):
             raise BracketError(f"no sign change at {np.size(ok) - np.count_nonzero(ok)} points")
         finished = np.zeros(x1.shape, dtype=bool)
-        evals, t = 2, 0.5
         while True:
             x = x1 + t * (x2 - x1)
             f = g(x, *p)
@@ -133,7 +140,8 @@ def _solve(z0_sq, xi, rhs, floor, c, *args):
     lo = max(floor + 0.5 * e, math.nextafter(floor, math.inf))
     s0 = max(z0_sq, 1.0)
     hi = np.maximum(s0, z0_sq + xi * rhs(s0, *args))
-    return _find_root(lambda s, *a: (s - z0_sq) / xi - rhs(s, *a), lo, hi, *args)
+    return _find_root(lambda s, *a: (s - z0_sq) / xi - rhs(s, *a), lo, hi,
+                      *args, climb=True)
 
 
 def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:

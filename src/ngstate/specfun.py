@@ -69,8 +69,6 @@ _H_TRACE = (0.0, 1 / 2, -1 / 24, 1 / 240, -17 / 40320, 31 / 725760,
 _H2 = (0.0, 1.0, -1 / 3, 2 / 15, -17 / 315, 62 / 2835, -1382 / 155925)
 _F0 = (0.5 * _LN4PI, 1 / 12, -1 / 360, 1 / 5670, -1 / 75600, 1 / 935550,
        -691 / 7662154500)
-_FU = (0.0, 1 / 4, -1 / 48, 1 / 480, -17 / 80640, 31 / 1451520,
-       -691 / 319334400)
 _FV = (1.0, 1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
        -691 / 1307674368000)
 _SF0 = (1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
@@ -121,14 +119,6 @@ def _f0_big_neg(y):
     return 0.5 * (_LN4PI + np.log(np.sin(y)) - np.log(y))
 
 
-def _fu_big_pos(z):
-    return 0.5 * z * np.tanh(0.5 * z)
-
-
-def _fu_big_neg(y):
-    return -0.5 * y * np.tan(0.5 * y)
-
-
 def _fv_big_pos(z):
     return 0.5 * z / np.tanh(0.5 * z)
 
@@ -167,7 +157,16 @@ def _fv_small_neg(y):
     return (1.0 - np.sin(y) / y) / (2.0 * s2 * s2)
 
 
-def _eval(s, coeffs, pos_fn, neg_fn, pole, name):
+_H_TRACE_K = (_H_TRACE, _h_trace_pos, _h_trace_neg)
+_BIG_F = ((_F0, _f0_big_pos, _f0_big_neg), _H_TRACE_K, (_FV, _fv_big_pos, _fv_big_neg))
+_SMALL_F = ((_SF0, _f0_small_pos, _f0_small_neg),
+            (_SFU, _fu_small_pos, _fu_small_neg),
+            (_SFV, _fv_small_pos, _fv_small_neg))
+
+
+def _eval(s, kernels, pole, name):
+    """Each (coeffs, pos_fn, neg_fn) kernel at s, as a tuple; the pole check,
+    the three branch masks and each branch's square root are shared."""
     arr = np.asarray(s, dtype=float)
     if not np.all(arr > pole):
         raise ValueError(
@@ -176,17 +175,16 @@ def _eval(s, coeffs, pos_fn, neg_fn, pole, name):
         )
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = np.abs(arr) < SERIES_CUT
-    pos = arr >= SERIES_CUT
-    neg = arr <= -SERIES_CUT
-    if small.any():
-        out[small] = _horner(arr[small], coeffs)
-    if pos.any():
-        out[pos] = pos_fn(np.sqrt(arr[pos]))
-    if neg.any():
-        out[neg] = neg_fn(np.sqrt(-arr[neg]))
-    return float(out[0]) if scalar else out
+    outs = [np.empty_like(arr) for _ in kernels]
+    masks = (np.abs(arr) < SERIES_CUT, arr >= SERIES_CUT, arr <= -SERIES_CUT)
+    for branch, mask in enumerate(masks):
+        if mask.any():
+            sub = arr[mask]
+            arg = sub if branch == 0 else np.sqrt(sub if branch == 1 else -sub)
+            for out, kernel in zip(outs, kernels):
+                out[mask] = (_horner(arg, kernel[0]) if branch == 0
+                             else kernel[branch](arg))
+    return tuple(float(out[0]) for out in outs) if scalar else tuple(outs)
 
 
 def h_trace(s):
@@ -197,13 +195,12 @@ def h_trace(s):
     h_trace(ln(1+1/n)**2) = ln(1+1/n)/(2n+1), the occupation identity
     used throughout the state map.
     """
-    return _eval(s, _H_TRACE, _h_trace_pos, _h_trace_neg, POLE_MAIN,
-                 "h_trace")
+    return _eval(s, (_H_TRACE_K,), POLE_MAIN, "h_trace")[0]
 
 
 def h2(s):
     """Doubled-parameter gap kernel z*tanh(z) of s = z**2 (s > -pi**2/4)."""
-    return _eval(s, _H2, _h2_pos, _h2_neg, POLE_HALF, "h2")
+    return _eval(s, ((_H2, _h2_pos, _h2_neg),), POLE_HALF, "h2")[0]
 
 
 def big_f(s):
@@ -215,11 +212,9 @@ def big_f(s):
 
     Returns a tuple of three floats (or arrays, matching the input shape).
     """
-    return (
-        _eval(s, _F0, _f0_big_pos, _f0_big_neg, POLE_MAIN, "big_f"),
-        _eval(s, _FU, _fu_big_pos, _fu_big_neg, POLE_MAIN, "big_f"),
-        _eval(s, _FV, _fv_big_pos, _fv_big_neg, POLE_MAIN, "big_f"),
-    )
+    f0, h, fv = _eval(s, _BIG_F, POLE_MAIN, "big_f")
+    # Fu = h_trace/2; + 0.0 leaves a subnormal s's zero unsigned
+    return f0, 0.5 * h + 0.0, fv
 
 
 def small_f(s):
@@ -233,11 +228,7 @@ def small_f(s):
 
     Returns (f0, fu, fv) matching the input shape.
     """
-    return (
-        _eval(s, _SF0, _f0_small_pos, _f0_small_neg, POLE_MAIN, "small_f"),
-        _eval(s, _SFU, _fu_small_pos, _fu_small_neg, POLE_MAIN, "small_f"),
-        _eval(s, _SFV, _fv_small_pos, _fv_small_neg, POLE_MAIN, "small_f"),
-    )
+    return _eval(s, _SMALL_F, POLE_MAIN, "small_f")
 
 
 def bessel_j(order, argument):

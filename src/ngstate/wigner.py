@@ -147,12 +147,6 @@ class WignerGrid:
     quad_points: int
     v_max: float
 
-    def rows(self):
-        for i, ui in enumerate(self.u):
-            for k, rk in enumerate(self.r):
-                yield (float(ui), float(rk),
-                       float(self.ln_w_norm[i, k]), float(self.spread[i, k]))
-
 
 @dataclass(frozen=True)
 class ProjectionGrid:
@@ -166,11 +160,6 @@ class ProjectionGrid:
     mode: ProjectionMode
     quad_points: int
     v_max: float
-
-    def rows(self):
-        for i, ph in enumerate(self.phi):
-            for k, pk in enumerate(self.pi):
-                yield float(ph), float(pk), float(self.ln_w_norm[i, k])
 
 
 def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):

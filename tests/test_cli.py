@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line front end (in-process main())."""
 
 import csv
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from ngstate import cli, wigner
+from ngstate import cli, observables, wigner
 from ngstate.statemap import ReducedState, x_from_c4
 
 
@@ -232,3 +234,39 @@ def test_not_converged_exits_1_with_partial_output(tmp_path, capsys):
     meta = _read_meta(out)
     assert meta["wigner_x15.converged"] is False
     assert meta["wigner_x15.max_spread"] > 1e-9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.setattr(observables, "c4_half_ratio_nx", lambda n, x: math.nan)
+    out = tmp_path / "nan"
+    assert cli.main(["fig1_c4", "--n", "1", "--x", "0.5", "--format", fmt,
+                     "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert not (out / f"c4_ratio.{fmt}").exists()
+    meta = _read_meta(out)
+    assert meta["c4_ratio.converged"] is False
+    assert "non-finite" in meta["c4_ratio.error"]
+
+
+def test_bench_tracer_counts_csv_rows(tmp_path):
+    # the benchmark's tracer wraps gridio.write_csv(path, header, rows) and
+    # reads len(rows) and the file size: a change there breaks the bench
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    out = tmp_path / "tr"
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["fig1_c4", "--x", "0", "1", "2", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    _, rows = _read_csv(out / "c4_ratio.csv")
+    assert len(rows) == 9
+    assert metrics["gridio.write_csv.calls"] == 1
+    assert metrics["gridio.write_csv.rows"] == len(rows)
+    assert metrics["gridio.write_csv.bytes"] == (out / "c4_ratio.csv").stat().st_size
+    assert metrics["cli.fig1_c4.wall_s"] > 0.0

@@ -228,14 +228,10 @@ def test_d_surface_peaked_structure():
     assert np.all(np.diff(surf.ln_d_norm, axis=1) < 0)
 
 
-def test_d_surface_rows_and_validation():
+def test_d_surface_validation():
     st = ReducedState.from_nx(1.0, 1.0)
     surf = dm.d_surface(st, np.linspace(0, 2, 3), np.linspace(0, 1, 2))
-    rows = list(surf.rows())
-    assert len(rows) == 6
-    assert rows[0][:2] == (0.0, 0.0)
-    assert rows[1][:2] == (0.0, 1.0)  # row-major: v varies fastest
-    assert rows[-1][:2] == (2.0, 1.0)
+    assert surf.ln_d_norm.shape == (3, 2)
     with pytest.raises(ValueError):
         dm.d_surface(st, np.array([-0.1, 1.0]), np.array([0.0]))
     with pytest.raises(ValueError):

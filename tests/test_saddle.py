@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ngstate import ReducedState
+from ngstate import ReducedState, purity
 from ngstate import saddle
 from ngstate import specfun as sf
 from ngstate.errors import BracketError
@@ -176,6 +176,23 @@ def test_vectorized_broadcasting_and_validation():
     s, _ = saddle.solve_saddle_uv_many(st, u, v)
     sub, _ = saddle.solve_saddle_uv_many(st, u[41:133], v[:, 7:64])
     assert np.array_equal(sub, s[41:133, 7:64])
+
+
+@pytest.mark.parametrize("n", [0.1, 0.3, 0.5])
+def test_nearly_gaussian_roots_keep_the_contract(n):
+    # z0_sq + xi*RHS(s0) can round onto or below the root at these xi
+    u_sq, v_sq = np.array([0.0, 1.0, 4.0]), np.array([0.0, 2.0, 0.0])
+    for x in 10.0 ** np.arange(-16, -7):
+        st = ReducedState.from_nx(n, x)
+        for kernel in (sf.h_trace, sf.h2):
+            sol = saddle.solve_trace_raw(st.z0_sq, st.xi, kernel)
+            assert abs(sol.residual) <= residual_bound(st, sol.s), (x, kernel)
+        s, _ = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+        f0, fu, fv = sf.small_f(s)
+        lhs = (s - st.z0_sq) / st.xi
+        resid = (lhs - (f0 + fu * u_sq + fv * v_sq)) / np.maximum(1.0, np.abs(lhs))
+        assert np.all(np.abs(resid) <= residual_bound(st, s)), x
+        assert 0.0 < purity(st).p <= 1.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ngstate import (
     GaussianMoments,
@@ -72,6 +74,23 @@ def test_roundtrip_moments_params_moments(n, x):
     assert m2.K == pytest.approx(m.K, rel=1e-10)
     assert abs(m2.R - m.R) < 1e-10 * m.F
     assert c4 == pytest.approx(c4_half_ratio_nx(n, x), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=hst.floats(0.01, 100.0), a=hst.floats(-1.0, 1.0),
+       b=hst.floats(-1.0, 1.0), x=hst.floats(0.0, 40.0))
+def test_roundtrip_property(n, a, b, x):
+    # valid (F, K, R) with occupation n: F = (n+1/2) e^a, R = (n+1/2) b;
+    # the map goes through one gap solve, good to ~1e-12 relative here
+    F, R = (n + 0.5) * math.exp(a), (n + 0.5) * b
+    m = GaussianMoments(F=F, K=((n + 0.5) ** 2 + R * R) / F, R=R)
+    m2, c4 = moments_from_params(params_from_moments(m, x))
+    assert m2.F == pytest.approx(m.F, rel=1e-10)
+    assert m2.K == pytest.approx(m.K, rel=1e-10)
+    assert abs(m2.R - m.R) <= 1e-10 * m.F
+    assert occupation(m2) == pytest.approx(occupation(m), rel=1e-10)
+    expected = c4_half_ratio_nx(occupation(m), x) if x > 0 else 0.0
+    assert c4 == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_roundtrip_with_cross_correlation():

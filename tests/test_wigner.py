@@ -251,14 +251,6 @@ def test_bessel_blocks_match_one_table(monkeypatch):
                                rtol=0.0, atol=1e-12)
 
 
-def test_grid_rows_order():
-    st = gaussian_state()
-    grid = wg.wigner_grid(st, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
-    rows = list(grid.rows())
-    assert [(a, b) for a, b, *_ in rows] == [
-        (0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
-
-
 def test_peak_and_widths_far_regime():
     # x >> n^2: the Wigner peak sits at the matrix-element ridge and the
     # widths match the Gaussian-fit predictions
