@@ -18,7 +18,12 @@ Presets:
 
 Exit codes: 0 success; 1 a computation failed or did not converge
 (completed artifacts are still written and flagged in meta.json);
-2 invalid configuration.
+2 invalid configuration, before any file is written.
+
+Each flag's default and valid range are set once, in build_parser()
+(`ngstate <preset> --help` shows the defaults): its argparse type refuses
+values out of range, and the library's constructors refuse the rest
+(--gamma, --phi, --N-list, --c4-ratio) when a planner builds its objects.
 
 Worker threads (--threads, or NGSTATE_THREADS when the flag is absent)
 parallelize across artifacts only; each artifact's numbers are computed
@@ -40,15 +45,8 @@ from . import gridio as _io
 from . import observables as _obs
 from . import oracle as _orc
 from . import wigner as _wig
-from .errors import ConfigError, NgStateError
+from .errors import NgStateError
 from .statemap import ReducedState, x_from_c4
-
-_SWEEP_X = tuple(float(v) for v in np.linspace(0.0, 20.0, 201))
-_FIG1_N = (0.0, 1.0, 10.0)
-_FIG2_N = (0.0, 0.1, 0.5, 1.0, 10.0)
-_SLICE_X = (0.0, 0.5, 1.0, 15.0)
-_FIG6_PHI = (0.0, math.pi)
-_FIG6_N_LIST = (4, 8, 12, 16, 20)
 
 
 def _version():
@@ -63,76 +61,54 @@ def _tag(value):
     return _io.format_number(float(value)).replace(".", "p").replace("-", "m")
 
 
-def _resolve_threads(args):
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("NGSTATE_THREADS", "1")
+def _number(convert, low=-math.inf, strict=False):
+    """argparse type: convert(text), refused unless finite and >= low
+    (> low when strict)."""
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+
+    def parse(text):
         try:
-            value = int(raw)
+            value = convert(text)
         except ValueError:
-            raise ConfigError(f"NGSTATE_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("--threads must be >= 1")
-    return value
+            value = math.nan
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {convert.__name__}{bound}, got {text!r}")
+        return value
+    return parse
 
 
-def _finite_float(text):
-    """argparse type for every float flag: nan and inf are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+_finite = _number(float)
+_nonneg = _number(float, 0.0)
+_positive = _number(float, 0.0, strict=True)
+_count = _number(int, 1)
 
 
-def _parse_grid(text, default):
-    if text is None:
-        return default
-    try:
-        dims = [int(p) for p in text.lower().split("x")]
-    except ValueError:
-        dims = []
-    if len(dims) == 1:
-        dims.append(1)
-    if len(dims) != 2 or dims[0] < 2 or dims[1] < 1:
-        raise ConfigError(f"--grid expects WxH with W >= 2, H >= 1, got {text!r}")
-    return dims[0], dims[1]
-
-
-def _single_n(args, default):
-    n = args.n if args.n is not None else default
-    if n <= 0.0:
-        raise ConfigError("this preset needs n > 0")
-    return float(n)
-
-
-def _resolve_x(args, default_x, n_for_ratio):
-    has_x = args.x is not None
-    has_ratio = getattr(args, "c4_ratio", None) is not None
-    if has_x and has_ratio:
-        raise ConfigError("give exactly one of --x and --c4-ratio")
-    if has_ratio:
+def _grid(min_h):
+    """argparse type for --grid: W or WxH, with W >= 2 and H >= min_h."""
+    def parse(text):
         try:
-            return [x_from_c4(n_for_ratio, args.c4_ratio)]
-        except (ValueError, NgStateError) as exc:
-            raise ConfigError(str(exc))
-    xs = [float(v) for v in (args.x if has_x else default_x)]
-    if any(x < 0.0 for x in xs):
-        raise ConfigError("--x values must be >= 0")
-    return xs
+            dims = [int(p) for p in text.lower().split("x")]
+        except ValueError:
+            dims = []
+        if len(dims) == 1:
+            dims.append(1)
+        if len(dims) != 2 or dims[0] < 2 or dims[1] < min_h:
+            raise argparse.ArgumentTypeError(
+                f"expected WxH with W >= 2, H >= {min_h}, got {text!r}")
+        return dims[0], dims[1]
+    return parse
 
 
-def _wigner_settings(args, default_n_list=None):
-    kwargs = {"spread_tol": args.tol}
-    n_list = args.n_list if args.n_list is not None else default_n_list
-    if n_list is not None:
-        kwargs["n_list"] = tuple(n_list)
-    if args.v_max is not None:
-        kwargs["v_max"] = args.v_max
-    try:
-        return _wig.WignerSettings(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _resolve_x(args):
+    if args.c4_ratio is not None:
+        return [x_from_c4(args.n, args.c4_ratio)]
+    return args.x
+
+
+def _wigner_settings(args):
+    return _wig.WignerSettings(n_list=args.n_list, v_max=args.v_max,
+                               spread_tol=args.tol)
 
 
 def _u_peak(state):
@@ -160,10 +136,7 @@ def _u_axis(state, nu, u_max):
 # preset planners: args -> ({artifact name: builder}, shared metadata)
 
 def _plan_fig1(args):
-    n_values = [float(v) for v in (args.n if args.n is not None else _FIG1_N)]
-    if any(n < 0.0 for n in n_values):
-        raise ConfigError("--n values must be >= 0")
-    x_values = _resolve_x(args, _SWEEP_X, None)
+    n_values, x_values = args.n, args.x
 
     def build():
         ratio = [[_obs.c4_ratio_small_n(x) if n == 0.0
@@ -176,10 +149,7 @@ def _plan_fig1(args):
 
 
 def _plan_fig2(args):
-    n_values = [float(v) for v in (args.n if args.n is not None else _FIG2_N)]
-    if any(n < 0.0 for n in n_values):
-        raise ConfigError("--n values must be >= 0")
-    x_values = _resolve_x(args, _SWEEP_X, None)
+    n_values, x_values = args.n, args.x
 
     def build():
         # n = 0 is the pure-state limit: the purity stays 1 for every x
@@ -196,99 +166,74 @@ def _plan_fig2(args):
 
 
 def _plan_fig3(args):
-    n = _single_n(args, 10.0)
-    x_values = _resolve_x(args, _SLICE_X, n)
-    nu, nv = _parse_grid(args.grid, (201, 201))
-    if nv < 2:
-        raise ConfigError("fig3_dsurface needs a two-dimensional --grid")
-    v_top = args.v_max if args.v_max is not None else 4.0
+    x_values = _resolve_x(args)
+    nu, nv = args.grid
     jobs = {}
     for x in x_values:
-        state = ReducedState.from_nx(n, x)
+        state = ReducedState.from_nx(args.n, x)
 
         def build(state=state):
             u = _u_axis(state, nu, args.u_max)
-            v = np.linspace(0.0, v_top, nv)
+            v = np.linspace(0.0, args.v_max, nv)
             surf = _dm.d_surface(state, u, v)
             return (("u", "v", "ln_d_norm"),
                     _io.tensor_table(u, v, surf.ln_d_norm),
                     {"u_max": float(u[-1]), "v_max": float(v[-1])})
 
         jobs[f"dsurface_x{_tag(x)}"] = build
-    meta = {"n": n, "x": x_values, "grid_w": nu, "grid_h": nv}
+    meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nv}
     return jobs, meta
 
 
 def _plan_fig4(args):
-    n = _single_n(args, 10.0)
-    x_values = _resolve_x(args, _SLICE_X, n)
-    nu, _ = _parse_grid(args.grid, (201, 1))
-    states = [ReducedState.from_nx(n, x) for x in x_values]
+    x_values = _resolve_x(args)
+    nu, _ = args.grid
+    states = [ReducedState.from_nx(args.n, x) for x in x_values]
 
     def build():
-        if args.u_max is not None:
-            top = args.u_max
-        else:
-            top = max(float(_dm.default_grid(s, 2, 2)[0][-1]) for s in states)
+        top = (args.u_max if args.u_max is not None
+               else max(float(_dm.default_grid(s, 2, 2)[0][-1]) for s in states))
         u = np.linspace(0.0, top, nu)
         curves = [_dm.ln_d_many(state, u * u, 0.0) for state in states]
         return (("x", "u", "ln_d_norm"),
                 _io.tensor_table(x_values, u, [c - c.max() for c in curves]),
                 {"u_max": float(top)})
 
-    meta = {"n": n, "x": x_values, "grid_w": nu}
+    meta = {"n": args.n, "x": x_values, "grid_w": nu}
     return {"dslices": build}, meta
 
 
 def _plan_fig5(args):
-    n = _single_n(args, 10.0)
-    x_values = _resolve_x(args, _SLICE_X, n)
-    nu, nr = _parse_grid(args.grid, (101, 101))
-    if nr < 2:
-        raise ConfigError("fig5_wigner needs a two-dimensional --grid")
-    r_max = args.r_max if args.r_max is not None else 2.0
-    if r_max <= 0.0:
-        raise ConfigError("--r-max must be positive")
+    x_values = _resolve_x(args)
+    nu, nr = args.grid
     settings = _wigner_settings(args)
     jobs = {}
     for x in x_values:
-        state = ReducedState.from_nx(n, x)
+        state = ReducedState.from_nx(args.n, x)
 
         def build(state=state):
             u = _u_axis(state, nu, args.u_max)
-            r = np.linspace(0.0, r_max, nr)
+            r = np.linspace(0.0, args.r_max, nr)
             grid = _wig.wigner_grid(state, u, r, settings)
             diag = _quad_diag(grid, args.tol, u_max=float(u[-1]))
             return (("u", "r", "ln_w_norm", "spread"),
                     _io.tensor_table(u, r, grid.ln_w_norm, grid.spread), diag)
 
         jobs[f"wigner_x{_tag(x)}"] = build
-    meta = {"n": n, "x": x_values, "grid_w": nu, "grid_h": nr,
-            "r_max": r_max, "n_list": list(settings.n_list)}
+    meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nr,
+            "r_max": args.r_max, "n_list": list(settings.n_list)}
     return jobs, meta
 
 
 def _plan_fig6(args):
-    n = _single_n(args, 10.0)
-    x_values = _resolve_x(args, (15.0,), n)
-    if len(x_values) != 1:
-        raise ConfigError("fig6_contours takes a single --x (or --c4-ratio)")
-    x = x_values[0]
-    gamma = args.gamma if args.gamma is not None else 0.9
-    phi_values = [float(v) for v in (args.phi if args.phi else _FIG6_PHI)]
-    modes = [args.mode] if args.mode else ["para", "perp"]
-    nphi, npi = _parse_grid(args.grid, (41, 41))
-    if npi < 2:
-        raise ConfigError("fig6_contours needs a two-dimensional --grid")
-    settings = _wigner_settings(args, default_n_list=_FIG6_N_LIST)
-    state = ReducedState.from_nx(n, x)
+    [x] = _resolve_x(args)
+    nphi, npi = args.grid
+    settings = _wigner_settings(args)
+    state = ReducedState.from_nx(args.n, x)
     u_top = max(1.0, _u_peak(state))
     jobs = {}
-    for phi_s in phi_values:
-        try:
-            sq = _wig.SqueezeParams(n=n, gamma=gamma, phi=phi_s)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    for phi_s in args.phi:
+        sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
         m = sq.moments()
         big_a = state.kappa * m.F
         rho = m.R / m.F
@@ -298,7 +243,7 @@ def _plan_fig6(args):
                    else 1.3 * math.sqrt(big_a) * u_top)
         pi_max = (args.r_max if args.r_max is not None
                   else abs(rho) * phi_max + 1.9 * math.sqrt(0.5 / big_a))
-        for mode in modes:
+        for mode in args.mode:
 
             def build(sq=sq, mode=mode, phi_max=phi_max, pi_max=pi_max):
                 phi_axis = np.linspace(-phi_max, phi_max, nphi)
@@ -313,28 +258,18 @@ def _plan_fig6(args):
                         diag)
 
             jobs[f"contours_phi{_tag(phi_s)}_{mode}"] = build
-    meta = {"n": n, "x": x, "gamma": gamma, "phi": phi_values,
-            "mode": modes, "grid_w": nphi, "grid_h": npi,
+    meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
+            "mode": args.mode, "grid_w": nphi, "grid_h": npi,
             "n_list": list(settings.n_list)}
     return jobs, meta
 
 
 def _plan_fig7(args):
-    n = _single_n(args, 10.0)
-    x_values = _resolve_x(args, (3000.0,), n)
-    if len(x_values) != 1:
-        raise ConfigError("fig7_slice takes a single --x (or --c4-ratio)")
-    x = x_values[0]
-    gamma = args.gamma if args.gamma is not None else 0.0
-    phi_s = args.phi if args.phi is not None else 0.0
-    mode = args.mode or "para"
-    nphi, _ = _parse_grid(args.grid, (201, 1))
+    [x] = _resolve_x(args)
+    nphi, _ = args.grid
     settings = _wigner_settings(args)
-    state = ReducedState.from_nx(n, x)
-    try:
-        sq = _wig.SqueezeParams(n=n, gamma=gamma, phi=phi_s)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    state = ReducedState.from_nx(args.n, x)
+    sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=args.phi)
     m = sq.moments()
     big_a = state.kappa * m.F
     phi0 = math.sqrt(big_a) * _u_peak(state)
@@ -345,13 +280,13 @@ def _plan_fig7(args):
         phi_axis = np.linspace(0.0, phi_max, nphi)
         pi_axis = np.array([0.0])
         proj = _wig.project_physical(
-            sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis, settings)
+            sq, x, _wig.ProjectionMode(args.mode), phi_axis, pi_axis, settings)
         diag = _quad_diag(proj, args.tol, phi_max=phi_max, phi_peak=phi0)
         return (("phi", "pi", "ln_w_norm"),
                 _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm), diag)
 
-    meta = {"n": n, "x": x, "gamma": gamma, "phi": phi_s, "mode": mode,
-            "grid_w": nphi, "n_list": list(settings.n_list)}
+    meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
+            "mode": args.mode, "grid_w": nphi, "n_list": list(settings.n_list)}
     return {"slice": build}, meta
 
 
@@ -392,16 +327,20 @@ def _execute(jobs, threads, out_dir, fmt):
 
 
 def _cmd_figure(preset, args):
-    if args.tol is not None and args.tol <= 0.0:
-        raise ConfigError("--tol must be positive")
-    threads = _resolve_threads(args)
-    jobs, meta = _PLANNERS[preset](args)
-    out_dir = args.out if args.out is not None else f"ngstate_{preset}"
+    try:
+        jobs, meta = _PLANNERS[preset](args)
+    except (ValueError, NgStateError) as exc:
+        # a library constructor (state, squeeze, settings, c4 inversion)
+        # refused the configuration
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    results = _execute(jobs, threads, out_dir, args.format)
+    results = _execute(jobs, args.threads, out_dir, args.format)
 
-    meta.update({"preset": preset, "version": _version(), "threads": threads,
-                 "format": args.format, "tol": args.tol, "out": out_dir})
+    meta.update({"preset": preset, "version": _version(),
+                 "threads": args.threads, "format": args.format,
+                 "tol": args.tol, "out": out_dir})
     ok = True
     for name, result in results.items():
         if isinstance(result, Exception):
@@ -434,21 +373,43 @@ def _cmd_validate(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p):
-    p.add_argument("--out", help="output directory (default: ngstate_<preset>)")
+def _add_common(p, preset):
+    p.add_argument("--out", default=f"ngstate_{preset}",
+                   help="output directory (default: %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="data file format (default: csv)")
-    p.add_argument("--threads", type=int,
+                   help="data file format (default: %(default)s)")
+    p.add_argument("--threads", type=_count,
+                   default=os.environ.get("NGSTATE_THREADS", "1"),
                    help="worker threads across artifacts "
                         "(default: NGSTATE_THREADS or 1)")
-    p.add_argument("--tol", type=_finite_float, default=1e-3,
-                   help="convergence spread tolerance (default: 1e-3)")
+    p.add_argument("--tol", type=_positive, default=1e-3,
+                   help="convergence spread tolerance (default: %(default)s)")
 
 
-def _add_wigner_flags(p):
+def _add_state(p, x_default, x_nargs="+"):
+    """--n, then --x or --c4-ratio, of the single-n presets."""
+    p.add_argument("--n", type=_positive, default=10.0,
+                   help="occupation number (default: %(default)s)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--x", type=_nonneg, nargs=x_nargs, default=x_default,
+                       help="nongaussianity (default: %(default)s)")
+    group.add_argument("--c4-ratio", type=_finite,
+                       help="set x through the four-point ratio instead of --x")
+
+
+def _add_axes(p, grid, min_h, u_help):
+    p.add_argument("--grid", type=_grid(min_h), default=grid,
+                   help=f"resolution {'WxH' if min_h > 1 else 'W'} "
+                        "(default: %(default)s)")
+    p.add_argument("--u-max", type=_positive, help=u_help)
+
+
+def _add_wigner(p, n_list):
     p.add_argument("--N-list", dest="n_list", type=int, nargs="+",
-                   help="even dof counts for the large-N extrapolation")
-    p.add_argument("--v-max", type=_finite_float,
+                   default=n_list,
+                   help="even dof counts for the large-N extrapolation "
+                        "(default: %(default)s)")
+    p.add_argument("--v-max", type=_finite,
                    help="quadrature cutoff override (default: automatic)")
 
 
@@ -458,95 +419,66 @@ def build_parser():
         description="Figure-data presets and validation suite for the "
                     "non-Gaussian effective-state library.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sweep = [float(v) for v in np.linspace(0.0, 20.0, 201)]
+    slices = [0.0, 0.5, 1.0, 15.0]
+    n_list = _wig.WignerSettings.n_list
 
-    p = sub.add_parser("fig1_c4", help="four-point ratio curves")
-    p.add_argument("--n", type=_finite_float, nargs="+",
-                   help="occupation numbers (default: 0 1 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity grid (default: 201 points on [0, 20])")
-    _add_common(p)
-
-    p = sub.add_parser("fig2_purity", help="purity ratio curves")
-    p.add_argument("--n", type=_finite_float, nargs="+",
-                   help="occupation numbers (default: 0 0.1 0.5 1 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity grid (default: 201 points on [0, 20])")
-    _add_common(p)
+    for preset, help_, n_default in (
+            ("fig1_c4", "four-point ratio curves", [0.0, 1.0, 10.0]),
+            ("fig2_purity", "purity ratio curves", [0.0, 0.1, 0.5, 1.0, 10.0])):
+        p = sub.add_parser(preset, help=help_)
+        p.add_argument("--n", type=_nonneg, nargs="+", default=n_default,
+                       help="occupation numbers (default: %(default)s)")
+        p.add_argument("--x", type=_nonneg, nargs="+", default=sweep,
+                       help="nongaussianity grid (default: 201 points on [0, 20])")
+        _add_common(p, preset)
 
     p = sub.add_parser("fig3_dsurface", help="matrix-element surfaces")
-    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity values (default: 0 0.5 1 15)")
-    p.add_argument("--c4-ratio", type=_finite_float,
-                   help="set x through the four-point ratio instead of --x")
-    p.add_argument("--grid", help="u x v resolution WxH (default: 201x201)")
-    p.add_argument("--u-max", type=_finite_float,
-                   help="u-axis maximum (default: past the ridge)")
-    p.add_argument("--v-max", type=_finite_float, help="v-axis maximum (default: 4)")
-    _add_common(p)
+    _add_state(p, slices)
+    _add_axes(p, "201x201", 2, "u-axis maximum (default: past the ridge)")
+    p.add_argument("--v-max", type=_positive, default=4.0,
+                   help="v-axis maximum (default: %(default)s)")
+    _add_common(p, "fig3_dsurface")
 
     p = sub.add_parser("fig4_dslices", help="matrix-element v=0 slices")
-    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity values (default: 0 0.5 1 15)")
-    p.add_argument("--c4-ratio", type=_finite_float,
-                   help="set x through the four-point ratio instead of --x")
-    p.add_argument("--grid", help="u resolution W or WxH (default: 201)")
-    p.add_argument("--u-max", type=_finite_float,
-                   help="u-axis maximum (default: past the widest ridge)")
-    _add_common(p)
+    _add_state(p, slices)
+    _add_axes(p, "201", 1, "u-axis maximum (default: past the widest ridge)")
+    _add_common(p, "fig4_dslices")
 
     p = sub.add_parser("fig5_wigner", help="radial Wigner grids")
-    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity values (default: 0 0.5 1 15)")
-    p.add_argument("--c4-ratio", type=_finite_float,
-                   help="set x through the four-point ratio instead of --x")
-    p.add_argument("--grid", help="u x r resolution WxH (default: 101x101)")
-    p.add_argument("--u-max", type=_finite_float,
-                   help="u-axis maximum (default: past the ridge)")
-    p.add_argument("--r-max", type=_finite_float,
-                   help="r-axis maximum (default: 2)")
-    _add_wigner_flags(p)
-    _add_common(p)
+    _add_state(p, slices)
+    _add_axes(p, "101x101", 2, "u-axis maximum (default: past the ridge)")
+    p.add_argument("--r-max", type=_positive, default=2.0,
+                   help="r-axis maximum (default: %(default)s)")
+    _add_wigner(p, n_list)
+    _add_common(p, "fig5_wigner")
 
     p = sub.add_parser("fig6_contours", help="physical Wigner contours")
-    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity (default: 15)")
-    p.add_argument("--c4-ratio", type=_finite_float,
-                   help="set x through the four-point ratio instead of --x")
-    p.add_argument("--gamma", type=_finite_float,
-                   help="squeezing strength in [0, 1) (default: 0.9)")
-    p.add_argument("--phi", type=_finite_float, nargs="+",
+    _add_state(p, [15.0], x_nargs=1)
+    p.add_argument("--gamma", type=_finite, default=0.9,
+                   help="squeezing strength in [0, 1) (default: %(default)s)")
+    p.add_argument("--phi", type=_finite, nargs="+", default=[0.0, math.pi],
                    help="squeeze angles, one panel pair each (default: 0 pi)")
-    p.add_argument("--mode", choices=("para", "perp"),
+    p.add_argument("--mode", choices=("para", "perp"), nargs=1,
+                   default=["para", "perp"],
                    help="projection mode (default: both)")
-    p.add_argument("--grid", help="phi x pi resolution WxH (default: 41x41)")
-    p.add_argument("--u-max", type=_finite_float,
-                   help="phi-axis maximum (default: automatic window)")
-    p.add_argument("--r-max", type=_finite_float,
+    _add_axes(p, "41x41", 2, "phi-axis maximum (default: automatic window)")
+    p.add_argument("--r-max", type=_positive,
                    help="pi-axis maximum (default: automatic window)")
-    _add_wigner_flags(p)
-    _add_common(p)
+    _add_wigner(p, [4, 8, 12, 16, 20])
+    _add_common(p, "fig6_contours")
 
     p = sub.add_parser("fig7_slice", help="strong-nongaussianity Wigner slice")
-    p.add_argument("--n", type=_finite_float, help="occupation number (default: 10)")
-    p.add_argument("--x", type=_finite_float, nargs="+",
-                   help="nongaussianity (default: 3000, i.e. x >> n^2)")
-    p.add_argument("--c4-ratio", type=_finite_float,
-                   help="set x through the four-point ratio instead of --x")
-    p.add_argument("--gamma", type=_finite_float,
-                   help="squeezing strength in [0, 1) (default: 0)")
-    p.add_argument("--phi", type=_finite_float,
-                   help="squeeze angle (default: 0)")
-    p.add_argument("--mode", choices=("para", "perp"),
-                   help="projection mode (default: para)")
-    p.add_argument("--grid", help="phi resolution W (default: 201)")
-    p.add_argument("--u-max", type=_finite_float,
-                   help="phi-axis maximum (default: 1.4x the peak phi)")
-    _add_wigner_flags(p)
-    _add_common(p)
+    _add_state(p, [3000.0], x_nargs=1)
+    p.add_argument("--gamma", type=_finite, default=0.0,
+                   help="squeezing strength in [0, 1) (default: %(default)s)")
+    p.add_argument("--phi", type=_finite, default=0.0,
+                   help="squeeze angle (default: %(default)s)")
+    p.add_argument("--mode", choices=("para", "perp"), default="para",
+                   help="projection mode (default: %(default)s)")
+    _add_axes(p, "201", 1, "phi-axis maximum (default: 1.4x the peak phi)")
+    _add_wigner(p, n_list)
+    _add_common(p, "fig7_slice")
 
     p = sub.add_parser("validate", help="run the invariant suite")
     p.add_argument("--quick", action="store_true",
@@ -558,14 +490,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_figure(args.command, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a refused flag (2)
+        return exc.code
+    if args.command == "validate":
+        return _cmd_validate(args)
+    return _cmd_figure(args.command, args)
 
 
 if __name__ == "__main__":

@@ -117,16 +117,25 @@ def ln_d(state: ReducedState, pt: PhasePoint, c_coeff: float = 0.0) -> MatrixEle
     rather than part of ReducedState.
     """
     sol = _saddle.solve_saddle_uv(state, pt.u_sq, pt.v_sq)
-    big_f0, big_fu, big_fv = _sf.big_f(sol.s)
-    corr = 0.0
-    if state.xi > 0.0:
-        diff = sol.s - state.z0_sq
-        corr = diff * diff / (8.0 * state.xi)
-    val = -(big_f0 + big_fu * pt.u_sq + big_fv * pt.v_sq - corr) \
-        - _obs.ln_z_per_dof(state)
-    return MatrixElementValue(ln_d=float(val),
+    return MatrixElementValue(ln_d=float(_ln_d_at(state, sol.s, pt.u_sq, pt.v_sq)),
                               phase_per_N=-2.0 * c_coeff * pt.w,
                               saddle=sol)
+
+
+def _ln_d_at(state, s, u_sq, v_sq):
+    """ln d at (u^2, v^2) given the saddle frequency s there (scalars or arrays)."""
+    big_f0, big_fu, big_fv = _sf.big_f(s)
+    corr = 0.0
+    if state.xi > 0.0:
+        diff = s - state.z0_sq
+        corr = diff * diff / (8.0 * state.xi)
+    return -(big_f0 + big_fu * u_sq + big_fv * v_sq - corr) \
+        - _obs.ln_z_per_dof(state)
+
+
+def _ridge_threshold(kappa):
+    """x above which the amplitude develops a ridge; inf when kappa >= 3."""
+    return math.inf if kappa >= 3.0 else 1.0 / (2.0 * (1.0 - kappa / 3.0))
 
 
 def peak_threshold_x(n: float) -> float:
@@ -135,18 +144,12 @@ def peak_threshold_x(n: float) -> float:
     Returns inf when kappa(n) >= 3 (low occupation): the surface then
     stays monotone in u no matter how strong the quartic term is.
     """
-    z = math.log1p(1.0 / n)
-    kappa = z / (2.0 * n + 1.0)
-    if kappa >= 3.0:
-        return math.inf
-    return 1.0 / (2.0 * (1.0 - kappa / 3.0))
+    return _ridge_threshold(ReducedState.from_nx(n, 0.0).kappa)
 
 
 def classify_regime(state: ReducedState) -> Regime:
-    if state.kappa >= 3.0:
-        return Regime.MONOTONE
-    x_c = 1.0 / (2.0 * (1.0 - state.kappa / 3.0))
-    return Regime.PEAKED if state.x >= x_c else Regime.MONOTONE
+    peaked = state.x >= _ridge_threshold(state.kappa)
+    return Regime.PEAKED if peaked else Regime.MONOTONE
 
 
 def u_c_sq(state: ReducedState, v_sq: float = 0.0):
@@ -235,14 +238,7 @@ def ln_d_many(state: ReducedState, u_sq, v_sq):
     u_sq = np.asarray(u_sq, dtype=float)
     v_sq = np.asarray(v_sq, dtype=float)
     s, _ = _saddle.solve_saddle_uv_many(state, u_sq, v_sq)
-    big_f0, big_fu, big_fv = _sf.big_f(s)
-    if state.xi > 0.0:
-        diff = s - state.z0_sq
-        corr = diff * diff / (8.0 * state.xi)
-    else:
-        corr = 0.0
-    return -(big_f0 + big_fu * u_sq + big_fv * v_sq - corr) \
-        - _obs.ln_z_per_dof(state)
+    return _ln_d_at(state, s, u_sq, v_sq)
 
 
 def d_surface(state: ReducedState, u, v) -> DSurface:

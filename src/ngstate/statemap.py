@@ -18,9 +18,11 @@ cheap consistency check used in the tests.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import BracketError, HeisenbergViolation, NonPositiveA, Unreachable
+from .errors import (BracketError, HeisenbergViolation, NonPositiveA,
+                     PrecisionLoss, Unreachable)
 from . import saddle as _saddle
 from . import specfun as _sf
 
@@ -122,23 +124,42 @@ class ReducedState:
 
     @classmethod
     def from_nx(cls, n, x):
+        """State at (n, x).
+
+        Raises PrecisionLoss where kappa is not a normal double, or where
+        xi underflows to zero at x > 0.
+        """
         if not (n > 0 and math.isfinite(n)):
             raise ValueError(f"occupation must be finite and > 0, got {n}")
         if not (x >= 0 and math.isfinite(x)):
             raise ValueError(f"strength x must be finite and >= 0, got {x}")
-        z = math.log1p(1.0 / n)
-        kappa = z / (2.0 * n + 1.0)
-        zeta = 1.0 + 2.0 * kappa * n * (n + 1.0)
+        z, kappa, zeta = _gaussian_constants(n)
         z_sq = z * z
+        xi = 2.0 * x * kappa * z_sq
+        if x > 0.0 and xi == 0.0:
+            raise PrecisionLoss(f"xi underflows at n = {n:.6g}, x = {x:.6g}")
         return cls(
             n=float(n),
             x=float(x),
             kappa=kappa,
             zeta=zeta,
             z0_sq=z_sq * (1.0 - 2.0 * x),
-            xi=2.0 * x * kappa * z_sq,
+            xi=xi,
             z_gauss=z,
         )
+
+
+def _gaussian_constants(n):
+    """(z_gauss, kappa, zeta) at occupation n > 0.
+
+    Raises PrecisionLoss where kappa is below the smallest normal double
+    (n above about 5e153): the closed forms lose every digit there.
+    """
+    z = math.log1p(1.0 / n)
+    kappa = z / (2.0 * n + 1.0)
+    if kappa < sys.float_info.min:
+        raise PrecisionLoss(f"kappa underflows at n = {n:.6g}")
+    return z, kappa, 1.0 + 2.0 * kappa * n * (n + 1.0)
 
 
 def occupation(m: GaussianMoments) -> float:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end (in-process main())."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -190,11 +191,81 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 ])
 def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "nf"
-    with pytest.raises(SystemExit) as info:
-        cli.main([*argv, "--out", str(out)])
-    assert info.value.code == 2
+    assert cli.main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert "finite" in capsys.readouterr().err
+
+
+def _preset_flags():
+    """(preset, option string, action) for every valued flag of every preset."""
+    presets = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    for preset, parser in presets.items():
+        for action in parser._actions:
+            if action.option_strings and action.nargs != 0:
+                yield preset, action.option_strings[0], action
+
+
+def _is_float_flag(action):
+    try:
+        return isinstance(action.type("2"), float)
+    except (TypeError, argparse.ArgumentTypeError):
+        return False
+
+
+def test_every_flag_has_a_parsing_type():
+    # a free-text flag would reach the planners unchecked
+    for preset, flag, action in _preset_flags():
+        if flag != "--out":
+            assert action.type is not None or action.choices, (preset, flag)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_float_flag_refuses_non_finite(tmp_path, capsys, value):
+    checked = 0
+    for preset, flag, action in _preset_flags():
+        if not _is_float_flag(action):
+            continue
+        out = tmp_path / f"{preset}{flag}"
+        assert cli.main([preset, flag, value, "--out", str(out)]) == 2, (preset, flag)
+        assert not out.exists(), (preset, flag)
+        checked += 1
+    assert checked >= 41
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    *([p, "--u-max", "-1"] for p in ("fig3_dsurface", "fig4_dslices",
+                                     "fig5_wigner", "fig6_contours",
+                                     "fig7_slice")),
+    ["fig3_dsurface", "--v-max", "-1"],
+    ["fig5_wigner", "--r-max", "0"],
+    ["fig6_contours", "--r-max", "0"],
+    ["fig3_dsurface", "--n", "0"],
+    *([p, "--grid", "5"] for p in ("fig3_dsurface", "fig5_wigner",
+                                   "fig6_contours")),
+    ["fig6_contours", "--x", "1", "2"],
+    ["fig3_dsurface", "--n", "1e308"],           # kappa underflows
+    ["fig5_wigner", "--n", "1e120", "--x", "0.5"],  # xi underflows
+])
+def test_out_of_range_flags_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "range"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_bad_env_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NGSTATE_THREADS", "abc")
+    out = tmp_path / "env"
+    assert cli.main(["fig1_c4", "--x", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["fig6_contours", "--help"]) == 0
+    assert "default: 0.9" in capsys.readouterr().out
 
 
 def test_bracket_failure_exits_1_with_meta(tmp_path, capsys, monkeypatch):
@@ -222,6 +293,18 @@ def test_purity_out_of_precision_exits_1_with_meta(tmp_path, capsys, argv):
     meta = _read_meta(out)
     assert meta["purity.converged"] is False
     assert "purity" in meta["purity.error"]
+
+
+@pytest.mark.parametrize("preset,name", [("fig1_c4", "c4_ratio"),
+                                         ("fig2_purity", "purity")])
+def test_underflowing_state_exits_1_with_meta(tmp_path, capsys, preset, name):
+    out = tmp_path / "uf"
+    assert cli.main([preset, "--n", "1e200", "--x", "0.5",
+                     "--out", str(out)]) == 1
+    capsys.readouterr()
+    meta = _read_meta(out)
+    assert meta[f"{name}.converged"] is False
+    assert "underflows" in meta[f"{name}.error"]
 
 
 def test_not_converged_exits_1_with_partial_output(tmp_path, capsys):

@@ -2,11 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ngstate import ReducedState
 from ngstate import observables as obs
+from ngstate.errors import PrecisionLoss
 
 
 def test_ln_z_values():
@@ -74,6 +78,50 @@ def test_c4_perturbative_dispatch_is_smooth():
         zeta = 1 + 2 * kappa * n * (n + 1)
         pred = -(1 + 2 * n * (n + 1) * (3 * zeta + 2)) / (2 * (2 * n + 1) ** 2)
         assert slope == pytest.approx(pred, rel=1e-6)
+
+
+def _c4_reference(n, x):
+    """The closed form at 50 digits, where the 0/0 at small x costs nothing."""
+    with mpmath.workdps(50):
+        n, x = mpmath.mpf(n), mpmath.mpf(x)
+        z = mpmath.log1p(1 / n)
+        zeta = 1 + 2 * z / (2 * n + 1) * n * (n + 1)
+
+        def f(y):
+            return 1 / (2 * y * mpmath.tanh(y * z))
+
+        bracket = (2 / x) * (f(1) - f(mpmath.sqrt(1 + x))) + (
+            zeta ** 2 / (1 + zeta * x) - 1 / (1 + x)) / z
+        return float(-(x / (2 * n + 1)) * bracket)
+
+
+@pytest.mark.parametrize("n", [0.01, 1.0, 10.0, 100.0])
+def test_c4_small_x_against_50_digits(n):
+    # both sides of the x = 1e-6 series/closed-form cut
+    xs = [*np.geomspace(1e-9, 1e-3, 25), 0.999e-6, 0.9999999e-6, 1e-6, 1.0000001e-6]
+    for x in xs:
+        ref = _c4_reference(n, float(x))
+        assert obs.c4_half_ratio_nx(n, float(x)) == pytest.approx(ref, rel=1e-9, abs=0.0), x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=hst.floats(0.01, 100.0), log_x=hst.floats(-9.0, 3.0),
+       step=hst.floats(0.0, 0.01))
+def test_c4_non_increasing_in_x(n, log_x, step):
+    # the second pair straddles the series/closed-form cut at x = 1e-6
+    for lo, hi in ((10.0 ** log_x, 10.0 ** log_x * (1.0 + step)),
+                   (1e-6 * (1.0 - step), 1e-6 * (1.0 + step))):
+        c_lo, c_hi = obs.c4_half_ratio_nx(n, lo), obs.c4_half_ratio_nx(n, hi)
+        assert c_hi <= c_lo + 1e-9 * abs(c_lo), (lo, hi)
+
+
+def test_c4_refuses_kappa_underflow():
+    # the closed form drifted to -0.167 at n = 1e200 and -0.0 at 1e308
+    # (the limit at x = 0.5 is -0.5)
+    assert obs.c4_half_ratio_nx(1e150, 0.5) == pytest.approx(-0.5, rel=1e-12)
+    for n in (1e155, 1e200, 1e308):
+        with pytest.raises(PrecisionLoss):
+            obs.c4_half_ratio_nx(n, 0.5)
 
 
 def test_c4_global_bounds():

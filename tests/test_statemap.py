@@ -17,7 +17,7 @@ from ngstate import (
     moments_from_params,
     x_from_c4,
 )
-from ngstate.errors import HeisenbergViolation, NonPositiveA, Unreachable
+from ngstate.errors import HeisenbergViolation, NonPositiveA, PrecisionLoss, Unreachable
 from ngstate.observables import c4_half_ratio_nx
 
 
@@ -137,6 +137,19 @@ def test_reduced_state_validation():
         ReducedState.from_nx(1.0, -0.1)
     with pytest.raises(ValueError):
         ReducedState.from_nx(math.inf, 1.0)
+
+
+@pytest.mark.parametrize("n,x", [
+    (1e308, 0.0),      # kappa = 0
+    (1e155, 0.0),      # kappa subnormal
+    (1e120, 0.5),      # xi underflows to 0
+    (10.0, 5e-324),    # xi underflows to 0
+])
+def test_reduced_state_refuses_underflow(n, x):
+    # purity, ln d and d_surface raised ValueError, ZeroDivisionError or
+    # OverflowError on these states
+    with pytest.raises(PrecisionLoss):
+        ReducedState.from_nx(n, x)
 
 
 def test_nongaussianity_validation():
