@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     AsymptoticRegimeViolation,
     BracketError,
-    ConfigError,
     HeisenbergViolation,
     NgStateError,
     NonFiniteValue,

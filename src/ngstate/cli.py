@@ -36,10 +36,10 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from importlib import metadata as _ilmd
 
 import numpy as np
 
+from . import __version__
 from . import densmat as _dm
 from . import gridio as _io
 from . import observables as _obs
@@ -49,16 +49,19 @@ from .errors import NgStateError
 from .statemap import ReducedState, x_from_c4
 
 
-def _version():
-    try:
-        return _ilmd.version("artifact")
-    except _ilmd.PackageNotFoundError:
-        return "0.0.0"
-
-
 def _tag(value):
     """File-name token for a parameter value: 0.5 -> '0p5'."""
     return _io.format_number(float(value)).replace(".", "p").replace("-", "m")
+
+
+def _tags(flag, values):
+    """_tag of each value; refuses two values that would share a file."""
+    tags = [_tag(v) for v in values]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ValueError(f"{flag} values {values[tags.index(tag)]!r} and "
+                             f"{values[i]!r} share the file-name token {tag!r}")
+    return tags
 
 
 def _number(convert, low=-math.inf, strict=False):
@@ -154,11 +157,11 @@ def _plan_fig2(args):
     def build():
         # n = 0 is the pure-state limit: the purity stays 1 for every x
         p = np.ones((3, len(n_values), len(x_values)))
-        for i, n in enumerate(n_values):
-            for k, x in enumerate(x_values):
-                if n != 0.0:
-                    rep = _obs.purity(ReducedState.from_nx(n, x))
-                    p[:, i, k] = rep.p, rep.p_gaussian, rep.ratio
+        rows = [i for i, n in enumerate(n_values) if n != 0.0]
+        rep = _obs.purity_many([ReducedState.from_nx(n_values[i], x)
+                                for i in rows for x in x_values])
+        p[:, rows] = np.reshape([rep.p, rep.p_gaussian, rep.ratio],
+                                (3, len(rows), len(x_values)))
         return (("n", "x", "p", "p_gaussian", "ratio"),
                 _io.tensor_table(n_values, x_values, *p), {})
 
@@ -169,7 +172,7 @@ def _plan_fig3(args):
     x_values = _resolve_x(args)
     nu, nv = args.grid
     jobs = {}
-    for x in x_values:
+    for x, tag in zip(x_values, _tags("--x", x_values)):
         state = ReducedState.from_nx(args.n, x)
 
         def build(state=state):
@@ -180,7 +183,7 @@ def _plan_fig3(args):
                     _io.tensor_table(u, v, surf.ln_d_norm),
                     {"u_max": float(u[-1]), "v_max": float(v[-1])})
 
-        jobs[f"dsurface_x{_tag(x)}"] = build
+        jobs[f"dsurface_x{tag}"] = build
     meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nv}
     return jobs, meta
 
@@ -208,7 +211,7 @@ def _plan_fig5(args):
     nu, nr = args.grid
     settings = _wigner_settings(args)
     jobs = {}
-    for x in x_values:
+    for x, tag in zip(x_values, _tags("--x", x_values)):
         state = ReducedState.from_nx(args.n, x)
 
         def build(state=state):
@@ -219,7 +222,7 @@ def _plan_fig5(args):
             return (("u", "r", "ln_w_norm", "spread"),
                     _io.tensor_table(u, r, grid.ln_w_norm, grid.spread), diag)
 
-        jobs[f"wigner_x{_tag(x)}"] = build
+        jobs[f"wigner_x{tag}"] = build
     meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nr,
             "r_max": args.r_max, "n_list": list(settings.n_list)}
     return jobs, meta
@@ -232,7 +235,7 @@ def _plan_fig6(args):
     state = ReducedState.from_nx(args.n, x)
     u_top = max(1.0, _u_peak(state))
     jobs = {}
-    for phi_s in args.phi:
+    for phi_s, tag in zip(args.phi, _tags("--phi", args.phi)):
         sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
         m = sq.moments()
         big_a = state.kappa * m.F
@@ -257,7 +260,7 @@ def _plan_fig6(args):
                         _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
                         diag)
 
-            jobs[f"contours_phi{_tag(phi_s)}_{mode}"] = build
+            jobs[f"contours_phi{tag}_{mode}"] = build
     meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
             "mode": args.mode, "grid_w": nphi, "grid_h": npi,
             "n_list": list(settings.n_list)}
@@ -338,7 +341,7 @@ def _cmd_figure(preset, args):
     os.makedirs(out_dir, exist_ok=True)
     results = _execute(jobs, args.threads, out_dir, args.format)
 
-    meta.update({"preset": preset, "version": _version(),
+    meta.update({"preset": preset, "version": __version__,
                  "threads": args.threads, "format": args.format,
                  "tol": args.tol, "out": out_dir})
     ok = True

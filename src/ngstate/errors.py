@@ -42,10 +42,6 @@ class AsymptoticRegimeViolation(NgStateError):
     """Displaced-overlap formula used outside its asymptotic regime."""
 
 
-class ConfigError(NgStateError):
-    """Command-line or preset configuration is invalid."""
-
-
 class BracketError(NgStateError):
     """A root solve or cut search found no sign change within its bracket."""
 

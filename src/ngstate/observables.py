@@ -14,6 +14,8 @@ region (where the doubled frequency grows like ln(1/n)) cannot overflow.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import saddle as _saddle
 from . import specfun as _sf
 from .errors import PrecisionLoss
@@ -29,6 +31,7 @@ __all__ = [
     "c4_ratio_small_n",
     "purity",
     "purity_limit_large_n",
+    "purity_many",
 ]
 
 
@@ -70,7 +73,7 @@ def c4_half_ratio_nx(n: float, x: float) -> float:
     goes to the Taylor series through x**2 (the (2/x)[f(1) - f(sqrt(1+x))]
     term is a removable 0/0 at x = 0); both sides of the cut are within
     1e-9 relative of the exact value.  Raises PrecisionLoss where kappa
-    underflows (n above about 5e153).
+    underflows (n above about 5e153) or zeta*x overflows (x near 1e308).
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -88,6 +91,9 @@ def c4_half_ratio_nx(n: float, x: float) -> float:
             - 2.0 * m * (zeta * zeta + zeta + 1.0) / q
         return -(x / q) * (b0 + b1 * x)
 
+    if not math.isfinite(zeta * x):
+        raise PrecisionLoss(f"zeta*x overflows at n = {n:.6g}, x = {x:.6g}")
+
     def f(y):
         return 1.0 / (2.0 * y * math.tanh(y * z))
 
@@ -104,6 +110,8 @@ def c4_ratio(state: ReducedState) -> float:
 
 @dataclass(frozen=True)
 class PurityReport:
+    """Floats from purity, arrays from purity_many."""
+
     p: float
     p_gaussian: float
     ratio: float
@@ -111,44 +119,46 @@ class PurityReport:
     kappa_tilde: float
 
 
-def purity(state: ReducedState) -> PurityReport:
-    """Per-dof quantum purity p = tr(D^2 per mode), with diagnostics.
+def purity_many(states) -> PurityReport:
+    """Per-dof quantum purity p = tr(D^2 per mode) of each state, with
+    diagnostics: a PurityReport of arrays in the order of states.
 
-    Needs the doubled-parameter frequency z_tilde; the closed form is
+    One batched solve of (s - z0_sq)/xi = 1/h2(s) gives the doubled
+    frequencies z~ of all x > 0 states.  With k = kappa/h2(z~^2),
 
-        p = [n~(n~+1)/(2n~+1)] / [n(n+1)]
-            * exp(-(x/2) kappa (2n+1)^2 * [1 - (kappa/kappa~)^2 q^2]),
+        p = exp(-x kappa (2n+1)^2 (1 - k)(2 - (1 - k))/2) / (2 sinh(z~) n(n+1)),
 
-    with q = (1+2n~(n~+1))/(1+4n~(n~+1)) and kappa~ = h_trace(z~^2).
-    Assembled in log space; exact value 1/(2n+1) returned at x = 0.
-    Raises PrecisionLoss where n~ or p is not representable as a double.
+    assembled in log space.  The doubled gap equation gives
+    1 - k = (z_gauss^2 - z~^2)/(2x z_gauss^2) exactly: that form is taken
+    for x >= 1, where 1 - kappa/h2 cancels, and 1 - kappa/h2 for x < 1,
+    where the difference of squares is rounding, so the exponent is good
+    to about kappa (2n+1)^2 eps.  x = 0 gets the exact Gaussian report.
     """
-    n, x = state.n, state.x
+    n, x, kappa, z0_sq, xi, z_g = (
+        np.array([getattr(st, f) for st in states], dtype=float)
+        for f in ("n", "x", "kappa", "z0_sq", "xi", "z_gauss"))
     p_gauss = 1.0 / (2.0 * n + 1.0)
-    if x == 0.0:
-        return PurityReport(p=p_gauss, p_gaussian=p_gauss, ratio=1.0,
-                            n_tilde=n, kappa_tilde=state.kappa)
-    sol = _saddle.solve_gap_tilde(state)
-    z_t = math.sqrt(sol.s)
-    t = math.exp(-z_t)
-    if t == 1.0:
-        raise PrecisionLoss(f"purity: n~ overflows at n = {n:.6g}, x = {x:.6g}")
-    n_t = t / (1.0 - t)
-    kappa_t = _sf.h_trace(sol.s)
-    q = (1.0 + 2.0 * n_t * (n_t + 1.0)) / (1.0 + 4.0 * n_t * (n_t + 1.0))
-    brace = 1.0 - (state.kappa / kappa_t) ** 2 * q * q
-    expo = -0.5 * x * state.kappa * (2.0 * n + 1.0) ** 2 * brace
-    ln_n_t = -z_t - math.log1p(-t)  # ln n~, safe when n~ underflows
-    ln_p = (ln_n_t + math.log1p(n_t)
-            - math.log(n) - math.log1p(n)
-            - math.log1p(2.0 * n_t)
-            + expo)
-    try:
-        p, ratio = math.exp(ln_p), math.exp(ln_p + math.log1p(2.0 * n))
-    except OverflowError:
-        raise PrecisionLoss(f"purity: p overflows at n = {n:.6g}, x = {x:.6g}") from None
+    p, ratio, n_t, kappa_t = p_gauss.copy(), np.ones_like(n), n.copy(), kappa.copy()
+    quartic = x > 0.0
+    s = _saddle.solve_trace_raw(z0_sq[quartic], xi[quartic], kernel=_sf.h2).s
+    n, x, kappa = n[quartic], x[quartic], kappa[quartic]
+    z_sq = z_g[quartic] * z_g[quartic]
+    z_t = np.sqrt(s)
+    one_k = np.where(x >= 1.0, (z_sq - s) / z_sq / (2.0 * x),
+                     1.0 - kappa / _sf.h2(s))
+    expo = -0.5 * kappa * (2.0 * n + 1.0) ** 2 * (x * one_k) * (2.0 - one_k)
+    ln_p = (-z_t - np.log(-np.expm1(-2.0 * z_t))  # -ln(2 sinh z~)
+            - np.log(n) - np.log1p(n) + expo)
+    p[quartic], ratio[quartic] = np.exp(ln_p), np.exp(ln_p + np.log1p(2.0 * n))
+    n_t[quartic], kappa_t[quartic] = 1.0 / np.expm1(z_t), _sf.h_trace(s)
     return PurityReport(p=p, p_gaussian=p_gauss, ratio=ratio,
                         n_tilde=n_t, kappa_tilde=kappa_t)
+
+
+def purity(state: ReducedState) -> PurityReport:
+    """Purity of one state: purity_many([state]) with float fields."""
+    rep = purity_many([state])
+    return PurityReport(**{f: float(v[0]) for f, v in vars(rep).items()})
 
 
 def purity_limit_large_n(x: float):

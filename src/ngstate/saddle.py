@@ -1,22 +1,22 @@
-"""Root solvers for the three self-consistency (gap/saddle) equations.
+"""Root solvers for the self-consistency (gap/saddle) equations.
 
 Each has the shape (s - z0_sq)/xi = RHS(s) with an RHS that decreases in s
 and diverges at the floor of its domain, so LHS - RHS has one sign change:
 
-    solve_gap         1/h_trace(s)            s > 0        RHS >= 1/s
-    solve_gap_tilde   1/h2(s)                 s > 0        RHS >= 1/s
-    solve_saddle_uv   f0 + fu*u^2 + fv*v^2    s > -pi^2    RHS >= 2/(s + pi^2)
+    solve_trace_raw   1/kernel(s), kernel h_trace or h2   s > 0       RHS >= 1/s
+    solve_saddle_uv   f0 + fu*u^2 + fv*v^2                s > -pi^2   RHS >= 2/(s + pi^2)
 
 The last column (for f0, the first term of 2 sum_k 1/(s + k^2 pi^2)) puts
 the root past the positive root of a quadratic, half of which is the lower
 bracket end; with s0 = max(z0_sq, 1), max(s0, z0_sq + xi*RHS(s0)) is the
 upper end, moved up a double at a time where it rounds onto or below the
-root.  _find_root solves all of them and x_from_c4; x = 0 pins s = z0_sq.
+root.  The brackets are built element-wise, so z0_sq, xi and the RHS
+arguments broadcast.  _find_root solves all of them and x_from_c4;
+x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -32,8 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
 __all__ = [
     "Branch",
     "SaddleSolution",
-    "solve_gap",
-    "solve_gap_tilde",
     "solve_saddle_uv",
     "solve_saddle_uv_many",
     "solve_trace_raw",
@@ -57,17 +55,14 @@ class SaddleSolution:
 
     residual is the equation's mismatch at s over scale = max(1, |lhs|):
     at most 1e-12 + 2 spacing(s)/(xi scale), as s is within 2 eps |s| of
-    the root.  iterations counts the evaluations of the equation.
+    the root.  iterations counts the evaluations of the equation.  A
+    batched trace solve holds arrays in s, residual and iterations.
     """
 
     s: float
     branch: Branch
     residual: float
     iterations: int
-
-
-def _branch_of(s):
-    return Branch.REAL if s >= 0.0 else Branch.IMAGINARY_CONTINUED
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -131,17 +126,19 @@ def _find_root(g, lo, hi, *args, climb=False):
     return root, nfev
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve(z0_sq, xi, rhs, floor, c, *args):
-    """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor)."""
+    """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor);
+    z0_sq, xi and args broadcast."""
     b, d = z0_sq - floor, c * xi
-    q = math.sqrt(b * b + 4.0 * d)  # positive root of e^2 - b e - d:
-    e = 0.5 * (b + q) if b >= 0.0 else 2.0 * d / (q - b)
+    q = np.sqrt(b * b + 4.0 * d)  # positive root of e^2 - b e - d:
+    e = np.where(b >= 0.0, 0.5 * (b + q), 2.0 * d / (q - b))
     # floor + e/2 can round onto the floor; the bracket check then refuses
-    lo = max(floor + 0.5 * e, math.nextafter(floor, math.inf))
-    s0 = max(z0_sq, 1.0)
+    lo = np.maximum(floor + 0.5 * e, np.nextafter(floor, np.inf))
+    s0 = np.maximum(z0_sq, 1.0)
     hi = np.maximum(s0, z0_sq + xi * rhs(s0, *args))
-    return _find_root(lambda s, *a: (s - z0_sq) / xi - rhs(s, *a), lo, hi,
-                      *args, climb=True)
+    return _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a), lo, hi,
+                      z0_sq, xi, *args, climb=True)
 
 
 def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
@@ -149,31 +146,20 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
 
     kernel is h_trace for the physical state, h2 for the doubled-parameter
     system that shows up in purity work; both satisfy kernel(s) <= s.
+    z0_sq and xi broadcast: s, residual and iterations take their shape
+    (a float and an int for scalar input), and each root is the one its
+    own equation gets alone.
     """
-    if not xi > 0:
-        raise ValueError(f"solve_trace_raw needs xi > 0, got {xi}")
+    z0_sq, xi = np.asarray(z0_sq, float), np.asarray(xi, float)
+    if not np.all(xi > 0):
+        raise ValueError(f"solve_trace_raw needs xi > 0, got min {np.min(xi)}")
     s, nfev = _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0)
-    s = float(s)
     lhs = (s - z0_sq) / xi
-    return SaddleSolution(s=s, branch=Branch.REAL,
-                          residual=(lhs - 1.0 / kernel(s)) / max(1.0, abs(lhs)),
-                          iterations=int(nfev))
-
-
-def solve_gap(state: "ReducedState") -> SaddleSolution:
-    """Effective squared frequency of the state's Gaussian kernel (s > 0)."""
-    if state.x == 0.0:
-        return SaddleSolution(s=state.z0_sq, branch=Branch.REAL,
-                              residual=0.0, iterations=0)
-    return solve_trace_raw(state.z0_sq, state.xi, kernel=_sf.h_trace)
-
-
-def solve_gap_tilde(state: "ReducedState") -> SaddleSolution:
-    """Doubled-parameter squared frequency (s > 0, kernel z*tanh z)."""
-    if state.x == 0.0:
-        return SaddleSolution(s=state.z0_sq, branch=Branch.REAL,
-                              residual=0.0, iterations=0)
-    return solve_trace_raw(state.z0_sq, state.xi, kernel=_sf.h2)
+    residual = (lhs - 1.0 / kernel(s)) / np.maximum(1.0, np.abs(lhs))
+    if s.ndim == 0:
+        s, residual, nfev = float(s), float(residual), int(nfev)
+    return SaddleSolution(s=s, branch=Branch.REAL, residual=residual,
+                          iterations=nfev)
 
 
 def _rhs_many(s, u_sq, v_sq):
@@ -205,12 +191,10 @@ def solve_saddle_uv(state: "ReducedState", u_sq: float, v_sq: float) -> SaddleSo
     s in (-pi^2, inf).  The branch tag records whether the root needed
     the imaginary continuation (s < 0).
     """
-    if state.x == 0.0:
-        return SaddleSolution(s=state.z0_sq, branch=_branch_of(state.z0_sq),
-                              residual=0.0, iterations=0)
-    s_arr, it = solve_saddle_uv_many(state, np.array([u_sq]), np.array([v_sq]))
-    s = float(s_arr[0])
-    lhs = (s - state.z0_sq) / state.xi
-    resid = (lhs - _rhs_many(s, u_sq, v_sq)) / max(1.0, abs(lhs))
-    return SaddleSolution(s=s, branch=_branch_of(s), residual=float(resid),
-                          iterations=it)
+    s_arr, it = solve_saddle_uv_many(state, u_sq, v_sq)
+    s, resid = float(s_arr), 0.0
+    if state.x != 0.0:
+        lhs = (s - state.z0_sq) / state.xi
+        resid = (lhs - _rhs_many(s, u_sq, v_sq)) / max(1.0, abs(lhs))
+    branch = Branch.REAL if s >= 0.0 else Branch.IMAGINARY_CONTINUED
+    return SaddleSolution(s=s, branch=branch, residual=resid, iterations=it)

@@ -126,8 +126,8 @@ class ReducedState:
     def from_nx(cls, n, x):
         """State at (n, x).
 
-        Raises PrecisionLoss where kappa is not a normal double, or where
-        xi underflows to zero at x > 0.
+        Raises PrecisionLoss where kappa is not a normal double, where xi
+        underflows to zero at x > 0, or where z0_sq or xi overflows.
         """
         if not (n > 0 and math.isfinite(n)):
             raise ValueError(f"occupation must be finite and > 0, got {n}")
@@ -135,15 +135,17 @@ class ReducedState:
             raise ValueError(f"strength x must be finite and >= 0, got {x}")
         z, kappa, zeta = _gaussian_constants(n)
         z_sq = z * z
-        xi = 2.0 * x * kappa * z_sq
+        z0_sq, xi = z_sq * (1.0 - 2.0 * x), 2.0 * x * kappa * z_sq
         if x > 0.0 and xi == 0.0:
             raise PrecisionLoss(f"xi underflows at n = {n:.6g}, x = {x:.6g}")
+        if not (math.isfinite(z0_sq) and math.isfinite(xi)):
+            raise PrecisionLoss(f"z0_sq or xi overflows at n = {n:.6g}, x = {x:.6g}")
         return cls(
             n=float(n),
             x=float(x),
             kappa=kappa,
             zeta=zeta,
-            z0_sq=z_sq * (1.0 - 2.0 * x),
+            z0_sq=z0_sq,
             xi=xi,
             z_gauss=z,
         )
@@ -177,6 +179,7 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
 
     A = kappa*F, C = -kappa*R, eta = x*kappa*(n+1/2)**2/F**2 and
     B = kappa*K - 2*eta*F, where kappa is evaluated at the occupation of m.
+    Raises PrecisionLoss where kappa underflows (n above about 5e153).
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -186,8 +189,7 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
             "occupation at or near the pure-state boundary: operator "
             f"parameters diverge as kappa ~ ln(1/n) (n = {n})"
         )
-    z = math.log1p(1.0 / n)
-    kappa = z / (2.0 * n + 1.0)
+    _, kappa, _ = _gaussian_constants(n)
     eta = x * kappa * (n + 0.5) ** 2 / (m.F * m.F)
     return OperatorParams(
         A=kappa * m.F,
@@ -203,7 +205,8 @@ def moments_from_params(p: OperatorParams):
     Solves the trace gap equation for the effective squared frequency of
     the operator's Gaussian kernel, reads off n and kappa there, and maps
     the coefficients back to moments.  Exact inverse of
-    params_from_moments up to solver precision.
+    params_from_moments up to solver precision.  Raises PrecisionLoss
+    where eta > 0 but xi = 8 A**2 eta underflows to zero.
     """
     z0_sq, xi = p.z0_sq, p.xi
     if p.eta == 0.0:
@@ -213,6 +216,9 @@ def moments_from_params(p: OperatorParams):
                 "normalizable Gaussian operator"
             )
         s = z0_sq
+    elif xi == 0.0:
+        raise PrecisionLoss(f"xi = 8 A^2 eta underflows at A = {p.A:.6g}, "
+                            f"eta = {p.eta:.6g}")
     else:
         s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
     kappa = _sf.h_trace(s)

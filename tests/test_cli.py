@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import ngstate
 from ngstate import cli, observables, wigner
 from ngstate.statemap import ReducedState, x_from_c4
 
@@ -247,12 +248,35 @@ def test_every_float_flag_refuses_non_finite(tmp_path, capsys, value):
     ["fig6_contours", "--x", "1", "2"],
     ["fig3_dsurface", "--n", "1e308"],           # kappa underflows
     ["fig5_wigner", "--n", "1e120", "--x", "0.5"],  # xi underflows
+    *([p, "--x", "1e308"] for p in ("fig3_dsurface", "fig4_dslices",
+                                    "fig5_wigner", "fig6_contours",
+                                    "fig7_slice")),    # z0_sq overflows
 ])
 def test_out_of_range_flags_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "range"
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,values", [
+    (["fig3_dsurface", "--x", "0.5", "0.50", "--grid", "5x5"], "0.5 and 0.5"),
+    (["fig5_wigner", "--x", "1", "1.0000000001", "--grid", "3x3"],
+     "1.0 and 1.0000000001"),
+    (["fig6_contours", "--phi", "0", "0"], "0.0 and 0.0"),
+])
+def test_colliding_artifact_names_exit_2(tmp_path, capsys, argv, values):
+    # both values wrote the same file, and meta.json listed the pair
+    out = tmp_path / "dup"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert values in capsys.readouterr().err
+
+
+def test_meta_names_the_package_version(tmp_path):
+    out = tmp_path / "ver"
+    assert cli.main(["fig1_c4", "--x", "0", "--out", str(out)]) == 0
+    assert _read_meta(out)["version"] == ngstate.__version__
 
 
 def test_bad_env_threads_exits_2(tmp_path, capsys, monkeypatch):
@@ -283,28 +307,32 @@ def test_bracket_failure_exits_1_with_meta(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--x", "1e20"],               # ln p overflows
+    ["--x", "1e20"],               # ln p overflowed
     ["--n", "1e17", "--x", "1"],   # n~ = 1/(e^z~ - 1) with e^-z~ == 1.0
 ])
-def test_purity_out_of_precision_exits_1_with_meta(tmp_path, capsys, argv):
+def test_purity_extreme_inputs_exit_0(tmp_path, capsys, argv):
     out = tmp_path / "pp"
-    assert cli.main(["fig2_purity", *argv, "--out", str(out)]) == 1
+    assert cli.main(["fig2_purity", *argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    meta = _read_meta(out)
-    assert meta["purity.converged"] is False
-    assert "purity" in meta["purity.error"]
+    header, rows = _read_csv(out / "purity.csv")
+    ratio = [row[header.index("ratio")] for row in rows]
+    assert all(0.0 < r <= 1.0 for r in ratio)
+    if "--n" in argv:
+        assert ratio == [pytest.approx(observables.purity_limit_large_n(1.0)[1],
+                                       abs=1e-9)]
 
 
 @pytest.mark.parametrize("preset,name", [("fig1_c4", "c4_ratio"),
                                          ("fig2_purity", "purity")])
 def test_underflowing_state_exits_1_with_meta(tmp_path, capsys, preset, name):
-    out = tmp_path / "uf"
-    assert cli.main([preset, "--n", "1e200", "--x", "0.5",
-                     "--out", str(out)]) == 1
-    capsys.readouterr()
-    meta = _read_meta(out)
-    assert meta[f"{name}.converged"] is False
-    assert "underflows" in meta[f"{name}.error"]
+    for argv, cause in ((["--n", "1e200", "--x", "0.5"], "underflows"),
+                        (["--n", "10", "--x", "1e308"], "overflows")):
+        out = tmp_path / cause
+        assert cli.main([preset, *argv, "--out", str(out)]) == 1
+        capsys.readouterr()
+        meta = _read_meta(out)
+        assert meta[f"{name}.converged"] is False
+        assert cause in meta[f"{name}.error"]
 
 
 def test_not_converged_exits_1_with_partial_output(tmp_path, capsys):

@@ -124,6 +124,13 @@ def test_c4_refuses_kappa_underflow():
             obs.c4_half_ratio_nx(n, 0.5)
 
 
+def test_c4_refuses_zeta_x_overflow():
+    # zeta*x = inf dropped a term: -0.0015 at x = 1e308 for a limit near -1
+    assert obs.c4_half_ratio_nx(10.0, 5e307) == pytest.approx(-1.0, rel=1e-12)
+    with pytest.raises(PrecisionLoss):
+        obs.c4_half_ratio_nx(10.0, 1e308)
+
+
 def test_c4_global_bounds():
     for n in (1e-6, 0.01, 0.5, 1.0, 10.0, 1e3):
         for x in (0.0, 1e-7, 0.3, 2.0, 50.0, 1e4):
@@ -169,3 +176,64 @@ def test_purity_limit_values():
     _, ratio = obs.purity_limit_large_n(1e8)
     assert ratio == pytest.approx(math.sqrt(2 / math.e), rel=1e-7)
     assert ratio > math.sqrt(2 / math.e)
+
+
+def _purity_mp(n, x):
+    """50-digit purity: the doubled gap equation solved in mpmath, then the
+    closed form with q and kappa~ as written in the paper."""
+    with mpmath.workdps(50):
+        n, x = mpmath.mpf(n), mpmath.mpf(x)
+        z = mpmath.log1p(1 / n)
+        kappa = z / (2 * n + 1)
+        z0_sq, xi = z * z * (1 - 2 * x), 2 * x * kappa * z * z
+
+        def gap(s):
+            y = mpmath.sqrt(s)
+            return (s - z0_sq) / xi - 1 / (y * mpmath.tanh(y))
+
+        s = mpmath.findroot(gap, (z * z * mpmath.mpf(10) ** -30, z * z),
+                            solver="anderson")
+        zt = mpmath.sqrt(s)
+        nt = 1 / mpmath.expm1(zt)
+        q = (1 + 2 * nt * (nt + 1)) / (1 + 4 * nt * (nt + 1))
+        brace = 1 - (kappa / (zt * mpmath.tanh(zt / 2))) ** 2 * q * q
+        return (nt * (nt + 1) / (2 * nt + 1) / (n * (n + 1))
+                * mpmath.exp(-x / 2 * kappa * (2 * n + 1) ** 2 * brace))
+
+
+@pytest.mark.parametrize("n,x", [
+    (10.0, 15.0), (0.1, 0.5), (1.0, 5.0), (0.5, 20.0), (10.0, 1e-9),
+    (10.0, 1e12), (10.0, 1e15),     # 1 - (kappa/kappa~)^2 q^2 cancelled
+    (1e12, 1.0), (1e15, 1.0),       # 1 - e^-z~ cancelled
+])
+def test_purity_against_mpmath(n, x):
+    want = _purity_mp(n, x)
+    rep = obs.purity(ReducedState.from_nx(n, x))
+    assert abs(rep.p - want) <= 1e-13 * want
+    assert abs(rep.ratio - want * (2 * n + 1)) <= 1e-13 * want * (2 * n + 1)
+
+
+def test_purity_many_matches_purity():
+    nx = [(10.0, 0.0), (0.1, 0.3), (1.0, 1.0), (10.0, 15.0), (1e-6, 10.0),
+          (0.5, 0.0), (1e12, 1.0), (3.0, 1e-9), (10.0, 1e15), (2.0, 0.999)]
+    states = [ReducedState.from_nx(n, x) for n, x in nx]
+    many = obs.purity_many(states)
+    for i, st in enumerate(states):
+        one = obs.purity(st)
+        for field, value in vars(one).items():
+            assert type(value) is float
+            assert value == getattr(many, field)[i], (nx[i], field)
+    assert obs.purity_many([]).p.shape == (0,)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(log_n=hst.floats(-8.0, 150.0), log_x=hst.floats(-300.0, 307.0))
+def test_purity_bounded_or_refused(log_n, log_x):
+    # the old assembly gave purities above the Gaussian one, or 0, on
+    # about 6 % of this range
+    try:
+        rep = obs.purity(ReducedState.from_nx(10.0 ** log_n, 10.0 ** log_x))
+    except PrecisionLoss:
+        return
+    assert 0.0 < rep.p <= 1.0
+    assert rep.ratio <= 1.0 + 1e-12

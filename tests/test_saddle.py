@@ -13,8 +13,6 @@ from ngstate import specfun as sf
 from ngstate.errors import BracketError
 from ngstate.saddle import Branch
 
-LN2_SQ = 0.48045301391820142
-
 
 def gap_residual(state, s, kernel):
     return (s - state.z0_sq) / state.xi - 1.0 / kernel(s)
@@ -27,19 +25,11 @@ def residual_bound(state, s):
     return 1e-12 + 2.0 * np.spacing(np.abs(s)) / state.xi / scale
 
 
-def test_solve_gap_gaussian_shortcut():
-    st = ReducedState.from_nx(1.0, 0.0)
-    sol = saddle.solve_gap(st)
-    assert sol.s == pytest.approx(LN2_SQ, rel=1e-15)
-    assert sol.iterations == 0 and sol.residual == 0.0
-    assert sol.branch is Branch.REAL
-
-
 def test_solve_gap_self_consistency():
     # the construction pins the solution at ln(1+1/n)^2 for every x
     for n, x in [(1.0, 5.0), (0.1, 0.5), (10.0, 15.0), (10.0, 1000.0)]:
         st = ReducedState.from_nx(n, x)
-        sol = saddle.solve_gap(st)
+        sol = saddle.solve_trace_raw(st.z0_sq, st.xi, sf.h_trace)
         assert sol.s == pytest.approx(st.z_gauss ** 2, rel=1e-12)
         assert abs(sol.residual) < 1e-12
         assert sol.s > 0.0
@@ -48,17 +38,15 @@ def test_solve_gap_self_consistency():
 def test_solve_gap_negative_bare_frequency():
     st = ReducedState.from_nx(2.0, 3.0)  # z0_sq < 0 once x > 1/2
     assert st.z0_sq < 0
-    sol = saddle.solve_gap(st)
+    sol = saddle.solve_trace_raw(st.z0_sq, st.xi, sf.h_trace)
     assert sol.s > 0
     assert abs(gap_residual(st, sol.s, sf.h_trace)) < 1e-10
 
 
 def test_solve_gap_tilde_orders():
-    st0 = ReducedState.from_nx(3.0, 0.0)
-    assert saddle.solve_gap_tilde(st0).s == pytest.approx(st0.z_gauss ** 2, rel=1e-15)
     for n, x in [(0.1, 0.5), (1.0, 5.0), (10.0, 15.0), (100.0, 1.0)]:
         st = ReducedState.from_nx(n, x)
-        sol = saddle.solve_gap_tilde(st)
+        sol = saddle.solve_trace_raw(st.z0_sq, st.xi, sf.h2)
         assert 0 < sol.s < st.z_gauss ** 2  # tilde frequency always drops
         lhs = (sol.s - st.z0_sq) / st.xi
         assert abs(gap_residual(st, sol.s, sf.h2)) < 1e-12 * max(1.0, abs(lhs))
@@ -69,10 +57,41 @@ def test_solve_gap_tilde_orders():
 
 def test_solve_gap_tilde_large_n_quadratic_limit():
     st = ReducedState.from_nx(100.0, 1.0)
-    sol = saddle.solve_gap_tilde(st)
+    sol = saddle.solve_trace_raw(st.z0_sq, st.xi, sf.h2)
     n_tilde = 1.0 / math.expm1(math.sqrt(sol.s))
     # golden-ratio value of the limiting quadratic at x = 1
     assert n_tilde / 100.0 == pytest.approx(math.sqrt(1.6180339887498949), rel=2e-3)
+
+
+def test_batched_trace_solve_matches_single_solves():
+    rng = np.random.default_rng(7)
+    n = 10.0 ** rng.uniform(-3.0, 3.0, saddle._BLOCK + 404)
+    x = 10.0 ** rng.uniform(-6.0, 6.0, n.size)
+    states = [ReducedState.from_nx(a, b) for a, b in zip(n, x)]
+    z0_sq = np.array([st.z0_sq for st in states])
+    xi = np.array([st.xi for st in states])
+    for kernel in (sf.h2, sf.h_trace):
+        sol = saddle.solve_trace_raw(z0_sq, xi, kernel)
+        assert sol.s.shape == sol.residual.shape == sol.iterations.shape == n.shape
+        assert sol.branch is Branch.REAL
+        scale = np.maximum(1.0, np.abs((sol.s - z0_sq) / xi))
+        assert np.all(np.abs(sol.residual)
+                      <= 1e-12 + 2.0 * np.spacing(sol.s) / xi / scale)
+        # a run across the block boundary, solved on its own from index 0
+        part = slice(saddle._BLOCK - 300, None)
+        alone = saddle.solve_trace_raw(z0_sq[part], xi[part], kernel)
+        assert np.array_equal(alone.s, sol.s[part])
+        assert np.array_equal(alone.iterations, sol.iterations[part])
+        for i in [*range(0, n.size, 97), saddle._BLOCK, n.size - 1]:
+            one = saddle.solve_trace_raw(z0_sq[i], xi[i], kernel)
+            assert type(one.s) is float and type(one.iterations) is int
+            assert (one.s, one.residual, one.iterations) == (
+                sol.s[i], sol.residual[i], sol.iterations[i]), i
+        # 2-D input keeps its shape and broadcasts a scalar xi
+        grid = saddle.solve_trace_raw(z0_sq[:6].reshape(2, 3), xi[0], kernel)
+        assert grid.s.shape == (2, 3)
+    with pytest.raises(ValueError):  # xi > 0 is checked element by element
+        saddle.solve_trace_raw([0.5, 0.5], [1.0, 0.0])
 
 
 def test_solve_trace_raw_validation():

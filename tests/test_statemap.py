@@ -152,6 +152,27 @@ def test_reduced_state_refuses_underflow(n, x):
         ReducedState.from_nx(n, x)
 
 
+@pytest.mark.parametrize("n,x", [
+    (10.0, 1e308),     # 1 - 2x = -inf
+    (1e-310, 0.0),     # 1/n = inf, so kappa = inf
+])
+def test_reduced_state_refuses_overflow(n, x):
+    # purity and d_surface ended in a ValueError from specfun on these
+    with pytest.raises(PrecisionLoss):
+        ReducedState.from_nx(n, x)
+
+
+def test_moments_params_refuse_underflow():
+    # xi = 8 A^2 eta underflowed into a bare ValueError from the solver
+    p = params_from_moments(GaussianMoments(F=1e150, K=1e150), 0.5)
+    assert p.eta > 0.0 and p.xi == 0.0
+    with pytest.raises(PrecisionLoss):
+        moments_from_params(p)
+    # kappa underflow surfaced as NonPositiveA ("A must be > 0")
+    with pytest.raises(PrecisionLoss):
+        params_from_moments(GaussianMoments(F=1e155, K=1e155), 0.5)
+
+
 def test_nongaussianity_validation():
     NonGaussianity(c4_half_ratio=-0.5, x=3.0)
     NonGaussianity(c4_half_ratio=0.0, x=0.0)
