@@ -150,9 +150,7 @@ def _ln_z_raw(z0_sq: float, xi: float) -> float:
     else:
         s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
     kappa = _sf.h_trace(s)
-    z = math.sqrt(s)
-    t = math.exp(-z)
-    n = t / (1.0 - t)
+    n = 1.0 / math.expm1(math.sqrt(s))
     return 0.5 * math.log(n * (n + 1.0)) + xi / (8.0 * kappa * kappa)
 
 

@@ -222,9 +222,7 @@ def moments_from_params(p: OperatorParams):
     else:
         s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
     kappa = _sf.h_trace(s)
-    z = math.sqrt(s)
-    t = math.exp(-z)
-    n = t / (1.0 - t)
+    n = 1.0 / math.expm1(math.sqrt(s))
     F = p.A / kappa
     K = (p.B + 2.0 * p.eta * F) / kappa
     R = -p.C / kappa

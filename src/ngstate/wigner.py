@@ -62,7 +62,7 @@ __all__ = [
 _GL_ORDER = 16
 _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
-# every default preset (<= 188 r x 384 nodes), below the probe's peak memory
+# every default preset (<= 188 r x 384 nodes), 3x the probe's 201 u x 159 g
 _TABLE_ELEMS = 3 << 15
 
 
@@ -179,22 +179,41 @@ def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
 
 
 def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
-    """Envelope cut: smallest v past the maximum of ln v + ln d where the
-    weakest retained exponent N_min*(g - g_max) has dropped below -45."""
-    u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))
+    """Envelope cut: the first of 1025 v on [1e-3, probe_hi] past the peak of
+    g = ln v + ln d where the weakest exponent N_min*(g - g_max) < -45; g has
+    one peak in v, so ~160 samples find it bit for bit (README design notes)."""
+    u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))[:, None]
     probe_hi = 48.0
     while True:
         v = np.linspace(1e-3, probe_hi, 1025)
-        g = np.log(v)[None, :] + _dm.ln_d_many(state, u_sq[:, None],
-                                               (v * v)[None, :])
-        g_max = g.max(axis=1)
-        past_peak = np.arange(v.size)[None, :] > np.argmax(g, axis=1)[:, None]
-        dropped = past_peak & (n_min * (g - g_max[:, None]) < -_ENVELOPE_DROP)
-        if np.all(dropped.any(axis=1)):
-            return float(v[np.argmax(dropped, axis=1)].max())
+        ln_v, v_sq = np.log(v), v * v
+        idx = np.broadcast_to(np.arange(0, 1025, 32), (u_sq.size, 33))
+        g = ln_v[idx] + _dm.ln_d_many(state, u_sq, v_sq[idx])
+        peak, cut = _peak_and_cut(idx, g, n_min)
+        win = np.hstack([peak[:, None] + np.arange(-31, 32),
+                         cut[:, None] + np.arange(-63, 0)]).clip(0, 1024)
+        idx = np.hstack([idx, win])
+        g = np.hstack([g, ln_v[win] + _dm.ln_d_many(state, u_sq, v_sq[win])])
+        peak, cut = _peak_and_cut(idx, g, n_min)
+        # a cut is exact once the index below it is sampled (peak, 1024 are)
+        blind = ~np.any(idx == cut[:, None] - 1, axis=1)
+        if blind.any():
+            g = ln_v + _dm.ln_d_many(state, u_sq[blind], v_sq)
+            cut[blind] = _peak_and_cut(np.arange(1025), g, n_min)[1]
+        if np.all(cut < 1025):
+            return float(v[cut].max())
         probe_hi *= 2.0
         if probe_hi > 1e4:
             raise BracketError("envelope failed to decay below the quadrature cut")
+
+
+def _peak_and_cut(idx, g, n_min):
+    """Per row of samples g at probe indices idx: the first index of the
+    maximum, and the first past it that dropped below the cut (or 1025)."""
+    g_max = g.max(axis=1, keepdims=True)
+    peak = np.where(g == g_max, idx, 1025).min(axis=1)
+    dropped = (idx > peak[:, None]) & (n_min * (g - g_max) < -_ENVELOPE_DROP)
+    return peak, np.where(dropped, idx, 1025).min(axis=1)
 
 
 def _panel_count(v_max: float, n_max: int, r_max: float,

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ngstate import coherence as coh
-from ngstate.errors import AsymptoticRegimeViolation
+from ngstate.errors import AsymptoticRegimeViolation, NgStateError
 
 VACUUM = coh.WignerWidths(delta_phi_sq=0.5, delta_pi_sq=0.5)
 
@@ -160,3 +162,21 @@ def test_cosine_log_magnitude():
     beta = math.sqrt(0.5 * pair.a_plus ** 2)
     assert out.cosine_log_magnitude == pytest.approx(
         2.0 * beta * 500.0 - math.log(2.0), rel=1e-12)
+
+
+_LABEL = hst.floats(0.0, 1e3)
+_WIDTH = hst.floats(1e-6, 1e6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair=hst.builds(coh.CoherencePair, _LABEL, _LABEL, _LABEL, _LABEL),
+       widths=hst.builds(coh.WignerWidths, _WIDTH, _WIDTH),
+       phi0=hst.floats(1e-3, 1e3), n_dof=hst.integers(1, 50).map(lambda k: 2 * k))
+def test_overlaps_finite_or_typed(pair, widths, phi0, n_dof):
+    assert math.isfinite(coh.overlap_centered(pair, widths))
+    try:
+        disp = coh.overlap_displaced(pair, widths, phi0, n_dof)
+    except NgStateError:
+        return
+    assert math.isfinite(disp.ln_magnitude)
+    assert math.isfinite(disp.cosine_log_magnitude)

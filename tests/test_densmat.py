@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
 from ngstate import specfun as sf
-from ngstate.errors import RegimeError
+from ngstate.errors import NgStateError, RegimeError
 from ngstate.saddle import Branch
 from ngstate.statemap import ReducedState
 
@@ -255,3 +257,26 @@ def test_ln_d_many_matches_scalar():
     arr = dm.ln_d_many(st, u_sq, v_sq)
     for k in range(3):
         assert arr[k] == dm.ln_d(st, dm.PhasePoint(u_sq[k], v_sq[k])).ln_d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=hst.floats(1e-3, 1e4), x=hst.floats(0.0, 1e4),
+       u_max=hst.floats(1e-3, 100.0), v_max=hst.floats(1e-3, 100.0))
+def test_d_surface_finite_or_typed(n, x, u_max, v_max):
+    try:
+        surf = dm.d_surface(ReducedState.from_nx(n, x),
+                            np.linspace(0.0, u_max, 5), np.linspace(0.0, v_max, 4))
+    except NgStateError:
+        return
+    assert np.all(np.isfinite(surf.ln_d_norm)) and math.isfinite(surf.ln_d_max)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=hst.floats(1e-3, 1e6), x=hst.floats(0.0, 1e8))
+def test_peak_fit_finite_or_typed(n, x):
+    try:
+        fit = dm.peak_fit(ReducedState.from_nx(n, x))
+    except NgStateError:
+        return
+    assert all(math.isfinite(c) for c in (fit.u0, fit.delta_u_sq, fit.delta_v_sq,
+                                          fit.third_u, fit.cross_uv, fit.fourth_v))

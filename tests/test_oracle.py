@@ -7,7 +7,8 @@ import pytest
 
 from ngstate import observables as obs
 from ngstate import oracle as orc
-from ngstate.statemap import GaussianMoments, ReducedState, params_from_moments
+from ngstate.statemap import (GaussianMoments, ReducedState, moments_from_params,
+                              occupation, params_from_moments)
 
 FULL = orc.MatsubaraTruncation()
 MED = orc.MatsubaraTruncation(n_max=100_000)
@@ -81,6 +82,19 @@ def test_purity_by_definition():
         got = orc.purity_by_definition(_iso_params(n, x))
         want = obs.purity(ReducedState.from_nx(n, x)).p
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("big_f", [1e8, 1e12, 1e17])
+def test_large_occupation_keeps_digits(big_f):
+    # n = 1/expm1(z) at the gap root: e^-z/(1 - e^-z) lost ~eps/z relative
+    # (1e-5 at F = 1e12) and divided by zero once e^-z rounded to 1
+    m = GaussianMoments(F=big_f, K=big_f)
+    p = params_from_moments(m, 1.0)
+    _, c4 = moments_from_params(p)
+    assert c4 == pytest.approx(obs.c4_half_ratio_nx(occupation(m), 1.0),
+                               rel=1e-12)
+    want = obs.purity(ReducedState.from_nx(occupation(m), 1.0)).p
+    assert orc.purity_by_definition(p) == pytest.approx(want, rel=1e-12)
 
 
 def test_purity_definition_gaussian_point():

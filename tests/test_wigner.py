@@ -10,14 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings
+from hypothesis import example, given, settings as hsettings
 from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
 from ngstate import wigner as wg
 from ngstate.errors import (BracketError, NgStateError, NotConverged,
                             QuadratureNonPositive)
-from ngstate.statemap import ReducedState
+from ngstate.statemap import ReducedState, x_from_c4
 
 
 def gaussian_state(n=10.0):
@@ -301,12 +301,102 @@ def test_ln_w_finite_or_typed(n, x, u_sq, r_sq):
     assert math.isfinite(value) and math.isfinite(spread)
 
 
+@pytest.mark.parametrize("n, c4, u_sq, r_sq, error, match", [
+    (0.3, -0.77, 0.0, 1.0, NotConverged, None),
+    (0.1, -0.77, 0.0, 2.0, QuadratureNonPositive, "N = 28"),
+    (1.0, -0.9, 1.0, 4.0, NotConverged, None),
+    (0.3035, -0.7656, 0.094, 2.036, NotConverged, None),
+])
+def test_small_n_fails_inside_window(n, c4, u_sq, r_sq, error, match):
+    # the README's caveat: for n below about 2 with strong C4 the
+    # quadrature fails inside N r^2/4 <= 45, with a typed error
+    state = ReducedState.from_nx(n, x_from_c4(n, c4))
+    with pytest.raises(error, match=match):
+        wg.ln_w(state, u_sq, r_sq)
+
+
 def test_envelope_cut_failure_is_typed(monkeypatch):
     # a flat ln d never drops below the cut, however far the probe widens
     monkeypatch.setattr(dm, "ln_d_many", lambda state, u_sq, v_sq:
                         np.zeros(np.broadcast_shapes(np.shape(u_sq), np.shape(v_sq))))
     with pytest.raises(BracketError):
         wg._auto_v_max(ReducedState.from_nx(10.0, 1.0), 1.0, 4)
+
+
+def _dense_v_max(state, u_sq, n_min):
+    """Reference envelope cut: g = ln v + ln d on all 1025 probe points."""
+    u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))
+    probe_hi = 48.0
+    while True:
+        v = np.linspace(1e-3, probe_hi, 1025)
+        g = np.log(v)[None, :] + dm.ln_d_many(state, u_sq[:, None],
+                                              (v * v)[None, :])
+        g_max = g.max(axis=1)
+        past_peak = np.arange(v.size)[None, :] > np.argmax(g, axis=1)[:, None]
+        dropped = past_peak & (n_min * (g - g_max[:, None]) < -45.0)
+        if np.all(dropped.any(axis=1)):
+            return float(v[np.argmax(dropped, axis=1)].max())
+        probe_hi *= 2.0
+        if probe_hi > 1e4:
+            raise BracketError("envelope failed to decay below the quadrature cut")
+
+
+@hsettings(max_examples=60, deadline=None, derandomize=True)
+@given(n=hst.floats(0.05, 1e4),
+       x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=4),
+       n_min=hst.sampled_from([4, 8, 20]))
+@example(n=10.0, x=0.5, u_sq=[0.0, 2.0], n_min=4)      # monotone in u
+@example(n=10.0, x=15.0, u_sq=[0.0, 212.0], n_min=4)   # peaked, on the ridge
+@example(n=30.0, x=3e4, u_sq=[0.0], n_min=4)           # widens past 48
+def test_envelope_cut_matches_dense_scan(n, x, u_sq, n_min):
+    state = ReducedState.from_nx(n, x)
+    assert wg._auto_v_max(state, u_sq, n_min) == _dense_v_max(state, u_sq,
+                                                               n_min)
+
+
+def _spy_ln_d(monkeypatch, fake=None):
+    """Record the element count of every ln_d_many call."""
+    sizes = []
+    real = fake or dm.ln_d_many
+
+    def spy(state, u_sq, v_sq):
+        sizes.append(np.broadcast(u_sq, v_sq).size)
+        return real(state, u_sq, v_sq)
+
+    monkeypatch.setattr(dm, "ln_d_many", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 15.0, 3000.0])
+def test_envelope_cut_probe_budget(monkeypatch, x):
+    # 33 coarse points and two windows of 63 per u, in two calls, over the
+    # u range of the fig5 and fig7 states
+    st = ReducedState.from_nx(10.0, x)
+    u_sq = dm.default_grid(st, 101, 2)[0] ** 2
+    sizes = _spy_ln_d(monkeypatch)
+    wg._auto_v_max(st, u_sq, 4)
+    assert len(sizes) <= 2
+    assert sum(sizes) <= 160 * u_sq.size
+
+
+def test_envelope_cut_scans_rows_the_windows_miss(monkeypatch):
+    # a spike of height 8 and width 0.1 midway between two coarse points,
+    # on a slope of 1: the coarse maximum sits 8.75 below the true one, so
+    # the coarse drop lands ~9 past the cut, below the drop window; the row
+    # is then scanned whole and still gives the dense cut
+    v0 = np.linspace(1e-3, 48.0, 1025)[336]
+
+    def fake(state, u_sq, v_sq):
+        v = np.sqrt(v_sq) + 0.0 * u_sq
+        return (-np.log(v) - np.abs(v - v0)
+                + 8.0 * np.exp(-((v - v0) / 0.1) ** 2))
+
+    st = ReducedState.from_nx(10.0, 1.0)
+    sizes = _spy_ln_d(monkeypatch, fake)
+    got = wg._auto_v_max(st, [1.0], 4)
+    assert len(sizes) == 3 and sizes[-1] == 1025
+    assert got == _dense_v_max(st, [1.0], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +455,22 @@ def test_projection_physical_widths():
     slope = np.polyfit(r_vals ** 2, lnw_r, 1)[0]
     delta_pi_sq = (-1.0 / (2.0 * slope)) / (4.0 * big_a)
     assert delta_pi_sq == pytest.approx(n + 0.5, rel=0.05)
+
+
+@hsettings(max_examples=25, deadline=None, derandomize=True)
+@given(n=hst.floats(0.05, 20.0), gamma=hst.floats(0.0, 0.95),
+       angle=hst.floats(0.0, 6.28), x=hst.floats(0.0, 40.0),
+       mode=hst.sampled_from(list(wg.ProjectionMode)))
+def test_projection_finite_or_typed(n, gamma, angle, x, mode):
+    sq = wg.SqueezeParams(n=n, gamma=gamma, phi=angle)
+    try:
+        proj = wg.project_physical(sq, x, mode, np.linspace(-1.0, 1.0, 3),
+                                   np.linspace(-0.5, 0.5, 3),
+                                   wg.WignerSettings(n_list=(4, 6, 8)))
+    except NgStateError:
+        return
+    assert np.all(np.isfinite(proj.ln_w_norm)) and math.isfinite(proj.ln_w_max)
+    assert np.all(np.isfinite(proj.spread))
 
 
 def test_projection_input_validation():
