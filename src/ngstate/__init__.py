@@ -23,7 +23,6 @@ from .errors import (
 )
 from .statemap import (
     GaussianMoments,
-    NonGaussianity,
     OperatorParams,
     ReducedState,
     occupation,
@@ -56,7 +55,6 @@ from .densmat import (
     u_c_sq,
 )
 from .wigner import (
-    Extrapolation,
     ProjectionGrid,
     ProjectionMode,
     SqueezeParams,

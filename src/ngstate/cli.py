@@ -110,15 +110,7 @@ def _resolve_x(args):
 
 
 def _wigner_settings(args):
-    return _wig.WignerSettings(n_list=args.n_list, v_max=args.v_max,
-                               spread_tol=args.tol)
-
-
-def _u_peak(state):
-    """u at the off-origin ridge maximum, or 1 when there is none."""
-    if _dm.classify_regime(state) is _dm.Regime.PEAKED:
-        return math.sqrt(_dm.u_c_sq(state, 0.0))
-    return 1.0
+    return _wig.WignerSettings(n_list=args.n_list, v_max=args.v_max)
 
 
 def _quad_diag(result, tol, **extra):
@@ -142,8 +134,7 @@ def _plan_fig1(args):
     n_values, x_values = args.n, args.x
 
     def build():
-        ratio = [[_obs.c4_ratio_small_n(x) if n == 0.0
-                  else _obs.c4_half_ratio_nx(n, x) for x in x_values]
+        ratio = [[_obs.c4_half_ratio_nx(n, x) for x in x_values]
                  for n in n_values]
         return (("n", "x", "c4_ratio"),
                 _io.tensor_table(n_values, x_values, ratio), {})
@@ -232,18 +223,14 @@ def _plan_fig6(args):
     [x] = _resolve_x(args)
     nphi, npi = args.grid
     settings = _wigner_settings(args)
-    state = ReducedState.from_nx(args.n, x)
-    u_top = max(1.0, _u_peak(state))
     jobs = {}
     for phi_s, tag in zip(args.phi, _tags("--phi", args.phi)):
         sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
-        m = sq.moments()
-        big_a = state.kappa * m.F
-        rho = m.R / m.F
+        state, big_a, rho = sq.reduced(x)
         # window: cover the ridge in phi; in pi follow the para-mode tilt
         # and add a few radial widths (delta_r^2 ~ 2 in reduced units)
         phi_max = (args.u_max if args.u_max is not None
-                   else 1.3 * math.sqrt(big_a) * u_top)
+                   else 1.3 * math.sqrt(big_a) * max(1.0, _dm.ridge_u(state)))
         pi_max = (args.r_max if args.r_max is not None
                   else abs(rho) * phi_max + 1.9 * math.sqrt(0.5 / big_a))
         for mode in args.mode:
@@ -271,11 +258,9 @@ def _plan_fig7(args):
     [x] = _resolve_x(args)
     nphi, _ = args.grid
     settings = _wigner_settings(args)
-    state = ReducedState.from_nx(args.n, x)
     sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=args.phi)
-    m = sq.moments()
-    big_a = state.kappa * m.F
-    phi0 = math.sqrt(big_a) * _u_peak(state)
+    state, big_a, _ = sq.reduced(x)
+    phi0 = math.sqrt(big_a) * _dm.ridge_u(state)
     phi_max = (args.u_max if args.u_max is not None
                else 1.4 * max(phi0, math.sqrt(big_a)))
 

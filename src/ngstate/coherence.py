@@ -82,13 +82,11 @@ class DisplacedOverlap:
     """Displaced-shell overlap, cosine factor kept separate.
 
     ln_magnitude excludes the oscillatory cosine; cosine_log_magnitude
-    is the exact log-magnitude of cos(2i*beta_phi*phi0 - N*pi/4), and
-    includes_cosine stays False to make the split explicit.
+    is the exact log-magnitude of cos(2i*beta_phi*phi0 - N*pi/4).
     """
 
     ln_magnitude: float
     cosine_log_magnitude: float
-    includes_cosine: bool = False
 
 
 def overlap_centered(pair: CoherencePair, widths: WignerWidths) -> float:

@@ -51,6 +51,7 @@ __all__ = [
     "ln_d",
     "peak_fit",
     "peak_threshold_x",
+    "ridge_u",
     "u_c_sq",
 ]
 
@@ -186,13 +187,11 @@ def peak_fit(state: ReducedState) -> PeakFit:
     All coefficients come from implicit differentiation of the saddle
     equation at s* = 0 (the maximum sits exactly on the branch locus),
     where the envelope theorem gives d(ln d)/dU = -Fu(s*) and the Taylor
-    data of F0, Fu, Fv at s = 0 does the rest.
+    data of F0, Fu, Fv at s = 0 does the rest.  RegimeError outside the
+    peaked regime (from u_c_sq) and where the ridge sits at u = 0.
     """
-    if classify_regime(state) is not Regime.PEAKED:
-        raise RegimeError(
-            f"peak_fit needs the peaked regime (n={state.n}, x={state.x})")
-    u0_sq = -state.z0_sq / state.xi - 1.0 / 3.0
-    if u0_sq <= 0.0:
+    u0_sq = u_c_sq(state)
+    if not u0_sq:
         raise RegimeError("ridge degenerates to u = 0 at the exact threshold")
     # dU/ds bookkeeping at s = 0: s_u = ds/dU, s_uu = d^2 s/dU^2
     q0 = 1.0 / state.xi + 1.0 / 45.0 + u0_sq / 6.0
@@ -220,12 +219,17 @@ class DSurface:
     ln_d_max: float
 
 
+def ridge_u(state: ReducedState) -> float:
+    """u of the ridge maximum at v = 0, or 1 where there is no ridge: the
+    u scale of the default surface grid and of the Wigner windows."""
+    if classify_regime(state) is Regime.PEAKED:
+        return math.sqrt(u_c_sq(state, 0.0))
+    return 1.0
+
+
 def default_grid(state: ReducedState, nu: int = 201, nv: int = 201):
     """Default surface extent: past the ridge in u, several widths in v."""
-    if classify_regime(state) is Regime.PEAKED:
-        top = 1.5 * max(1.0, math.sqrt(u_c_sq(state, 0.0)))
-    else:
-        top = 1.5
+    top = 1.5 * max(1.0, ridge_u(state))
     return np.linspace(0.0, top, nu), np.linspace(0.0, 4.0, nv)
 
 

@@ -9,14 +9,16 @@ and diverges at the floor of its domain, so LHS - RHS has one sign change:
 The last column (for f0, the first term of 2 sum_k 1/(s + k^2 pi^2)) puts
 the root past the positive root of a quadratic, half of which is the lower
 bracket end; with s0 = max(z0_sq, 1), max(s0, z0_sq + xi*RHS(s0)) is the
-upper end, moved up a double at a time where it rounds onto or below the
-root.  The brackets are built element-wise, so z0_sq, xi and the RHS
-arguments broadcast.  _find_root solves all of them and x_from_c4;
-x = 0 pins s = z0_sq.
+upper end (for the trace at most the positive root of s^2 - (z0_sq +
+xi/3) s - 2 xi, as 1/kernel(s) <= 2/s + 1/3), moved up a double at a time
+where it rounds onto or below the root.  The brackets are built
+element-wise, so z0_sq, xi and the RHS arguments broadcast.  _find_root
+solves all of them and x_from_c4; x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -127,16 +129,16 @@ def _find_root(g, lo, hi, *args, climb=False):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _solve(z0_sq, xi, rhs, floor, c, *args):
-    """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor);
-    z0_sq, xi and args broadcast."""
+def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf):
+    """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor)
+    and a root below cap; z0_sq, xi, args and cap broadcast."""
     b, d = z0_sq - floor, c * xi
     q = np.sqrt(b * b + 4.0 * d)  # positive root of e^2 - b e - d:
     e = np.where(b >= 0.0, 0.5 * (b + q), 2.0 * d / (q - b))
     # floor + e/2 can round onto the floor; the bracket check then refuses
     lo = np.maximum(floor + 0.5 * e, np.nextafter(floor, np.inf))
     s0 = np.maximum(z0_sq, 1.0)
-    hi = np.maximum(s0, z0_sq + xi * rhs(s0, *args))
+    hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
     return _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a), lo, hi,
                       z0_sq, xi, *args, climb=True)
 
@@ -153,7 +155,12 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     z0_sq, xi = np.asarray(z0_sq, float), np.asarray(xi, float)
     if not np.all(xi > 0):
         raise ValueError(f"solve_trace_raw needs xi > 0, got min {np.min(xi)}")
-    s, nfev = _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0)
+    # 1/kernel(s) <= 2/s + 1/3 (tanh y >= y/(1 + y^2/3)) caps the root at
+    # the positive root of s^2 - b s - 2 xi; hypot keeps b^2 from overflowing
+    b = z0_sq + xi / 3.0
+    q = np.hypot(b, math.sqrt(8.0) * np.sqrt(xi))
+    cap = np.where(b >= 0.0, 0.5 * (b + q), 4.0 * (xi / (q + np.abs(b))))
+    s, nfev = _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0, cap=cap)
     lhs = (s - z0_sq) / xi
     residual = (lhs - 1.0 / kernel(s)) / np.maximum(1.0, np.abs(lhs))
     if s.ndim == 0:

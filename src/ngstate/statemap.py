@@ -28,7 +28,6 @@ from . import specfun as _sf
 
 __all__ = [
     "GaussianMoments",
-    "NonGaussianity",
     "OperatorParams",
     "ReducedState",
     "occupation",
@@ -61,22 +60,6 @@ class GaussianMoments:
     def __post_init__(self):
         if not (self.F > 0 and self.K > 0):
             raise ValueError(f"moments need F, K > 0, got F={self.F}, K={self.K}")
-
-
-@dataclass(frozen=True)
-class NonGaussianity:
-    """Connected-quartic data: the ratio C4/2F**2 and its strength x."""
-
-    c4_half_ratio: float
-    x: float
-
-    def __post_init__(self):
-        if not (-1.0 <= self.c4_half_ratio <= 0.0):
-            raise ValueError(f"c4_half_ratio must lie in [-1, 0], got {self.c4_half_ratio}")
-        if self.x < 0:
-            raise ValueError(f"x must be >= 0, got {self.x}")
-        if (self.x == 0) != (self.c4_half_ratio == 0):
-            raise ValueError("x = 0 and c4_half_ratio = 0 must come together")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ cancels analytically:
     W_N(r=0) = (4 pi N)^{N/2} / Gamma(N/2) * Integral dv v^{N-1} D.
 
 ln w per dof, (1/N) ln W_N, is computed for each N in the settings list
-and extrapolated to N -> infinity (Richardson in 1/N by default).  At
+and extrapolated to N -> infinity (Richardson in 1/N).  At
 x = 0 the integral is a Weber integral with the exact value
 ln w_N = ln w_inf - ln(2)/N, so the extrapolation is exact there; the
 closed Gaussian form ln_w_gaussian_exact is exposed as the oracle.
@@ -46,7 +46,6 @@ from .errors import BracketError, NotConverged, QuadratureNonPositive
 from .statemap import GaussianMoments, ReducedState
 
 __all__ = [
-    "Extrapolation",
     "ProjectionGrid",
     "ProjectionMode",
     "SqueezeParams",
@@ -66,11 +65,6 @@ _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
 _TABLE_ELEMS = 3 << 15
 
 
-class Extrapolation(Enum):
-    LAST_VALUE = "LastValue"
-    RICHARDSON_IN_1_OVER_N = "RichardsonIn1OverN"
-
-
 class ProjectionMode(Enum):
     PARA = "para"
     PERP = "perp"
@@ -80,15 +74,15 @@ class ProjectionMode(Enum):
 class WignerSettings:
     """Quadrature and extrapolation knobs.
 
-    n_list must be ascending even integers (integer Bessel order N/2-1),
-    at least three entries.  quad_points / v_max default to automatic
-    sizing from the oscillation wavelength and envelope decay.
+    n_list: the N extrapolated in 1/N, ascending even integers (integer
+    Bessel order N/2-1), at least three.  quad_points / v_max default to
+    automatic sizing from the oscillation wavelength and envelope decay;
+    ln_w refuses a spread above spread_tol.
     """
 
     n_list: tuple = (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
     quad_points: int | None = None
     v_max: float | None = None
-    extrapolation: Extrapolation = Extrapolation.RICHARDSON_IN_1_OVER_N
     spread_tol: float = 1e-3
 
     def __post_init__(self):
@@ -133,6 +127,13 @@ class SqueezeParams:
         return GaussianMoments(F=a_bar * (1.0 + self.gamma * math.cos(self.phi)),
                                K=a_bar * (1.0 - self.gamma * math.cos(self.phi)),
                                R=a_bar * self.gamma * math.sin(self.phi))
+
+    def reduced(self, x: float):
+        """(state, A, rho) at nongaussianity x: the reduced state, A =
+        kappa*F and the correlator slope rho = R/F (see project_physical)."""
+        m = self.moments()
+        state = ReducedState.from_nx(self.n, x)
+        return state, state.kappa * m.F, m.R / m.F
 
 
 @dataclass(frozen=True)
@@ -298,28 +299,22 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
     return out
 
 
-def _richardson_steps(vals, n_list):
-    """Three-point Lagrange extrapolants to 1/N = 0, one per tail index."""
+def _extrapolate(vals, n_list):
+    """(value, spread) along axis 0: the three-point Lagrange extrapolant
+    to 1/N = 0 from the last three N, and its distance from the one a
+    step earlier (from the last value when n_list has three entries)."""
     h = 1.0 / np.asarray(n_list, dtype=float)
-    steps = []
-    for k in range(2, len(n_list)):
+
+    def step(k):
         h0, h1, h2 = h[k - 2], h[k - 1], h[k]
         c0 = h1 * h2 / ((h0 - h1) * (h0 - h2))
         c1 = h0 * h2 / ((h1 - h0) * (h1 - h2))
         c2 = h0 * h1 / ((h2 - h0) * (h2 - h1))
-        steps.append(c0 * vals[k - 2] + c1 * vals[k - 1] + c2 * vals[k])
-    return np.stack(steps)
+        return c0 * vals[k - 2] + c1 * vals[k - 1] + c2 * vals[k]
 
-
-def _extrapolate(vals, n_list, scheme: Extrapolation):
-    """(value, spread) along axis 0; spread = |last - secondlast| of the
-    scheme's own sequence."""
-    if scheme is Extrapolation.LAST_VALUE:
-        return vals[-1], np.abs(vals[-1] - vals[-2])
-    steps = _richardson_steps(vals, n_list)
-    if steps.shape[0] >= 2:
-        return steps[-1], np.abs(steps[-1] - steps[-2])
-    return steps[-1], np.abs(steps[-1] - vals[-1])
+    last = step(len(h) - 1)
+    prev = step(len(h) - 2) if len(h) > 3 else vals[-1]
+    return last, np.abs(last - prev)
 
 
 def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
@@ -349,7 +344,7 @@ def _normalised(state, u_sq, r_rows, settings):
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
     per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows,
                                               settings.n_list, settings)
-    value, spread = _extrapolate(per_n, settings.n_list, settings.extrapolation)
+    value, spread = _extrapolate(per_n, settings.n_list)
     top = float(value.max())
     return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
                 quad_points=n_quad, v_max=v_max)
@@ -373,12 +368,11 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float,
          settings: WignerSettings | None = None):
     """Extrapolated per-dof log Wigner value -> (value, spread).
 
-    Raises NotConverged when the scheme's last step exceeds spread_tol.
+    Raises NotConverged when the spread exceeds spread_tol.
     """
     settings = settings or WignerSettings()
     per_n = _point_per_n(state, u_sq, r_sq, settings.n_list, settings)
-    value, spread = map(float, _extrapolate(per_n, settings.n_list,
-                                            settings.extrapolation))
+    value, spread = map(float, _extrapolate(per_n, settings.n_list))
     if spread > settings.spread_tol:
         raise NotConverged(
             f"ln w spread {spread:.3e} above tolerance {settings.spread_tol:.3e} "
@@ -425,10 +419,7 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
     pi_arr = np.asarray(pi, dtype=float)
     if phi.ndim != 1 or pi_arr.ndim != 1:
         raise ValueError("phi and pi must be one-dimensional")
-    m = sq.moments()
-    state = ReducedState.from_nx(sq.n, x)
-    big_a = state.kappa * m.F
-    rho = m.R / m.F
+    state, big_a, rho = sq.reduced(x)
     u_sq = phi * phi / big_a
     if mode is ProjectionMode.PARA:
         diff = pi_arr[None, :] - rho * phi[:, None]

@@ -49,6 +49,10 @@ def test_fig1_defaults(tmp_path):
     # n = 10 endpoint sits near the saturating large-n curve
     tail = [r for r in rows if r[0] == 10.0 and r[1] == 20.0]
     assert tail and tail[0][2] == pytest.approx(-40.0 / 41.0, rel=0.02)
+    # the n = 0 rows are the small-n limit
+    zero = [r[2] for r in rows if r[0] == 0.0]
+    assert zero == pytest.approx([observables.c4_ratio_small_n(x)
+                                  for x in np.linspace(0.0, 20.0, 201)], rel=1e-8)
     meta = _read_meta(out)
     assert meta["preset"] == "fig1_c4"
     assert meta["c4_ratio.rows"] == 603
@@ -360,15 +364,19 @@ def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, fmt):
     assert "non-finite" in meta["c4_ratio.error"]
 
 
-def test_bench_tracer_counts_csv_rows(tmp_path):
-    # the benchmark's tracer wraps gridio.write_csv(path, header, rows) and
-    # reads len(rows) and the file size: a change there breaks the bench
+def _bench_tracer():
     path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod.Tracer()
+
+
+def test_bench_tracer_counts_csv_rows(tmp_path):
+    # the benchmark's tracer wraps gridio.write_csv(path, header, rows) and
+    # reads len(rows) and the file size: a change there breaks the bench
     out = tmp_path / "tr"
-    tracer = tracer_mod.Tracer()
+    tracer = _bench_tracer()
     tracer.install()
     try:
         assert cli.main(["fig1_c4", "--x", "0", "1", "2", "--out", str(out)]) == 0
@@ -381,3 +389,21 @@ def test_bench_tracer_counts_csv_rows(tmp_path):
     assert metrics["gridio.write_csv.rows"] == len(rows)
     assert metrics["gridio.write_csv.bytes"] == (out / "c4_ratio.csv").stat().st_size
     assert metrics["cli.fig1_c4.wall_s"] > 0.0
+
+
+def test_bench_tracer_reads_wigner_calls(tmp_path):
+    # the tracer reads project_physical(sq, x, mode, phi, pi, ...) by
+    # position and the quadrature size from its result
+    tracer = _bench_tracer()
+    tracer.install()
+    try:
+        assert cli.main(["fig6_contours", "--grid", "5x5", "--phi", "0",
+                         "--mode", "para", "--out", str(tmp_path / "f6")]) == 0
+        wigner.ln_w(ReducedState.from_nx(10.0, 1.0), 1.0, 1.0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    elems = [sp[5] for sp in tracer.spans if sp[0] == "wigner.project_physical"]
+    assert elems == [25]
+    assert metrics["wigner.ln_w.calls"] == 1
+    assert metrics["wigner.quad_points"] > 0

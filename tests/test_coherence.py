@@ -120,7 +120,6 @@ def test_displaced_mirror_case():
     # phi0^2 = x^2 makes the radial suppression exactly (N/4) ln(1/2)
     radial = out.ln_magnitude + 2.0 * 0.05 * x_sq / (1.0 + 2.0 * 0.05)
     assert radial == pytest.approx((n_dof / 4.0) * math.log(0.5), rel=1e-12)
-    assert out.includes_cosine is False
 
 
 def test_displaced_on_shell_is_free():

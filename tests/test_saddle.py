@@ -94,6 +94,17 @@ def test_batched_trace_solve_matches_single_solves():
         saddle.solve_trace_raw([0.5, 0.5], [1.0, 0.0])
 
 
+def test_tiny_trace_root_is_bracketed_closely():
+    # the root (~3e-290) lies far below max(s0, z0_sq + xi/kernel(s0)) ~ 1:
+    # the closed-form upper end from 1/kernel(s) <= 2/s + 1/3 spares the
+    # ~950 linear bisections down to it
+    st = ReducedState.from_nx(4.2e144, 1.4e272)
+    for kernel in (sf.h_trace, sf.h2):
+        sol = saddle.solve_trace_raw(st.z0_sq, st.xi, kernel)
+        assert sol.iterations <= 20, kernel
+        assert abs(sol.residual) <= residual_bound(st, sol.s), kernel
+
+
 def test_solve_trace_raw_validation():
     with pytest.raises(ValueError):
         saddle.solve_trace_raw(0.5, 0.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 
 from ngstate import (
     GaussianMoments,
-    NonGaussianity,
     OperatorParams,
     ReducedState,
     occupation,
@@ -171,17 +170,6 @@ def test_moments_params_refuse_underflow():
     # kappa underflow surfaced as NonPositiveA ("A must be > 0")
     with pytest.raises(PrecisionLoss):
         params_from_moments(GaussianMoments(F=1e155, K=1e155), 0.5)
-
-
-def test_nongaussianity_validation():
-    NonGaussianity(c4_half_ratio=-0.5, x=3.0)
-    NonGaussianity(c4_half_ratio=0.0, x=0.0)
-    with pytest.raises(ValueError):
-        NonGaussianity(c4_half_ratio=-0.5, x=0.0)
-    with pytest.raises(ValueError):
-        NonGaussianity(c4_half_ratio=0.0, x=2.0)
-    with pytest.raises(ValueError):
-        NonGaussianity(c4_half_ratio=-1.5, x=2.0)
 
 
 def test_x_from_c4_roundtrip_and_window():

@@ -45,7 +45,6 @@ def test_settings_validation():
         wg.WignerSettings(spread_tol=0.0)
     s = wg.WignerSettings()
     assert s.n_list == (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
-    assert s.extrapolation is wg.Extrapolation.RICHARDSON_IN_1_OVER_N
 
 
 def test_squeeze_params():
@@ -161,15 +160,17 @@ def test_plateau_in_window():
 
 
 def test_scheme_agreement_on_normalized_grid():
-    # LastValue and Richardson agree after normalization because the
-    # leading finite-N correction is shared by every grid point
+    # the Richardson grid and the N = 40 values agree after normalization
+    # because the leading finite-N correction is shared by every grid point
     st = ReducedState.from_nx(10.0, 15.0)
     u = np.linspace(0.0, 1.5 * math.sqrt(dm.u_c_sq(st)), 21)
     r = np.linspace(0.0, 2.0, 21)
-    rich = wg.wigner_grid(st, u, r)
-    last = wg.wigner_grid(st, u, r, wg.WignerSettings(
-        extrapolation=wg.Extrapolation.LAST_VALUE))
-    assert np.abs(rich.ln_w_norm - last.ln_w_norm).max() < 5e-3
+    settings = wg.WignerSettings()
+    rich = wg.wigner_grid(st, u, r, settings)
+    per_n, _, _ = wg._mesh_and_assemble(st, u * u, r[None, :],
+                                        settings.n_list, settings)
+    last = per_n[-1] - per_n[-1].max()
+    assert np.abs(rich.ln_w_norm - last).max() < 5e-3
 
 
 def test_grid_matches_scalar_with_pinned_mesh():
