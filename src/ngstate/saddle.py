@@ -134,10 +134,12 @@ def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf):
     and a root below cap; z0_sq, xi, args and cap broadcast."""
     b, d = z0_sq - floor, c * xi
     q = np.sqrt(b * b + 4.0 * d)  # positive root of e^2 - b e - d:
-    e = np.where(b >= 0.0, 0.5 * (b + q), 2.0 * d / (q - b))
+    e = np.where(b >= 0.0, 0.5 * (b + q), d / (0.5 * q - 0.5 * b))  # 2d may overflow
     # floor + e/2 can round onto the floor; the bracket check then refuses
     lo = np.maximum(floor + 0.5 * e, np.nextafter(floor, np.inf))
     s0 = np.maximum(z0_sq, 1.0)
+    # a cap that underflowed onto or below lo would leave nothing to climb from
+    cap = np.where(cap > lo, cap, np.inf)
     hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
     return _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a), lo, hi,
                       z0_sq, xi, *args, climb=True)
@@ -156,10 +158,13 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     if not np.all(xi > 0):
         raise ValueError(f"solve_trace_raw needs xi > 0, got min {np.min(xi)}")
     # 1/kernel(s) <= 2/s + 1/3 (tanh y >= y/(1 + y^2/3)) caps the root at
-    # the positive root of s^2 - b s - 2 xi; hypot keeps b^2 from overflowing
-    b = z0_sq + xi / 3.0
-    q = np.hypot(b, math.sqrt(8.0) * np.sqrt(xi))
-    cap = np.where(b >= 0.0, 0.5 * (b + q), 4.0 * (xi / (q + np.abs(b))))
+    # the positive root of s^2 - b s - 2 xi; hypot and the halved sums keep
+    # b^2 and q + |b| from overflowing near the largest double
+    with np.errstate(over="ignore"):  # b = inf leaves the root uncapped
+        b = z0_sq + xi / 3.0
+        q = np.hypot(b, math.sqrt(8.0) * np.sqrt(xi))
+        half = 0.5 * q + 0.5 * np.abs(b)
+        cap = np.where(b >= 0.0, half, 2.0 * (xi / half))
     s, nfev = _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0, cap=cap)
     lhs = (s - z0_sq) / xi
     residual = (lhs - 1.0 / kernel(s)) / np.maximum(1.0, np.abs(lhs))

@@ -94,15 +94,25 @@ def test_batched_trace_solve_matches_single_solves():
         saddle.solve_trace_raw([0.5, 0.5], [1.0, 0.0])
 
 
-def test_tiny_trace_root_is_bracketed_closely():
-    # the root (~3e-290) lies far below max(s0, z0_sq + xi/kernel(s0)) ~ 1:
-    # the closed-form upper end from 1/kernel(s) <= 2/s + 1/3 spares the
-    # ~950 linear bisections down to it
-    st = ReducedState.from_nx(4.2e144, 1.4e272)
+@pytest.mark.parametrize("n, x, most", [
+    # root ~3e-290, far below max(s0, z0_sq + xi/kernel(s0)) ~ 1: the
+    # closed-form upper end from 1/kernel(s) <= 2/s + 1/3 spares the ~950
+    # linear bisections down to it
+    (4.2e144, 1.4e272, 20),
+    # z0_sq ~ -1.3e308: q + |b| in that cap overflows unless halved, and a
+    # zero cap leaves the upper end at lo, climbing a double at a time
+    (0.5, 5.4e307, 20),
+    # xi ~ 1.6e308: 2 xi in the lower end overflows unless halved (NaN);
+    # the root (~85) is far below the cap (~4e307), hence the bisections
+    (1e-4, 1e305, 1100),
+])
+def test_trace_bracket_ends(n, x, most):
+    st = ReducedState.from_nx(n, x)
     for kernel in (sf.h_trace, sf.h2):
         sol = saddle.solve_trace_raw(st.z0_sq, st.xi, kernel)
-        assert sol.iterations <= 20, kernel
+        assert sol.iterations <= most, kernel
         assert abs(sol.residual) <= residual_bound(st, sol.s), kernel
+    assert 0.0 < purity(st).p <= 1.0
 
 
 def test_solve_trace_raw_validation():
