@@ -74,8 +74,6 @@ from .coherence import (
     overlap_displaced,
 )
 from .oracle import (
-    MatsubaraTruncation,
-    TailCorrection,
     c4_sum,
     entropy_by_definition,
     format_report,

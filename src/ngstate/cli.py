@@ -352,8 +352,7 @@ def _cmd_figure(preset, args):
 
 
 def _cmd_validate(args):
-    results = _orc.run_validation(quick=args.quick,
-                                  corrupt_kappa=args.corrupt_kappa)
+    results = _orc.run_validation(quick=args.quick)
     print(_orc.format_report(results))
     return 0 if all(c.passed for c in results) else 1
 
@@ -370,7 +369,7 @@ def _add_common(p, preset):
                    default=os.environ.get("NGSTATE_THREADS", "1"),
                    help="worker threads across artifacts "
                         "(default: NGSTATE_THREADS or 1)")
-    p.add_argument("--tol", type=_positive, default=1e-3,
+    p.add_argument("--tol", type=_positive, default=_wig.SPREAD_TOL,
                    help="convergence spread tolerance (default: %(default)s)")
 
 
@@ -471,8 +470,6 @@ def build_parser():
     p = sub.add_parser("validate", help="run the invariant suite")
     p.add_argument("--quick", action="store_true",
                    help="reduced mode-sum cutoff; finishes in seconds")
-    p.add_argument("--corrupt-kappa", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control test hook
 
     return parser
 

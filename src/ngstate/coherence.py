@@ -32,6 +32,9 @@ __all__ = [
     "overlap_displaced",
 ]
 
+# overlap_displaced needs |beta_phi|*phi0 at least this many times N/2
+_MIN_RATIO = 5.0
+
 
 @dataclass(frozen=True)
 class CoherencePair:
@@ -114,25 +117,24 @@ def _ln_abs_cos_shifted(y: float, n_dof: int) -> float:
 
 
 def overlap_displaced(pair: CoherencePair, widths: WignerWidths,
-                      phi0: float, n_dof: int,
-                      min_ratio: float = 5.0) -> DisplacedOverlap:
+                      phi0: float, n_dof: int) -> DisplacedOverlap:
     """ln |<alpha| . |alpha'>| against the shell displaced to radius phi0.
 
     The angular integration replaces the position-sum Gaussian with the
     radial factor (N/2) ln(phi0 / |beta_phi|), where
     |beta_phi|^2 = (a_plus^2 + b_minus^2) / 2; the remaining Gaussian
-    factors are unchanged.  Valid only for |beta_phi|*phi0 >> N/2;
-    min_ratio sets how strictly that is enforced.
+    factors are unchanged.  Valid only for |beta_phi|*phi0 >> N/2, taken
+    as at least _MIN_RATIO times N/2.
     """
     if n_dof < 2 or n_dof % 2:
         raise ValueError(f"N must be even and >= 2, got {n_dof}")
     if not phi0 > 0.0:
         raise ValueError("phi0 must be > 0")
     beta_phi = math.sqrt(0.5 * (pair.a_plus ** 2 + pair.b_minus ** 2))
-    if beta_phi * phi0 < min_ratio * (n_dof / 2.0):
+    if beta_phi * phi0 < _MIN_RATIO * (n_dof / 2.0):
         raise AsymptoticRegimeViolation(
             f"|beta_phi|*phi0 = {beta_phi * phi0:.4g} is not >> N/2 = "
-            f"{n_dof / 2.0:.4g} (need at least {min_ratio}x)")
+            f"{n_dof / 2.0:.4g} (need at least {_MIN_RATIO}x)")
     wf, wp = widths.delta_phi_sq, widths.delta_pi_sq
     ln_mag = (0.5 * n_dof * math.log(phi0 / beta_phi)
               - pair.b_plus ** 2 / (2.0 * (1.0 + 2.0 * wp))

@@ -74,10 +74,10 @@ class PhasePoint:
     w: float = 0.0
 
     def __post_init__(self):
-        if self.u_sq < 0.0 or self.v_sq < 0.0:
-            raise ValueError(
-                f"u_sq and v_sq must be >= 0, got ({self.u_sq}, {self.v_sq})")
-        if self.w * self.w > self.u_sq * self.v_sq:
+        if not (0.0 <= self.u_sq < math.inf and 0.0 <= self.v_sq < math.inf):
+            raise ValueError(f"u_sq and v_sq must be finite and >= 0, "
+                             f"got ({self.u_sq}, {self.v_sq})")
+        if not self.w * self.w <= self.u_sq * self.v_sq:
             raise ValueError(
                 f"Cauchy-Schwarz violated: w^2 = {self.w ** 2} exceeds "
                 f"u_sq*v_sq = {self.u_sq * self.v_sq}")

@@ -116,7 +116,6 @@ class PurityReport:
     p_gaussian: float
     ratio: float
     n_tilde: float
-    kappa_tilde: float
 
 
 def purity_many(states) -> PurityReport:
@@ -138,7 +137,7 @@ def purity_many(states) -> PurityReport:
         np.array([getattr(st, f) for st in states], dtype=float)
         for f in ("n", "x", "kappa", "z0_sq", "xi", "z_gauss"))
     p_gauss = 1.0 / (2.0 * n + 1.0)
-    p, ratio, n_t, kappa_t = p_gauss.copy(), np.ones_like(n), n.copy(), kappa.copy()
+    p, ratio, n_t = p_gauss.copy(), np.ones_like(n), n.copy()
     quartic = x > 0.0
     s = _saddle.solve_trace_raw(z0_sq[quartic], xi[quartic], kernel=_sf.h2).s
     n, x, kappa = n[quartic], x[quartic], kappa[quartic]
@@ -150,9 +149,8 @@ def purity_many(states) -> PurityReport:
     ln_p = (-z_t - np.log(-np.expm1(-2.0 * z_t))  # -ln(2 sinh z~)
             - np.log(n) - np.log1p(n) + expo)
     p[quartic], ratio[quartic] = np.exp(ln_p), np.exp(ln_p + np.log1p(2.0 * n))
-    n_t[quartic], kappa_t[quartic] = 1.0 / np.expm1(z_t), _sf.h_trace(s)
-    return PurityReport(p=p, p_gaussian=p_gauss, ratio=ratio,
-                        n_tilde=n_t, kappa_tilde=kappa_t)
+    n_t[quartic] = 1.0 / np.expm1(z_t)
+    return PurityReport(p=p, p_gaussian=p_gauss, ratio=ratio, n_tilde=n_t)
 
 
 def purity(state: ReducedState) -> PurityReport:

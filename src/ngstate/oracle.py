@@ -3,9 +3,12 @@
 Each function here recomputes a main-path quantity from its defining
 sum, integral, or partition-function identity, sharing as little code
 with the production path as possible: trace sums are evaluated term by
-term over frequency modes, the purity from the doubled-parameter
-partition function, the entropy from ln Z plus the operator expectation
-value.  run_validation bundles them into a PASS/FAIL report.
+term over the frequency modes 1..n_max, plus the midpoint-rule integral
+of the summand from n_max + 1/2 to infinity, which leaves an error far
+below the bare ~1/n_max truncation bias; the purity comes from the
+doubled-parameter partition function, the entropy from ln Z plus the
+operator expectation value.  run_validation bundles them into a
+PASS/FAIL report.
 
 All sums are evaluated in fixed chunk order, so results are bitwise
 reproducible.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,8 +29,6 @@ from .statemap import (GaussianMoments, OperatorParams, ReducedState,
 
 __all__ = [
     "CheckResult",
-    "MatsubaraTruncation",
-    "TailCorrection",
     "c4_sum",
     "entropy_by_definition",
     "format_report",
@@ -42,30 +42,10 @@ _TWO_PI_SQ = 4.0 * math.pi ** 2
 _CHUNK = 1 << 17
 
 
-class TailCorrection(Enum):
-    NONE = "None"
-    INTEGRAL = "Integral"
-
-
-@dataclass(frozen=True)
-class MatsubaraTruncation:
-    """Mode cutoff for frequency sums, with optional analytic tail.
-
-    The Integral tail adds the midpoint-rule integral of the summand
-    from n_max + 1/2 to infinity, which leaves an error far below the
-    bare ~1/n_max truncation bias.
-    """
-
-    n_max: int = 1_000_000
-    tail_correction: TailCorrection = TailCorrection.INTEGRAL
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-
 def _sum_over_modes(term, n_max: int) -> float:
     """Sum term(k) for k = 1..n_max in fixed chunk order."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     total = 0.0
     start = 1
     while start <= n_max:
@@ -82,19 +62,18 @@ def _both_sides_tail(c: float, n_max: int) -> float:
     return math.atan(c / (2.0 * math.pi * (n_max + 0.5))) / (math.pi * c)
 
 
-def trace_g_sum(z_sq: float, trunc: MatsubaraTruncation) -> float:
+def trace_g_sum(z_sq: float, n_max: int = 1_000_000) -> float:
     """Direct frequency sum of 1/(omega_k^2 + z^2) over all integer k.
 
-    Converges to the closed form 1/(2 z tanh(z/2)); with the Integral
-    tail the relative error stays below 1e-8 by n_max = 1e6.
+    Modes |k| <= n_max are summed term by term and the rest by the
+    integral tail; the result converges to the closed form
+    1/(2 z tanh(z/2)), within 1e-8 relative by n_max = 1e6.
     """
     if not z_sq > 0.0:
         raise ValueError(f"z_sq must be > 0, got {z_sq}")
-    total = 1.0 / z_sq + 2.0 * _sum_over_modes(
-        lambda k: 1.0 / (_TWO_PI_SQ * k * k + z_sq), trunc.n_max)
-    if trunc.tail_correction is TailCorrection.INTEGRAL:
-        total += _both_sides_tail(math.sqrt(z_sq), trunc.n_max)
-    return total
+    return (1.0 / z_sq + 2.0 * _sum_over_modes(
+        lambda k: 1.0 / (_TWO_PI_SQ * k * k + z_sq), n_max)
+        + _both_sides_tail(math.sqrt(z_sq), n_max))
 
 
 def trace_g_closed(z_sq: float) -> float:
@@ -103,16 +82,14 @@ def trace_g_closed(z_sq: float) -> float:
     return 1.0 / (2.0 * z * math.tanh(0.5 * z))
 
 
-def pair_g_sum(a: float, b: float, trunc: MatsubaraTruncation) -> float:
+def pair_g_sum(a: float, b: float, n_max: int = 1_000_000) -> float:
     """Sum over k != 0 of 1/((omega_k^2 + a^2)(omega_k^2 + b^2))."""
     total = 2.0 * _sum_over_modes(
         lambda k: 1.0 / ((_TWO_PI_SQ * k * k + a * a)
-                         * (_TWO_PI_SQ * k * k + b * b)), trunc.n_max)
-    if trunc.tail_correction is TailCorrection.INTEGRAL:
-        # partial fractions turn the pair tail into two single tails
-        total += (_both_sides_tail(a, trunc.n_max)
-                  - _both_sides_tail(b, trunc.n_max)) / (b * b - a * a)
-    return total
+                         * (_TWO_PI_SQ * k * k + b * b)), n_max)
+    # partial fractions turn the pair tail into two single tails
+    return total + (_both_sides_tail(a, n_max)
+                    - _both_sides_tail(b, n_max)) / (b * b - a * a)
 
 
 def pair_g_closed(a: float, b: float) -> float:
@@ -121,7 +98,7 @@ def pair_g_closed(a: float, b: float) -> float:
     return full - 1.0 / (a * a * b * b)
 
 
-def c4_sum(state: ReducedState, trunc: MatsubaraTruncation) -> float:
+def c4_sum(state: ReducedState, n_max: int = 1_000_000) -> float:
     """Quartic ratio C4/(2 F^2) from the mode-resolved double propagator.
 
     The connected four-point function reduces to products of mode
@@ -137,7 +114,7 @@ def c4_sum(state: ReducedState, trunc: MatsubaraTruncation) -> float:
     c = 2.0 * z * math.sqrt(1.0 + zeta * x)
     zero_mode = zeta * zeta / ((a * a) * (c * c))
     return -16.0 * x * state.kappa * z * z * (
-        pair_g_sum(a, b, trunc) + zero_mode)
+        pair_g_sum(a, b, n_max) + zero_mode)
 
 
 def _ln_z_raw(z0_sq: float, xi: float) -> float:
@@ -224,20 +201,18 @@ def _abs_check(name, value, reference, tol) -> CheckResult:
                        abs(value - reference), "abs", tol)
 
 
-def run_validation(quick: bool = False,
-                   corrupt_kappa: bool = False) -> list:
+def run_validation(quick: bool = False) -> list:
     """Run every definitional check and return the CheckResult list.
 
     quick shrinks the Matsubara cutoffs so the suite finishes in a few
-    seconds.  corrupt_kappa is a negative-control hook: it injects a
-    mis-scaled kappa into the moment roundtrip, which must FAIL.
+    seconds.
     """
-    trunc = MatsubaraTruncation(n_max=20_000 if quick else 1_000_000)
+    n_max = 20_000 if quick else 1_000_000
     results = []
 
     # trace sum vs closed form (includes the z = ln 2 textbook value)
     worst = max(
-        (_rel_check("", trace_g_sum(z_sq, trunc), trace_g_closed(z_sq), 1e-8)
+        (_rel_check("", trace_g_sum(z_sq, n_max), trace_g_closed(z_sq), 1e-8)
          for z_sq in [math.log(2.0) ** 2] + [
              ReducedState.from_nx(n, 0.0).z_gauss ** 2
              for n in (0.1, 1.0, 10.0)]),
@@ -245,18 +220,18 @@ def run_validation(quick: bool = False,
     results.append(_rel_check("trace-sum-vs-closed-form", worst.value,
                               worst.reference, 1e-8))
     results.append(_rel_check("trace-sum-ln2-value",
-                              trace_g_sum(math.log(2.0) ** 2, trunc),
+                              trace_g_sum(math.log(2.0) ** 2, n_max),
                               3.0 / (2.0 * math.log(2.0)), 1e-8))
 
     # pair-sum identity at (a, b) = (1, 2)
     results.append(_rel_check("pair-sum-identity",
-                              pair_g_sum(1.0, 2.0, trunc),
+                              pair_g_sum(1.0, 2.0, n_max),
                               pair_g_closed(1.0, 2.0), 1e-8))
 
     # quartic ratio: mode sum vs closed form
     grid = [(1.0, 1.0)] + [(n, x) for n in (0.1, 1.0, 10.0)
                            for x in (0.5, 1.0, 5.0, 15.0)]
-    worst = max((_rel_check("", c4_sum(ReducedState.from_nx(n, x), trunc),
+    worst = max((_rel_check("", c4_sum(ReducedState.from_nx(n, x), n_max),
                             _obs.c4_half_ratio_nx(n, x), 1e-8)
                  for n, x in grid), key=lambda c: c.error)
     results.append(_rel_check("c4-mode-sum-vs-closed-form", worst.value,
@@ -286,13 +261,9 @@ def run_validation(quick: bool = False,
     results.append(_abs_check("entropy-invariance", worst.value,
                               worst.reference, 1e-8))
 
-    # moment roundtrip (negative-control target)
+    # moment roundtrip
     m = GaussianMoments(F=2.6, K=1.7, R=0.9)
-    p = params_from_moments(m, 3.0)
-    if corrupt_kappa:
-        p = OperatorParams(A=1.001 * p.A, B=1.001 * p.B, C=1.001 * p.C,
-                           eta=p.eta)
-    m_back, _ = moments_from_params(p)
+    m_back, _ = moments_from_params(params_from_moments(m, 3.0))
     err = max(abs(m_back.F - m.F) / m.F, abs(m_back.K - m.K) / m.K,
               abs(m_back.R - m.R) / abs(m.R))
     results.append(CheckResult("moments-roundtrip", m_back.F, m.F, err,

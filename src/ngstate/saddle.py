@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from .statemap import ReducedState
 
 __all__ = [
-    "Branch",
     "SaddleSolution",
     "solve_saddle_uv",
     "solve_saddle_uv_many",
@@ -43,12 +41,9 @@ __all__ = [
 # ~2 MiB of freed scratch in the heap, raising the surface presets' peak RSS
 _BLOCK = 4096
 _XRTOL = 2.0 * np.finfo(float).eps
-_XATOL = 4.0 * np.finfo(float).tiny
-
-
-class Branch(Enum):
-    REAL = "Real"
-    IMAGINARY_CONTINUED = "ImaginaryContinued"
+# ends a search whose bracket ends are adjacent doubles near 0; a floor
+# above the subnormals would stop roots below the smallest normal early
+_XATOL = 2.0 * np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,6 @@ class SaddleSolution:
     """
 
     s: float
-    branch: Branch
     residual: float
     iterations: int
 
@@ -170,8 +164,7 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     residual = (lhs - 1.0 / kernel(s)) / np.maximum(1.0, np.abs(lhs))
     if s.ndim == 0:
         s, residual, nfev = float(s), float(residual), int(nfev)
-    return SaddleSolution(s=s, branch=Branch.REAL, residual=residual,
-                          iterations=nfev)
+    return SaddleSolution(s=s, residual=residual, iterations=nfev)
 
 
 def _rhs_many(s, u_sq, v_sq):
@@ -200,13 +193,12 @@ def solve_saddle_uv(state: "ReducedState", u_sq: float, v_sq: float) -> SaddleSo
     """Matrix-element saddle frequency at a single phase-space point.
 
     Unique root of (s - z0_sq)/xi = f0(s) + fu(s)*u^2 + fv(s)*v^2 over
-    s in (-pi^2, inf).  The branch tag records whether the root needed
-    the imaginary continuation (s < 0).
+    s in (-pi^2, inf); a root s < 0 lies on the imaginary continuation of
+    the kernels.  x = 0 pins s = z0_sq with zero residual and iterations.
     """
     s_arr, it = solve_saddle_uv_many(state, u_sq, v_sq)
     s, resid = float(s_arr), 0.0
     if state.x != 0.0:
         lhs = (s - state.z0_sq) / state.xi
         resid = (lhs - _rhs_many(s, u_sq, v_sq)) / max(1.0, abs(lhs))
-    branch = Branch.REAL if s >= 0.0 else Branch.IMAGINARY_CONTINUED
-    return SaddleSolution(s=s, branch=branch, residual=resid, iterations=it)
+    return SaddleSolution(s=s, residual=resid, iterations=it)

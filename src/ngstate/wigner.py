@@ -48,6 +48,7 @@ from .statemap import GaussianMoments, ReducedState
 __all__ = [
     "ProjectionGrid",
     "ProjectionMode",
+    "SPREAD_TOL",
     "SqueezeParams",
     "WignerGrid",
     "WignerSettings",
@@ -63,6 +64,7 @@ _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
 # every default preset (<= 188 r x 384 nodes), 3x the probe's 201 u x 159 g
 _TABLE_ELEMS = 3 << 15
+SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
 
 
 class ProjectionMode(Enum):
@@ -75,15 +77,13 @@ class WignerSettings:
     """Quadrature and extrapolation knobs.
 
     n_list: the N extrapolated in 1/N, ascending even integers (integer
-    Bessel order N/2-1), at least three.  quad_points / v_max default to
-    automatic sizing from the oscillation wavelength and envelope decay;
-    ln_w refuses a spread above spread_tol.
+    Bessel order N/2-1), at least three.  v_max, the envelope cut of the
+    quadrature, defaults to automatic sizing from the envelope decay; the
+    mesh is always sized from the oscillation wavelength.
     """
 
     n_list: tuple = (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
-    quad_points: int | None = None
     v_max: float | None = None
-    spread_tol: float = 1e-3
 
     def __post_init__(self):
         ns = tuple(int(N) for N in self.n_list)
@@ -94,12 +94,8 @@ class WignerSettings:
             raise ValueError(f"all N must be even and >= 4, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"n_list must be strictly ascending, got {ns}")
-        if self.quad_points is not None and self.quad_points < _GL_ORDER:
-            raise ValueError(f"quad_points must be >= {_GL_ORDER}")
-        if self.v_max is not None and not self.v_max > 0:
-            raise ValueError("v_max must be positive")
-        if not self.spread_tol > 0:
-            raise ValueError("spread_tol must be positive")
+        if self.v_max is not None and not 0 < self.v_max < math.inf:
+            raise ValueError("v_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -217,10 +213,7 @@ def _peak_and_cut(idx, g, n_min):
     return peak, np.where(dropped, idx, 1025).min(axis=1)
 
 
-def _panel_count(v_max: float, n_max: int, r_max: float,
-                 quad_points) -> int:
-    if quad_points is not None:
-        return max(1, int(round(quad_points / _GL_ORDER)))
+def _panel_count(v_max: float, n_max: int, r_max: float) -> int:
     if r_max > 0.0:
         # 16-point panels spanning 2.5 oscillation wavelengths resolve the
         # Bessel factor to ~1e-12; the floor handles the smooth envelope
@@ -319,11 +312,12 @@ def _extrapolate(vals, n_list):
 
 def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
     """Mesh for the points, then ln w per N -> (per_n, v_max, nodes)."""
+    if not (np.all(np.isfinite(u_sq)) and np.all(np.isfinite(r_rows))):
+        raise ValueError("phase-space coordinates must be finite")
     r_max = float(r_rows.max()) if r_rows.size else 0.0
     v_max = settings.v_max if settings.v_max is not None else \
         _auto_v_max(state, u_sq, settings.n_list[0])
-    n_panels = _panel_count(v_max, settings.n_list[-1], r_max,
-                            settings.quad_points)
+    n_panels = _panel_count(v_max, settings.n_list[-1], r_max)
     v, w = _gl_mesh(v_max, n_panels)
     per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w)
     return per_n, v_max, n_panels * _GL_ORDER
@@ -368,14 +362,14 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float,
          settings: WignerSettings | None = None):
     """Extrapolated per-dof log Wigner value -> (value, spread).
 
-    Raises NotConverged when the spread exceeds spread_tol.
+    Raises NotConverged when the spread exceeds SPREAD_TOL.
     """
     settings = settings or WignerSettings()
     per_n = _point_per_n(state, u_sq, r_sq, settings.n_list, settings)
     value, spread = map(float, _extrapolate(per_n, settings.n_list))
-    if spread > settings.spread_tol:
+    if spread > SPREAD_TOL:
         raise NotConverged(
-            f"ln w spread {spread:.3e} above tolerance {settings.spread_tol:.3e} "
+            f"ln w spread {spread:.3e} above tolerance {SPREAD_TOL:.3e} "
             f"at u^2 = {u_sq:.6g}, r^2 = {r_sq:.6g}",
             value=value, spread=spread)
     return value, spread

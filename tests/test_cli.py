@@ -12,7 +12,9 @@ import pytest
 
 import ngstate
 from ngstate import cli, observables, wigner
-from ngstate.statemap import ReducedState, x_from_c4
+from ngstate import oracle as orc
+from ngstate.statemap import (OperatorParams, ReducedState, moments_from_params,
+                              x_from_c4)
 
 
 def _read_csv(path):
@@ -34,9 +36,17 @@ def test_validate_quick(capsys):
     assert "PASS" in out and "0 failed" in out
 
 
-def test_validate_corrupt_hook(capsys):
-    assert cli.main(["validate", "--quick", "--corrupt-kappa"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_validate_corrupt_hook(capsys, monkeypatch):
+    # negative control: moments from a mis-scaled kappa must fail the run
+    def moments(p):
+        return moments_from_params(OperatorParams(
+            A=1.001 * p.A, B=1.001 * p.B, C=1.001 * p.C, eta=p.eta))
+    monkeypatch.setattr(orc, "moments_from_params", moments)
+    assert cli.main(["validate", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert [ln.split()[0] for ln in out.splitlines() if ln.endswith("FAIL")] \
+        == ["moments-roundtrip"]
+    assert cli.main(["validate", "--quick", "--corrupt-kappa"]) == 2
 
 
 def test_fig1_defaults(tmp_path):

@@ -144,16 +144,12 @@ def test_displaced_regime_guard():
 
 
 def test_cosine_log_magnitude():
-    # moderate argument: compare with the direct complex cosine
-    widths = VACUUM
-    for n_dof, phi0 in [(4, 2.0), (6, 2.2), (8, 2.4)]:
-        alpha = complex(phi0 / math.sqrt(2.0), 0.1)
-        pair = coh.CoherencePair.from_labels(alpha, alpha.conjugate())
-        beta = math.sqrt(0.5 * (pair.a_plus ** 2 + pair.b_minus ** 2))
-        out = coh.overlap_displaced(pair, widths, phi0, n_dof, min_ratio=1.0)
-        direct = abs(cmath.cos(2j * beta * phi0 - n_dof * math.pi / 4.0))
-        assert out.cosine_log_magnitude == pytest.approx(math.log(direct),
-                                                         rel=1e-10)
+    # moderate argument (below the overlap's asymptotic regime): compare
+    # with the direct complex cosine
+    for n_dof, y in [(4, 8.0), (6, 9.68), (8, 11.52), (10, 0.3), (12, 19.9)]:
+        direct = abs(cmath.cos(1j * y - n_dof * math.pi / 4.0))
+        assert coh._ln_abs_cos_shifted(y, n_dof) == pytest.approx(
+            math.log(direct), rel=1e-10)
     # large-argument branch: asymptote y - ln 2
     alpha = complex(300.0, 0.0)
     pair = coh.CoherencePair.from_labels(alpha, alpha)

@@ -7,19 +7,22 @@ import pytest
 
 from ngstate import observables as obs
 from ngstate import oracle as orc
-from ngstate.statemap import (GaussianMoments, ReducedState, moments_from_params,
-                              occupation, params_from_moments)
+from ngstate.statemap import (GaussianMoments, OperatorParams, ReducedState,
+                              moments_from_params, occupation,
+                              params_from_moments)
 
-FULL = orc.MatsubaraTruncation()
-MED = orc.MatsubaraTruncation(n_max=100_000)
+MED = 100_000  # mode cutoff of the faster checks
 
 
 def test_truncation_validation():
+    # every mode sum needs at least one mode before its tail
     with pytest.raises(ValueError):
-        orc.MatsubaraTruncation(n_max=0)
-    t = orc.MatsubaraTruncation()
-    assert t.n_max == 1_000_000
-    assert t.tail_correction is orc.TailCorrection.INTEGRAL
+        orc.trace_g_sum(1.0, 0)
+    with pytest.raises(ValueError):
+        orc.pair_g_sum(1.0, 2.0, 0)
+    with pytest.raises(ValueError):
+        orc.c4_sum(ReducedState.from_nx(1.0, 1.0), -5)
+    assert orc.trace_g_sum(1.0) == orc.trace_g_sum(1.0, 1_000_000)
 
 
 def test_trace_sum_ln2():
@@ -32,7 +35,7 @@ def test_trace_sum_ln2():
 def test_trace_sum_acceptance_precision():
     # full cutoff with tail: relative error below 1e-8 against closed form
     for z_sq in (math.log(2.0) ** 2, 0.01, 5.0):
-        got = orc.trace_g_sum(z_sq, FULL)
+        got = orc.trace_g_sum(z_sq)
         assert got == pytest.approx(orc.trace_g_closed(z_sq), rel=1e-8)
 
 
@@ -44,17 +47,15 @@ def test_trace_sum_limits():
     # large z: closed form collapses to 1/(2z)
     assert orc.trace_g_closed(2500.0) == pytest.approx(0.01, rel=1e-10)
     with pytest.raises(ValueError):
-        orc.trace_g_sum(0.0, FULL)
+        orc.trace_g_sum(0.0)
 
 
 def test_trace_truncation_monotone():
-    # positive terms: bare partial sums increase monotonically in n_max
+    # with the integral tail the error still falls as the cutoff grows
     z_sq = 2.0
-    bare = [orc.trace_g_sum(z_sq, orc.MatsubaraTruncation(
-        n_max=m, tail_correction=orc.TailCorrection.NONE))
-        for m in (10, 100, 1000, 10_000)]
-    assert all(b > a for a, b in zip(bare, bare[1:]))
-    assert bare[-1] < orc.trace_g_closed(z_sq)
+    err = [abs(orc.trace_g_sum(z_sq, m) - orc.trace_g_closed(z_sq))
+           for m in (10, 100, 1000, 10_000)]
+    assert all(b < a for a, b in zip(err, err[1:]))
 
 
 def test_pair_sum_identity():
@@ -138,10 +139,14 @@ def test_run_validation_all_pass():
     assert report.strip().endswith("0 failed")
 
 
-def test_run_validation_corrupt_kappa_fails_roundtrip():
-    # negative control: a mis-scaled kappa must be caught, and only by
-    # the roundtrip check
-    results = orc.run_validation(quick=True, corrupt_kappa=True)
+def test_run_validation_corrupt_kappa_fails_roundtrip(monkeypatch):
+    # negative control: a mis-scaled kappa (A, B and C off by 0.1 %) must
+    # be caught, and only by the roundtrip check
+    def moments(p):
+        return moments_from_params(OperatorParams(
+            A=1.001 * p.A, B=1.001 * p.B, C=1.001 * p.C, eta=p.eta))
+    monkeypatch.setattr(orc, "moments_from_params", moments)
+    results = orc.run_validation(quick=True)
     by_name = {c.name: c for c in results}
     assert not by_name["moments-roundtrip"].passed
     assert all(c.passed for c in results if c.name != "moments-roundtrip")

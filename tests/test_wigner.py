@@ -38,13 +38,37 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         wg.WignerSettings(n_list=(8, 4, 12))      # not ascending
     with pytest.raises(ValueError):
-        wg.WignerSettings(quad_points=8)
-    with pytest.raises(ValueError):
         wg.WignerSettings(v_max=-1.0)
-    with pytest.raises(ValueError):
-        wg.WignerSettings(spread_tol=0.0)
     s = wg.WignerSettings()
     assert s.n_list == (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
+
+
+_ST = ReducedState.from_nx(10.0, 15.0)
+_SQ = wg.SqueezeParams(n=10.0, gamma=0.3, phi=0.0)
+_PARA = wg.ProjectionMode.PARA
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wg.ln_w(_ST, 1.0, math.nan),
+    lambda: wg.ln_w(_ST, 1.0, math.inf),
+    lambda: wg.ln_w(_ST, math.nan, 1.0),
+    lambda: wg.ln_w_at_N(_ST, math.inf, 1.0, 8),
+    lambda: wg.wigner_grid(_ST, [0.0, 1.0], [0.0, math.nan]),
+    lambda: wg.wigner_grid(_ST, [math.inf], [0.0]),
+    lambda: wg.project_physical(_SQ, 15.0, _PARA, [0.5], [0.0, math.nan]),
+    lambda: wg.project_physical(_SQ, 15.0, _PARA, [math.nan], [0.0]),
+    lambda: wg.WignerSettings(v_max=math.inf),
+    lambda: wg.WignerSettings(v_max=math.nan),
+    lambda: dm.PhasePoint(math.nan, 1.0),
+    lambda: dm.PhasePoint(1.0, math.inf),
+    lambda: dm.PhasePoint(1.0, 1.0, math.nan),
+], ids=["ln_w-r-nan", "ln_w-r-inf", "ln_w-u-nan", "ln_w_at_N-u-inf",
+        "grid-r-nan", "grid-u-inf", "project-pi-nan", "project-phi-nan",
+        "v_max-inf", "v_max-nan", "point-u-nan", "point-v-inf", "point-w-nan"])
+def test_non_finite_inputs_refused(call):
+    # as d_surface does: a typed refusal, not the r = 0 value or a crash
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_squeeze_params():
@@ -173,11 +197,12 @@ def test_scheme_agreement_on_normalized_grid():
     assert np.abs(rich.ln_w_norm - last).max() < 5e-3
 
 
-def test_grid_matches_scalar_with_pinned_mesh():
-    # with the mesh pinned explicitly, the batch engine and the scalar
-    # entry point are the same computation
+def test_grid_matches_scalar_with_pinned_mesh(monkeypatch):
+    # with the mesh pinned (32 panels of 16 nodes), the batch engine and
+    # the scalar entry point are the same computation
+    monkeypatch.setattr(wg, "_panel_count", lambda *a: 32)
     st = ReducedState.from_nx(10.0, 15.0)
-    settings = wg.WignerSettings(v_max=6.0, quad_points=512)
+    settings = wg.WignerSettings(v_max=6.0)
     u = np.array([0.7, 2.4])
     r = np.array([0.0, 1.1])
     grid = wg.wigner_grid(st, u, r, settings)
