@@ -18,7 +18,8 @@ Presets:
 
 Exit codes: 0 success; 1 a computation failed or did not converge
 (completed artifacts are still written and flagged in meta.json);
-2 invalid configuration, before any file is written.
+2 invalid configuration, before any file is written.  A Wigner artifact
+converged when its max_spread is at most wigner.SPREAD_TOL (meta's tol).
 
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
@@ -109,15 +110,11 @@ def _resolve_x(args):
     return args.x
 
 
-def _wigner_settings(args):
-    return _wig.WignerSettings(n_list=args.n_list, v_max=args.v_max)
-
-
-def _quad_diag(result, tol, **extra):
+def _quad_diag(result, **extra):
     """The preset's own diagnostics, then the quadrature and convergence
-    fields of a WignerGrid or ProjectionGrid."""
+    fields of a WignerGrid or ProjectionGrid, judged as ln_w judges them."""
     spread_max = float(np.max(result.spread))
-    return {**extra, "max_spread": spread_max, "converged": spread_max <= tol,
+    return {**extra, "max_spread": spread_max, "converged": spread_max <= _wig.SPREAD_TOL,
             "quad_v_max": result.v_max, "quad_points": result.quad_points}
 
 
@@ -200,7 +197,7 @@ def _plan_fig4(args):
 def _plan_fig5(args):
     x_values = _resolve_x(args)
     nu, nr = args.grid
-    settings = _wigner_settings(args)
+    settings = _wig.WignerSettings(n_list=args.n_list)
     jobs = {}
     for x, tag in zip(x_values, _tags("--x", x_values)):
         state = ReducedState.from_nx(args.n, x)
@@ -209,7 +206,7 @@ def _plan_fig5(args):
             u = _u_axis(state, nu, args.u_max)
             r = np.linspace(0.0, args.r_max, nr)
             grid = _wig.wigner_grid(state, u, r, settings)
-            diag = _quad_diag(grid, args.tol, u_max=float(u[-1]))
+            diag = _quad_diag(grid, u_max=float(u[-1]))
             return (("u", "r", "ln_w_norm", "spread"),
                     _io.tensor_table(u, r, grid.ln_w_norm, grid.spread), diag)
 
@@ -222,7 +219,7 @@ def _plan_fig5(args):
 def _plan_fig6(args):
     [x] = _resolve_x(args)
     nphi, npi = args.grid
-    settings = _wigner_settings(args)
+    settings = _wig.WignerSettings(n_list=args.n_list)
     jobs = {}
     for phi_s, tag in zip(args.phi, _tags("--phi", args.phi)):
         sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
@@ -241,8 +238,7 @@ def _plan_fig6(args):
                 proj = _wig.project_physical(
                     sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis,
                     settings)
-                diag = _quad_diag(proj, args.tol, phi_max=phi_max,
-                                  pi_max=pi_max)
+                diag = _quad_diag(proj, phi_max=phi_max, pi_max=pi_max)
                 return (("phi", "pi", "ln_w_norm"),
                         _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
                         diag)
@@ -257,7 +253,7 @@ def _plan_fig6(args):
 def _plan_fig7(args):
     [x] = _resolve_x(args)
     nphi, _ = args.grid
-    settings = _wigner_settings(args)
+    settings = _wig.WignerSettings(n_list=args.n_list)
     sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=args.phi)
     state, big_a, _ = sq.reduced(x)
     phi0 = math.sqrt(big_a) * _dm.ridge_u(state)
@@ -269,7 +265,7 @@ def _plan_fig7(args):
         pi_axis = np.array([0.0])
         proj = _wig.project_physical(
             sq, x, _wig.ProjectionMode(args.mode), phi_axis, pi_axis, settings)
-        diag = _quad_diag(proj, args.tol, phi_max=phi_max, phi_peak=phi0)
+        diag = _quad_diag(proj, phi_max=phi_max, phi_peak=phi0)
         return (("phi", "pi", "ln_w_norm"),
                 _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm), diag)
 
@@ -328,7 +324,7 @@ def _cmd_figure(preset, args):
 
     meta.update({"preset": preset, "version": __version__,
                  "threads": args.threads, "format": args.format,
-                 "tol": args.tol, "out": out_dir})
+                 "tol": _wig.SPREAD_TOL, "out": out_dir})
     ok = True
     for name, result in results.items():
         if isinstance(result, Exception):
@@ -369,8 +365,6 @@ def _add_common(p, preset):
                    default=os.environ.get("NGSTATE_THREADS", "1"),
                    help="worker threads across artifacts "
                         "(default: NGSTATE_THREADS or 1)")
-    p.add_argument("--tol", type=_positive, default=_wig.SPREAD_TOL,
-                   help="convergence spread tolerance (default: %(default)s)")
 
 
 def _add_state(p, x_default, x_nargs="+"):
@@ -396,8 +390,6 @@ def _add_wigner(p, n_list):
                    default=n_list,
                    help="even dof counts for the large-N extrapolation "
                         "(default: %(default)s)")
-    p.add_argument("--v-max", type=_finite,
-                   help="quadrature cutoff override (default: automatic)")
 
 
 def build_parser():

@@ -117,7 +117,7 @@ def ln_d(state: ReducedState, pt: PhasePoint, c_coeff: float = 0.0) -> MatrixEle
     never feeds back into the saddle, so it is a plain extra argument
     rather than part of ReducedState.
     """
-    sol = _saddle.solve_saddle_uv(state, pt.u_sq, pt.v_sq)
+    sol = _saddle.solve_saddle_uv_many(state, pt.u_sq, pt.v_sq)
     return MatrixElementValue(ln_d=float(_ln_d_at(state, sol.s, pt.u_sq, pt.v_sq)),
                               phase_per_N=-2.0 * c_coeff * pt.w,
                               saddle=sol)
@@ -241,7 +241,7 @@ def ln_d_many(state: ReducedState, u_sq, v_sq):
     """
     u_sq = np.asarray(u_sq, dtype=float)
     v_sq = np.asarray(v_sq, dtype=float)
-    s, _ = _saddle.solve_saddle_uv_many(state, u_sq, v_sq)
+    s = _saddle.solve_saddle_uv_many(state, u_sq, v_sq).s
     return _ln_d_at(state, s, u_sq, v_sq)
 
 

@@ -3,17 +3,17 @@
 Each has the shape (s - z0_sq)/xi = RHS(s) with an RHS that decreases in s
 and diverges at the floor of its domain, so LHS - RHS has one sign change:
 
-    solve_trace_raw   1/kernel(s), kernel h_trace or h2   s > 0       RHS >= 1/s
-    solve_saddle_uv   f0 + fu*u^2 + fv*v^2                s > -pi^2   RHS >= 2/(s + pi^2)
+    solve_trace_raw        1/kernel(s), h_trace or h2   s > 0       RHS >= 1/s
+    solve_saddle_uv_many   f0 + fu*u^2 + fv*v^2         s > -pi^2   RHS >= 2/(s + pi^2)
 
 The last column (for f0, the first term of 2 sum_k 1/(s + k^2 pi^2)) puts
 the root past the positive root of a quadratic, half of which is the lower
 bracket end; with s0 = max(z0_sq, 1), max(s0, z0_sq + xi*RHS(s0)) is the
-upper end (for the trace at most the positive root of s^2 - (z0_sq +
-xi/3) s - 2 xi, as 1/kernel(s) <= 2/s + 1/3), moved up a double at a time
-where it rounds onto or below the root.  The brackets are built
-element-wise, so z0_sq, xi and the RHS arguments broadcast.  _find_root
-solves all of them and x_from_c4; x = 0 pins s = z0_sq.
+upper end (for the trace capped by closed-form bounds on the root),
+moved up a double at a time where it rounds onto or below the root.  The
+brackets are element-wise, so z0_sq, xi and the RHS arguments broadcast.
+_find_root solves all of them and x_from_c4, and each solve returns one
+SaddleSolution, residual included.  x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
 
 __all__ = [
     "SaddleSolution",
-    "solve_saddle_uv",
     "solve_saddle_uv_many",
     "solve_trace_raw",
 ]
@@ -53,7 +52,7 @@ class SaddleSolution:
     residual is the equation's mismatch at s over scale = max(1, |lhs|):
     at most 1e-12 + 2 spacing(s)/(xi scale), as s is within 2 eps |s| of
     the root.  iterations counts the evaluations of the equation.  A
-    batched trace solve holds arrays in s, residual and iterations.
+    batched solve holds per-point arrays; a scalar one floats and an int.
     """
 
     s: float
@@ -72,10 +71,11 @@ def _find_root(g, lo, hi, *args, climb=False):
     it safe, bisection otherwise.  lo, hi and args broadcast; g gets flat
     blocks of _BLOCK elements that keep their size (shrinking arrays
     fragment the heap).  A point stops once its bracket is below 2 eps
-    relative, so its root and count depend on it alone.  Returns (root, nfev).
+    relative, so its root and count depend on it alone.  g returns arrays.
+    Returns (root, g at root, nfev).
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
-    root = np.empty(lo.shape)
+    root, g_at = np.empty(lo.shape), np.empty(lo.shape)
     nfev = np.empty(lo.shape, dtype=int)
     for start in range(0, lo.size, _BLOCK):
         blk = slice(start, start + _BLOCK)
@@ -101,13 +101,13 @@ def _find_root(g, lo, hi, *args, climb=False):
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
             x1, f1 = x, f
             best = np.abs(f1) < np.abs(f2)
-            xm = np.where(best, x1, x2)
+            xm, fm = np.where(best, x1, x2), np.where(best, f1, f2)
             tol = _XRTOL * np.abs(xm) + _XATOL
             dx = np.abs(x2 - x1)
-            new = ((np.where(best, f1, f2) == 0.0) | (dx < tol)) & ~finished
+            new = ((fm == 0.0) | (dx < tol)) & ~finished
             if new.any():
                 at = start + np.flatnonzero(new)
-                root.flat[at], nfev.flat[at] = xm[new], evals
+                root.flat[at], g_at.flat[at], nfev.flat[at] = xm[new], fm[new], evals
                 finished |= new
                 if finished.all():
                     break
@@ -119,11 +119,11 @@ def _find_root(g, lo, hi, *args, climb=False):
                          - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             t = np.where(finished, 0.5,
                          np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx))
-    return root, nfev
+    return root, g_at, nfev
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf):
+def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf) -> SaddleSolution:
     """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor)
     and a root below cap; z0_sq, xi, args and cap broadcast."""
     b, d = z0_sq - floor, c * xi
@@ -135,8 +135,16 @@ def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf):
     # a cap that underflowed onto or below lo would leave nothing to climb from
     cap = np.where(cap > lo, cap, np.inf)
     hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
-    return _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a), lo, hi,
-                      z0_sq, xi, *args, climb=True)
+    s, g, nfev = _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a),
+                            lo, hi, z0_sq, xi, *args, climb=True)
+    return _solution(s, g / np.maximum(1.0, np.abs((s - z0_sq) / xi)), nfev)
+
+
+def _solution(s, residual, nfev):
+    """SaddleSolution of per-point arrays; floats and an int when 0-d."""
+    if np.ndim(s) == 0:
+        return SaddleSolution(float(s), float(residual), int(nfev))
+    return SaddleSolution(s=s, residual=residual, iterations=nfev)
 
 
 def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
@@ -153,52 +161,35 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
         raise ValueError(f"solve_trace_raw needs xi > 0, got min {np.min(xi)}")
     # 1/kernel(s) <= 2/s + 1/3 (tanh y >= y/(1 + y^2/3)) caps the root at
     # the positive root of s^2 - b s - 2 xi; hypot and the halved sums keep
-    # b^2 and q + |b| from overflowing near the largest double
-    with np.errstate(over="ignore"):  # b = inf leaves the root uncapped
+    # b^2 and q + |b| from overflowing near the largest double.  Where
+    # a = -z0_sq/xi > 0, 1/kernel(s) <= 2/s + 1/sqrt(s) (tanh y >= y/(1 + y))
+    # puts the root below 4 max(1/a, 1/a^2), far tighter when a is small
+    with np.errstate(over="ignore", divide="ignore"):  # b = inf, a = 0: uncapped
         b = z0_sq + xi / 3.0
         q = np.hypot(b, math.sqrt(8.0) * np.sqrt(xi))
         half = 0.5 * q + 0.5 * np.abs(b)
-        cap = np.where(b >= 0.0, half, 2.0 * (xi / half))
-    s, nfev = _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0, cap=cap)
-    lhs = (s - z0_sq) / xi
-    residual = (lhs - 1.0 / kernel(s)) / np.maximum(1.0, np.abs(lhs))
-    if s.ndim == 0:
-        s, residual, nfev = float(s), float(residual), int(nfev)
-    return SaddleSolution(s=s, residual=residual, iterations=nfev)
+        a = -z0_sq / xi
+        tight = np.where(a > 0.0, 4.0 * np.maximum(1.0 / a, 1.0 / (a * a)), np.inf)
+        cap = np.minimum(np.where(b >= 0.0, half, 2.0 * (xi / half)), tight)
+    return _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0, cap=cap)
 
 
-def _rhs_many(s, u_sq, v_sq):
-    f0, fu, fv = _sf.small_f(s)
-    return f0 + fu * u_sq + fv * v_sq
+def solve_saddle_uv_many(state: "ReducedState", u_sq, v_sq) -> SaddleSolution:
+    """Matrix-element saddle frequencies over broadcastable (u^2, v^2).
 
-
-def solve_saddle_uv_many(state: "ReducedState", u_sq, v_sq):
-    """Vectorized matrix-element saddle solve over arrays of (u^2, v^2).
-
-    Returns (s, nfev) where s has the broadcast shape of the inputs and
-    nfev is the most evaluations of the equation any point needed.
+    Unique root of (s - z0_sq)/xi = f0(s) + fu(s)*u^2 + fv(s)*v^2 over
+    s in (-pi^2, inf) per point (s < 0: the imaginary continuation of the
+    kernels), shaped like the inputs; x = 0 pins s = z0_sq.
     """
     u_sq, v_sq = np.broadcast_arrays(np.asarray(u_sq, float),
                                      np.asarray(v_sq, float))
     if state.x == 0.0:
-        return np.full(u_sq.shape, state.z0_sq), 0
+        return _solution(np.full(u_sq.shape, state.z0_sq), np.zeros(u_sq.shape),
+                         np.zeros(u_sq.shape, dtype=int))
     if np.any(u_sq < 0) or np.any(v_sq < 0):
         raise ValueError("u_sq and v_sq must be >= 0")
-    s, nfev = _solve(state.z0_sq, state.xi, _rhs_many, _sf.POLE_MAIN, 2.0,
-                     u_sq, v_sq)
-    return s, int(nfev.max(initial=0))
 
-
-def solve_saddle_uv(state: "ReducedState", u_sq: float, v_sq: float) -> SaddleSolution:
-    """Matrix-element saddle frequency at a single phase-space point.
-
-    Unique root of (s - z0_sq)/xi = f0(s) + fu(s)*u^2 + fv(s)*v^2 over
-    s in (-pi^2, inf); a root s < 0 lies on the imaginary continuation of
-    the kernels.  x = 0 pins s = z0_sq with zero residual and iterations.
-    """
-    s_arr, it = solve_saddle_uv_many(state, u_sq, v_sq)
-    s, resid = float(s_arr), 0.0
-    if state.x != 0.0:
-        lhs = (s - state.z0_sq) / state.xi
-        resid = (lhs - _rhs_many(s, u_sq, v_sq)) / max(1.0, abs(lhs))
-    return SaddleSolution(s=s, residual=resid, iterations=it)
+    def rhs(s, u_sq, v_sq):
+        f0, fu, fv = _sf.small_f(s)
+        return f0 + fu * u_sq + fv * v_sq
+    return _solve(state.z0_sq, state.xi, rhs, _sf.POLE_MAIN, 2.0, u_sq, v_sq)

@@ -21,6 +21,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (BracketError, HeisenbergViolation, NonPositiveA,
                      PrecisionLoss, Unreachable)
 from . import saddle as _saddle
@@ -230,10 +232,11 @@ def x_from_c4(n: float, c4_half_ratio: float) -> float:
     from . import observables as _obs  # deferred: observables imports us
 
     def g(y):  # solved in y = x/(1+x), on which the ratio is close to linear
-        return c4_half_ratio - _obs.c4_half_ratio_nx(n, y.item() / (1.0 - y.item()))
+        x = y.item() / (1.0 - y.item())
+        return np.full(y.shape, c4_half_ratio - _obs.c4_half_ratio_nx(n, x))
 
     try:
-        y, _ = _saddle._find_root(g, 0.0, _X_CAP / (1.0 + _X_CAP))
+        y = _saddle._find_root(g, 0.0, _X_CAP / (1.0 + _X_CAP))[0]
     except BracketError:
         raise Unreachable(
             f"c4_half_ratio = {c4_half_ratio} is below the saturation floor for n = "

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import densmat as _dm
 from . import specfun as _sf
-from .errors import BracketError, NotConverged, QuadratureNonPositive
+from .errors import BracketError, NotConverged, PrecisionLoss, QuadratureNonPositive
 from .statemap import GaussianMoments, ReducedState
 
 __all__ = [
@@ -74,16 +74,15 @@ class ProjectionMode(Enum):
 
 @dataclass(frozen=True)
 class WignerSettings:
-    """Quadrature and extrapolation knobs.
+    """Extrapolation knob.
 
     n_list: the N extrapolated in 1/N, ascending even integers (integer
-    Bessel order N/2-1), at least three.  v_max, the envelope cut of the
-    quadrature, defaults to automatic sizing from the envelope decay; the
-    mesh is always sized from the oscillation wavelength.
+    Bessel order N/2-1), at least three.  The quadrature is sized from the
+    inputs alone: its cut v_max from the envelope decay, its mesh from the
+    oscillation wavelength.
     """
 
     n_list: tuple = (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
-    v_max: float | None = None
 
     def __post_init__(self):
         ns = tuple(int(N) for N in self.n_list)
@@ -94,8 +93,6 @@ class WignerSettings:
             raise ValueError(f"all N must be even and >= 4, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"n_list must be strictly ascending, got {ns}")
-        if self.v_max is not None and not 0 < self.v_max < math.inf:
-            raise ValueError("v_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -312,11 +309,11 @@ def _extrapolate(vals, n_list):
 
 def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
     """Mesh for the points, then ln w per N -> (per_n, v_max, nodes)."""
-    if not (np.all(np.isfinite(u_sq)) and np.all(np.isfinite(r_rows))):
-        raise ValueError("phase-space coordinates must be finite")
     r_max = float(r_rows.max()) if r_rows.size else 0.0
-    v_max = settings.v_max if settings.v_max is not None else \
-        _auto_v_max(state, u_sq, settings.n_list[0])
+    # the callers refuse non-finite inputs: these overflowed on the way
+    if not (np.all(np.isfinite(u_sq)) and math.isfinite(settings.n_list[-1] * r_max)):
+        raise PrecisionLoss("phase-space coordinates overflow")
+    v_max = _auto_v_max(state, u_sq, settings.n_list[0])
     n_panels = _panel_count(v_max, settings.n_list[-1], r_max)
     v, w = _gl_mesh(v_max, n_panels)
     per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w)
@@ -325,8 +322,8 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
 
 def _point_per_n(state, u_sq, r_sq, n_list, settings):
     """ln w for each N at one point, as a 1x1 grid: (nN,)."""
-    if u_sq < 0 or r_sq < 0:
-        raise ValueError("u_sq and r_sq must be >= 0")
+    if not (0.0 <= u_sq < math.inf and 0.0 <= r_sq < math.inf):
+        raise ValueError(f"u_sq and r_sq must be finite and >= 0, got ({u_sq}, {r_sq})")
     per_n, _, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
                                      np.array([[math.sqrt(r_sq)]]), n_list,
                                      settings)
@@ -387,10 +384,11 @@ def wigner_grid(state: ReducedState, u, r,
     r = np.asarray(r, dtype=float)
     if u.ndim != 1 or r.ndim != 1:
         raise ValueError("u and r must be one-dimensional")
-    if np.any(u < 0) or np.any(r < 0):
-        raise ValueError("grid values must be >= 0")
-    return WignerGrid(u=u, r=r,
-                      **_normalised(state, u * u, r[None, :], settings))
+    if not all(np.all((0.0 <= a) & (a < math.inf)) for a in (u, r)):
+        raise ValueError("grid values must be finite and >= 0")
+    with np.errstate(over="ignore"):
+        u_sq = u * u
+    return WignerGrid(u=u, r=r, **_normalised(state, u_sq, r[None, :], settings))
 
 
 def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
@@ -413,15 +411,18 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
     pi_arr = np.asarray(pi, dtype=float)
     if phi.ndim != 1 or pi_arr.ndim != 1:
         raise ValueError("phi and pi must be one-dimensional")
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(pi_arr))):
+        raise ValueError("phi and pi must be finite")
     state, big_a, rho = sq.reduced(x)
-    u_sq = phi * phi / big_a
-    if mode is ProjectionMode.PARA:
-        diff = pi_arr[None, :] - rho * phi[:, None]
-        r_sq = 4.0 * big_a * diff * diff
-    elif mode is ProjectionMode.PERP:
-        r_sq = 4.0 * big_a * (pi_arr[None, :] ** 2
-                              + (rho * phi[:, None]) ** 2)
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
+    with np.errstate(over="ignore"):  # _mesh_and_assemble refuses inf
+        u_sq = phi * phi / big_a
+        if mode is ProjectionMode.PARA:
+            diff = pi_arr[None, :] - rho * phi[:, None]
+            r_sq = 4.0 * big_a * diff * diff
+        elif mode is ProjectionMode.PERP:
+            r_sq = 4.0 * big_a * (pi_arr[None, :] ** 2
+                                  + (rho * phi[:, None]) ** 2)
+        else:
+            raise ValueError(f"unknown projection mode {mode!r}")
     return ProjectionGrid(phi=phi, pi=pi_arr, mode=mode,
                           **_normalised(state, u_sq, np.sqrt(r_sq), settings))

@@ -127,7 +127,7 @@ def test_criterion_06_matrix_element_structure(capsys):
             is dm.Regime.MONOTONE
         h = 1e-5
         for u_sq, v_sq in ((2.0, 0.5), (50.0, 1.0), (150.0, 4.0)):
-            sol = saddle.solve_saddle_uv(st, u_sq, v_sq)
+            sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
             _, fu_big, fv_big = sf.big_f(sol.s)
             d_u = float(dm.ln_d_many(st, u_sq + h, v_sq)
                         - dm.ln_d_many(st, u_sq - h, v_sq)) / (2.0 * h)

@@ -147,10 +147,10 @@ def test_fig7_peak_is_interior(tmp_path):
     assert rows[top][0] == pytest.approx(meta["slice.phi_peak"], rel=0.05)
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    # small N-list keeps it fast; --tol 0.5 accepts its coarse spread
-    args = ["fig6_contours", "--grid", "7x7", "--N-list", "4", "6", "8",
-            "--tol", "0.5"]
+def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
+    # small N-list keeps it fast; a 0.5 tolerance accepts its coarse spread
+    monkeypatch.setattr(wigner, "SPREAD_TOL", 0.5)
+    args = ["fig6_contours", "--grid", "7x7", "--N-list", "4", "6", "8"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
     assert cli.main(args + ["--threads", "8", "--out", str(b)]) == 0
@@ -245,7 +245,7 @@ def test_every_float_flag_refuses_non_finite(tmp_path, capsys, value):
         assert cli.main([preset, flag, value, "--out", str(out)]) == 2, (preset, flag)
         assert not out.exists(), (preset, flag)
         checked += 1
-    assert checked >= 41
+    assert checked >= 31
     capsys.readouterr()
 
 
@@ -349,16 +349,38 @@ def test_underflowing_state_exits_1_with_meta(tmp_path, capsys, preset, name):
         assert cause in meta[f"{name}.error"]
 
 
-def test_not_converged_exits_1_with_partial_output(tmp_path, capsys):
+def test_not_converged_exits_1_with_partial_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(wigner, "SPREAD_TOL", 1e-9)
     out = tmp_path / "nc"
     code = cli.main(["fig5_wigner", "--x", "15", "--N-list", "4", "6", "8",
-                     "--grid", "5x5", "--tol", "1e-9", "--out", str(out)])
+                     "--grid", "5x5", "--out", str(out)])
     assert code == 1
     capsys.readouterr()
     assert (out / "wigner_x15.csv").exists()       # partial output kept
     meta = _read_meta(out)
     assert meta["wigner_x15.converged"] is False
     assert meta["wigner_x15.max_spread"] > 1e-9
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["fig5_wigner", "--u-max", "1e200"], "wigner_x1"),      # u^2 overflows
+    (["fig5_wigner", "--r-max", "1e308"], "wigner_x1"),      # N r overflows
+    (["fig6_contours", "--u-max", "1e200"], "contours_phi0_para"),
+    (["fig6_contours", "--r-max", "1e200"], "contours_phi0_para"),  # r^2
+    (["fig7_slice", "--u-max", "1e200"], "slice"),
+])
+def test_overflowing_wigner_coordinates_exit_1_with_meta(tmp_path, capsys,
+                                                        argv, name):
+    # finite flags whose (u^2, r) overflow: a flagged artifact, not a crash
+    out = tmp_path / "ovf"
+    small = {"fig5_wigner": ["--x", "1", "--grid", "3x3", "--N-list", "4", "6", "8"],
+             "fig6_contours": ["--phi", "0", "--mode", "para", "--grid", "3x3"],
+             "fig7_slice": ["--grid", "3"]}[argv[0]]
+    assert cli.main([*argv, *small, "--out", str(out)]) == 1
+    capsys.readouterr()
+    meta = _read_meta(out)
+    assert meta[f"{name}.converged"] is False
+    assert "overflow" in meta[f"{name}.error"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+from ngstate import cli
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -13,3 +15,16 @@ def test_quick_start_runs():
     assert blocks, "no python block under Quick start"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_command_lines_parse():
+    # a line naming a deleted preset or flag fails here, without running
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\nCommand line:", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.S).group(1)
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in commands if words[:1] == ["ngstate"]]
+    assert commands, "no ngstate line under Command line"
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ngstate import ReducedState, purity
-from ngstate import saddle
+from ngstate import cli, saddle
 from ngstate import specfun as sf
 from ngstate.errors import BracketError
 
@@ -102,8 +102,12 @@ def test_batched_trace_solve_matches_single_solves():
     # zero cap leaves the upper end at lo, climbing a double at a time
     (0.5, 5.4e307, 20),
     # xi ~ 1.6e308: 2 xi in the lower end overflows unless halved (NaN);
-    # the root (~85) is far below the cap (~4e307), hence the bisections
-    (1e-4, 1e305, 1100),
+    # the root (~85) is far below that cap (~4e307) but not the one from
+    # 1/kernel(s) <= 2/s + 1/sqrt(s) at -z0_sq/xi > 0
+    (1e-4, 1e305, 20),
+    # small n at huge x: -z0_sq/xi < 1/3, so the first cap ~ |z0_sq| ~ 1e202
+    # sat far above the root (~48) and linear bisection took ~675 steps
+    (1e-3, 1e200, 20),
     # h2 root ~1e-307, below the smallest normal double: the search must
     # go on into the subnormals to meet the residual contract
     (2.2458580377286905e153, 3.806654343036798e293, 20),
@@ -127,7 +131,7 @@ def test_solve_trace_raw_validation():
 
 def test_saddle_uv_center_point():
     st = ReducedState.from_nx(10.0, 15.0)
-    sol = saddle.solve_saddle_uv(st, 0.0, 0.0)
+    sol = saddle.solve_saddle_uv_many(st, 0.0, 0.0)
     assert sol.s < 0.0  # on the imaginary continuation
     assert sol.s == pytest.approx(-0.26301717967147564, rel=1e-10)
     assert abs(sol.residual) < 1e-12
@@ -136,7 +140,7 @@ def test_saddle_uv_center_point():
 def test_saddle_uv_gaussian_limit():
     st = ReducedState.from_nx(10.0, 0.0)
     for u_sq, v_sq in [(0.0, 0.0), (3.0, 1.0), (50.0, 4.0)]:
-        sol = saddle.solve_saddle_uv(st, u_sq, v_sq)
+        sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
         assert sol.s == st.z0_sq
 
 
@@ -145,17 +149,17 @@ def test_saddle_uv_zero_crossing_on_peak_locus():
     for v_sq in (0.0, 10.0, 60.0):
         u_c_sq = -st.z0_sq / st.xi - 1.0 / 3.0 - v_sq / 3.0
         assert u_c_sq > 0
-        sol = saddle.solve_saddle_uv(st, u_c_sq, v_sq)
+        sol = saddle.solve_saddle_uv_many(st, u_c_sq, v_sq)
         assert abs(sol.s) < 1e-10
-        assert saddle.solve_saddle_uv(st, u_c_sq + 1e-6, v_sq).s > 0
-        assert saddle.solve_saddle_uv(st, u_c_sq - 1e-6, v_sq).s < 0
+        assert saddle.solve_saddle_uv_many(st, u_c_sq + 1e-6, v_sq).s > 0
+        assert saddle.solve_saddle_uv_many(st, u_c_sq - 1e-6, v_sq).s < 0
 
 
 def test_saddle_uv_real_branch_condition():
     st = ReducedState.from_nx(10.0, 15.0)
     thresh = -st.z0_sq / st.xi
     for u_sq, v_sq in [(0.0, 0.0), (100.0, 30.0), (250.0, 0.0), (0.0, 700.0)]:
-        sol = saddle.solve_saddle_uv(st, u_sq, v_sq)
+        sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
         real_expected = (1.0 / 3.0 + u_sq + v_sq / 3.0) >= thresh
         assert (sol.s >= 0) == real_expected
 
@@ -169,7 +173,7 @@ def test_saddle_uv_uniqueness_scan():
         v_sq = float(rng.uniform(0.0, 20.0))
         st = ReducedState.from_nx(n, x)
         # scan past the solver's own root so the crossing is inside the grid
-        sol = saddle.solve_saddle_uv(st, u_sq, v_sq)
+        sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
         assert abs(sol.residual) <= residual_bound(st, sol.s), (n, x, u_sq, v_sq)
         s_root = sol.s
         hi = max(60.0, 2.0 * abs(s_root) + 10.0)
@@ -184,10 +188,10 @@ def test_saddle_uv_uniqueness_scan():
 def test_saddle_uv_monotone_in_u_and_v():
     st = ReducedState.from_nx(10.0, 15.0)
     u = np.linspace(0.0, 300.0, 40)
-    s_u, _ = saddle.solve_saddle_uv_many(st, u, np.zeros_like(u))
+    s_u = saddle.solve_saddle_uv_many(st, u, np.zeros_like(u)).s
     assert np.all(np.diff(s_u) > 0)
     v = np.linspace(0.0, 50.0, 40)
-    s_v, _ = saddle.solve_saddle_uv_many(st, np.zeros_like(v), v)
+    s_v = saddle.solve_saddle_uv_many(st, np.zeros_like(v), v).s
     assert np.all(np.diff(s_v) > 0)
 
 
@@ -195,17 +199,43 @@ def test_vectorized_matches_scalar():
     st = ReducedState.from_nx(2.0, 7.0)
     u = np.array([0.0, 1.0, 10.0, 100.0])
     v = np.array([0.0, 2.0, 0.5, 30.0])
-    s_many, _ = saddle.solve_saddle_uv_many(st, u, v)
+    s_many = saddle.solve_saddle_uv_many(st, u, v).s
     for i in range(u.size):
-        s_one = saddle.solve_saddle_uv(st, float(u[i]), float(v[i])).s
+        s_one = saddle.solve_saddle_uv_many(st, float(u[i]), float(v[i])).s
         assert s_many[i] == pytest.approx(s_one, rel=1e-13, abs=1e-14)
+
+
+def test_grid_solve_reports_each_point(tmp_path, capsys):
+    # the solver's own g at each root is the residual: no second evaluation,
+    # and a grid keeps each point's residual and evaluation count
+    st = ReducedState.from_nx(10.0, 15.0)
+    u_sq = np.linspace(0.0, 300.0, 9)[:, None]
+    v_sq = np.linspace(0.0, 40.0, 5)[None, :]
+    sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+    assert sol.s.shape == sol.residual.shape == sol.iterations.shape == (9, 5)
+    assert sol.iterations.dtype.kind == "i" and np.all(sol.iterations >= 3)
+    f0, fu, fv = sf.small_f(sol.s)
+    lhs = (sol.s - st.z0_sq) / st.xi
+    resid = (lhs - (f0 + fu * u_sq + fv * v_sq)) / np.maximum(1.0, np.abs(lhs))
+    assert np.array_equal(sol.residual, resid)
+    assert np.all(np.abs(sol.residual) <= residual_bound(st, sol.s))
+    one = saddle.solve_saddle_uv_many(st, float(u_sq[4, 0]), float(v_sq[0, 2]))
+    assert type(one.s) is float and type(one.iterations) is int
+    assert (one.s, one.residual, one.iterations) == (
+        sol.s[4, 2], sol.residual[4, 2], sol.iterations[4, 2])
+    # the spread tolerance and the quadrature cut have one owner each:
+    # the flags that overrode them are gone
+    for argv in (["fig5_wigner", "--tol", "1e-3"], ["fig5_wigner", "--v-max", "6"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "gone")]) == 2
+    assert not (tmp_path / "gone").exists()
+    capsys.readouterr()
 
 
 def test_vectorized_broadcasting_and_validation():
     st = ReducedState.from_nx(1.0, 1.0)
     u = np.linspace(0.0, 5.0, 7)[:, None]
     v = np.linspace(0.0, 2.0, 3)[None, :]
-    s, _ = saddle.solve_saddle_uv_many(st, u, v)
+    s = saddle.solve_saddle_uv_many(st, u, v).s
     assert s.shape == (7, 3)
     with pytest.raises(ValueError):
         saddle.solve_saddle_uv_many(st, np.array([-1.0]), np.array([0.0]))
@@ -214,8 +244,8 @@ def test_vectorized_broadcasting_and_validation():
     u = np.linspace(0.0, 300.0, 150)[:, None]
     v = np.linspace(0.0, 40.0, 90)[None, :]
     assert u.size * v.size > saddle._BLOCK
-    s, _ = saddle.solve_saddle_uv_many(st, u, v)
-    sub, _ = saddle.solve_saddle_uv_many(st, u[41:133], v[:, 7:64])
+    s = saddle.solve_saddle_uv_many(st, u, v).s
+    sub = saddle.solve_saddle_uv_many(st, u[41:133], v[:, 7:64]).s
     assert np.array_equal(sub, s[41:133, 7:64])
 
 
@@ -228,7 +258,7 @@ def test_nearly_gaussian_roots_keep_the_contract(n):
         for kernel in (sf.h_trace, sf.h2):
             sol = saddle.solve_trace_raw(st.z0_sq, st.xi, kernel)
             assert abs(sol.residual) <= residual_bound(st, sol.s), (x, kernel)
-        s, _ = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+        s = saddle.solve_saddle_uv_many(st, u_sq, v_sq).s
         f0, fu, fv = sf.small_f(s)
         lhs = (s - st.z0_sq) / st.xi
         resid = (lhs - (f0 + fu * u_sq + fv * v_sq)) / np.maximum(1.0, np.abs(lhs))
@@ -242,7 +272,7 @@ def test_nearly_gaussian_roots_keep_the_contract(n):
 def test_saddle_properties(n, x, u_sq, v_sq):
     st = ReducedState.from_nx(n, x)
     u = u_sq + np.array([0.0, 0.5, 1.0])
-    s, _ = saddle.solve_saddle_uv_many(st, u, v_sq)
+    s = saddle.solve_saddle_uv_many(st, u, v_sq).s
     f0, fu, fv = sf.small_f(s)
     lhs = (s - st.z0_sq) / st.xi
     resid = (lhs - (f0 + fu * u + fv * v_sq)) / np.maximum(1.0, np.abs(lhs))
@@ -251,5 +281,5 @@ def test_saddle_properties(n, x, u_sq, v_sq):
     assert np.all(np.diff(s) > 0)
     # a point's root does not depend on the points solved alongside it
     for i in range(u.size):
-        alone, _ = saddle.solve_saddle_uv_many(st, u[i:i + 1], v_sq)
+        alone = saddle.solve_saddle_uv_many(st, u[i:i + 1], v_sq).s
         assert alone[0] == s[i]

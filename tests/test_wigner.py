@@ -37,8 +37,6 @@ def test_settings_validation():
         wg.WignerSettings(n_list=(2, 4, 6))       # below minimum
     with pytest.raises(ValueError):
         wg.WignerSettings(n_list=(8, 4, 12))      # not ascending
-    with pytest.raises(ValueError):
-        wg.WignerSettings(v_max=-1.0)
     s = wg.WignerSettings()
     assert s.n_list == (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
 
@@ -57,14 +55,12 @@ _PARA = wg.ProjectionMode.PARA
     lambda: wg.wigner_grid(_ST, [math.inf], [0.0]),
     lambda: wg.project_physical(_SQ, 15.0, _PARA, [0.5], [0.0, math.nan]),
     lambda: wg.project_physical(_SQ, 15.0, _PARA, [math.nan], [0.0]),
-    lambda: wg.WignerSettings(v_max=math.inf),
-    lambda: wg.WignerSettings(v_max=math.nan),
     lambda: dm.PhasePoint(math.nan, 1.0),
     lambda: dm.PhasePoint(1.0, math.inf),
     lambda: dm.PhasePoint(1.0, 1.0, math.nan),
 ], ids=["ln_w-r-nan", "ln_w-r-inf", "ln_w-u-nan", "ln_w_at_N-u-inf",
         "grid-r-nan", "grid-u-inf", "project-pi-nan", "project-phi-nan",
-        "v_max-inf", "v_max-nan", "point-u-nan", "point-v-inf", "point-w-nan"])
+        "point-u-nan", "point-v-inf", "point-w-nan"])
 def test_non_finite_inputs_refused(call):
     # as d_surface does: a typed refusal, not the r = 0 value or a crash
     with pytest.raises(ValueError):
@@ -198,11 +194,12 @@ def test_scheme_agreement_on_normalized_grid():
 
 
 def test_grid_matches_scalar_with_pinned_mesh(monkeypatch):
-    # with the mesh pinned (32 panels of 16 nodes), the batch engine and
-    # the scalar entry point are the same computation
+    # with the mesh pinned (32 panels of 16 nodes on [0, 6]), the batch
+    # engine and the scalar entry point are the same computation
     monkeypatch.setattr(wg, "_panel_count", lambda *a: 32)
+    monkeypatch.setattr(wg, "_auto_v_max", lambda *a: 6.0)
     st = ReducedState.from_nx(10.0, 15.0)
-    settings = wg.WignerSettings(v_max=6.0)
+    settings = wg.WignerSettings()
     u = np.array([0.7, 2.4])
     r = np.array([0.0, 1.1])
     grid = wg.wigner_grid(st, u, r, settings)
