@@ -185,9 +185,9 @@ def _plan_fig4(args):
         top = (args.u_max if args.u_max is not None
                else max(float(_dm.default_grid(s, 2, 2)[0][-1]) for s in states))
         u = np.linspace(0.0, top, nu)
-        curves = [_dm.ln_d_many(state, u * u, 0.0) for state in states]
+        curves = [_dm.d_surface(state, u, [0.0]).ln_d_norm[:, 0] for state in states]
         return (("x", "u", "ln_d_norm"),
-                _io.tensor_table(x_values, u, [c - c.max() for c in curves]),
+                _io.tensor_table(x_values, u, curves),
                 {"u_max": float(top)})
 
     meta = {"n": args.n, "x": x_values, "grid_w": nu}
@@ -388,8 +388,9 @@ def _add_axes(p, grid, min_h, u_help):
 def _add_wigner(p, n_list):
     p.add_argument("--N-list", dest="n_list", type=int, nargs="+",
                    default=n_list,
-                   help="even dof counts for the large-N extrapolation "
-                        "(default: %(default)s)")
+                   help="ascending even dof counts N: the first sets the "
+                        "envelope cut, the last the mesh, and the last four "
+                        "are assembled and extrapolated (default: %(default)s)")
 
 
 def build_parser():

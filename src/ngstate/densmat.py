@@ -35,7 +35,7 @@ import numpy as np
 from . import observables as _obs
 from . import saddle as _saddle
 from . import specfun as _sf
-from .errors import RegimeError
+from .errors import PrecisionLoss, RegimeError
 from .statemap import ReducedState
 
 __all__ = [
@@ -255,6 +255,10 @@ def d_surface(state: ReducedState, u, v) -> DSurface:
         raise ValueError("grid bounds must be finite")
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise ValueError("grid values must be >= 0")
-    grid = ln_d_many(state, (u * u)[:, None], (v * v)[None, :])
+    with np.errstate(over="ignore"):  # finite axes whose squares overflow
+        u_sq, v_sq = u * u, v * v
+    if not (np.all(np.isfinite(u_sq)) and np.all(np.isfinite(v_sq))):
+        raise PrecisionLoss("phase-space coordinates overflow")
+    grid = ln_d_many(state, u_sq[:, None], v_sq[None, :])
     top = float(np.max(grid))
     return DSurface(u=u, v=v, ln_d_norm=grid - top, ln_d_max=top)

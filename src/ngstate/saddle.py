@@ -36,8 +36,8 @@ __all__ = [
     "solve_trace_raw",
 ]
 
-# elements solved together: bounds the solver's scratch memory; 8192 left
-# ~2 MiB of freed scratch in the heap, raising the surface presets' peak RSS
+# elements solved together, then only the unfinished ones: bounds scratch
+# memory; 8192 left ~2 MiB of freed scratch, raising surface presets' RSS
 _BLOCK = 4096
 _XRTOL = 2.0 * np.finfo(float).eps
 # ends a search whose bracket ends are adjacent doubles near 0; a floor
@@ -69,9 +69,9 @@ def _find_root(g, lo, hi, *args, climb=False):
     Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation where the last three points make
     it safe, bisection otherwise.  lo, hi and args broadcast; g gets flat
-    blocks of _BLOCK elements that keep their size (shrinking arrays
-    fragment the heap).  A point stops once its bracket is below 2 eps
-    relative, so its root and count depend on it alone.  g returns arrays.
+    blocks of up to _BLOCK elements, which a point leaves once its bracket
+    is below 2 eps relative, so its root and count (a climb step counts
+    where the point climbs) depend on it alone.  g returns arrays.
     Returns (root, g at root, nfev).
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
@@ -83,15 +83,15 @@ def _find_root(g, lo, hi, *args, climb=False):
         # x1: newest point; x2: bracket end opposite to it; x3: the one before
         x1, x2 = lo.flat[blk], hi.flat[blk]
         f1, f2 = g(x1, *p), g(x2, *p)
-        evals, t = 2, 0.5
+        evals, t = np.full(x1.shape, 2), 0.5
         while climb and np.any(low := f2 < 0.0):
             x2 = np.where(low, np.nextafter(x2, np.inf), x2)
             f2 = g(x2, *p)
-            evals += 1
+            evals += low
         ok = (f1 <= 0.0) & (f2 >= 0.0)
         if not np.all(ok):
             raise BracketError(f"no sign change at {np.size(ok) - np.count_nonzero(ok)} points")
-        finished = np.zeros(x1.shape, dtype=bool)
+        at = np.arange(start, start + x1.size)  # each live point's output index
         while True:
             x = x1 + t * (x2 - x1)
             f = g(x, *p)
@@ -104,21 +104,22 @@ def _find_root(g, lo, hi, *args, climb=False):
             xm, fm = np.where(best, x1, x2), np.where(best, f1, f2)
             tol = _XRTOL * np.abs(xm) + _XATOL
             dx = np.abs(x2 - x1)
-            new = ((fm == 0.0) | (dx < tol)) & ~finished
-            if new.any():
-                at = start + np.flatnonzero(new)
-                root.flat[at], g_at.flat[at], nfev.flat[at] = xm[new], fm[new], evals
-                finished |= new
-                if finished.all():
+            done = (fm == 0.0) | (dx < tol)
+            if done.any():
+                root.flat[at[done]], g_at.flat[at[done]], nfev.flat[at[done]] = (
+                    xm[done], fm[done], evals[done])
+                if done.all():
                     break
+                live = ~done
+                x1, x2, x3, f1, f2, f3, tol, dx, evals, at, *p = (
+                    a[live] for a in (x1, x2, x3, f1, f2, f3, tol, dx, evals, at, *p))
             xi = (x1 - x2) / (x3 - x2)
             phi = (f1 - f2) / (f3 - f2)
             alpha = (x3 - x1) / (x2 - x1)
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
             t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
                          - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            t = np.where(finished, 0.5,
-                         np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx))
+            t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
     return root, g_at, nfev
 
 

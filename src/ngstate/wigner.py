@@ -16,11 +16,11 @@ cancels analytically:
 
     W_N(r=0) = (4 pi N)^{N/2} / Gamma(N/2) * Integral dv v^{N-1} D.
 
-ln w per dof, (1/N) ln W_N, is computed for each N in the settings list
-and extrapolated to N -> infinity (Richardson in 1/N).  At
-x = 0 the integral is a Weber integral with the exact value
-ln w_N = ln w_inf - ln(2)/N, so the extrapolation is exact there; the
-closed Gaussian form ln_w_gaussian_exact is exposed as the oracle.
+ln w per dof, (1/N) ln W_N, is computed for the last four N of the
+settings list and extrapolated to N -> infinity (Richardson in 1/N); the
+first N sets only the envelope cut.  At x = 0 the integral is a Weber
+integral with the exact value ln w_N = ln w_inf - ln(2)/N, so the
+extrapolation is exact there, and ln_w_gaussian_exact is the oracle.
 
 Grids, projections and single points share one assembly, which builds
 each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS.
@@ -76,10 +76,11 @@ class ProjectionMode(Enum):
 class WignerSettings:
     """Extrapolation knob.
 
-    n_list: the N extrapolated in 1/N, ascending even integers (integer
-    Bessel order N/2-1), at least three.  The quadrature is sized from the
-    inputs alone: its cut v_max from the envelope decay, its mesh from the
-    oscillation wavelength.
+    n_list: ascending even integers N (integer Bessel order N/2-1), at
+    least three.  The last four (all of a three-entry list) are assembled
+    and extrapolated in 1/N.  The quadrature is sized from the inputs and
+    the list's ends: its cut v_max from the envelope decay at the first N,
+    its mesh from the oscillation wavelength at the last.
     """
 
     n_list: tuple = (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
@@ -333,9 +334,9 @@ def _point_per_n(state, u_sq, r_sq, n_list, settings):
 def _normalised(state, u_sq, r_rows, settings):
     """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
-    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows,
-                                              settings.n_list, settings)
-    value, spread = _extrapolate(per_n, settings.n_list)
+    read = settings.n_list[-4:]  # the N _extrapolate reads
+    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, read, settings)
+    value, spread = _extrapolate(per_n, read)
     top = float(value.max())
     return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
                 quad_points=n_quad, v_max=v_max)
@@ -362,8 +363,9 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float,
     Raises NotConverged when the spread exceeds SPREAD_TOL.
     """
     settings = settings or WignerSettings()
-    per_n = _point_per_n(state, u_sq, r_sq, settings.n_list, settings)
-    value, spread = map(float, _extrapolate(per_n, settings.n_list))
+    read = settings.n_list[-4:]  # the N _extrapolate reads
+    per_n = _point_per_n(state, u_sq, r_sq, read, settings)
+    value, spread = map(float, _extrapolate(per_n, read))
     if spread > SPREAD_TOL:
         raise NotConverged(
             f"ln w spread {spread:.3e} above tolerance {SPREAD_TOL:.3e} "

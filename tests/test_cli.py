@@ -368,16 +368,22 @@ def test_not_converged_exits_1_with_partial_output(tmp_path, capsys, monkeypatch
     (["fig6_contours", "--u-max", "1e200"], "contours_phi0_para"),
     (["fig6_contours", "--r-max", "1e200"], "contours_phi0_para"),  # r^2
     (["fig7_slice", "--u-max", "1e200"], "slice"),
+    (["fig3_dsurface", "--u-max", "1e200"], "dsurface_x1"),  # u^2 overflows
+    (["fig3_dsurface", "--v-max", "1e200"], "dsurface_x1"),  # v^2 overflows
+    (["fig4_dslices", "--u-max", "1e200"], "dslices"),
 ])
 def test_overflowing_wigner_coordinates_exit_1_with_meta(tmp_path, capsys,
                                                         argv, name):
-    # finite flags whose (u^2, r) overflow: a flagged artifact, not a crash
+    # finite flags whose (u^2, v^2, r) overflow: a flagged artifact naming
+    # the overflow, not a crash, a numpy warning or a misleading error
     out = tmp_path / "ovf"
-    small = {"fig5_wigner": ["--x", "1", "--grid", "3x3", "--N-list", "4", "6", "8"],
+    small = {"fig3_dsurface": ["--x", "1", "--grid", "5x5"],
+             "fig4_dslices": ["--x", "1", "--grid", "5"],
+             "fig5_wigner": ["--x", "1", "--grid", "3x3", "--N-list", "4", "6", "8"],
              "fig6_contours": ["--phi", "0", "--mode", "para", "--grid", "3x3"],
              "fig7_slice": ["--grid", "3"]}[argv[0]]
     assert cli.main([*argv, *small, "--out", str(out)]) == 1
-    capsys.readouterr()
+    assert "Warning" not in capsys.readouterr().err
     meta = _read_meta(out)
     assert meta[f"{name}.converged"] is False
     assert "overflow" in meta[f"{name}.error"]

@@ -231,6 +231,26 @@ def test_grid_solve_reports_each_point(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_each_point_counts_its_own_evaluations():
+    # (10, 1) takes 8 evaluations; (0.3, 1e-12) climbs its upper end, and
+    # those climb steps are not charged to the other point of the batch
+    a, b = ReducedState.from_nx(10.0, 1.0), ReducedState.from_nx(0.3, 1e-12)
+    one = saddle.solve_trace_raw(a.z0_sq, a.xi, sf.h_trace)
+    both = saddle.solve_trace_raw([a.z0_sq, b.z0_sq], [a.xi, b.xi], sf.h_trace)
+    assert one.iterations == both.iterations[0] == 8
+    assert one.s == both.s[0]
+    # a grid point's root, residual and count are the ones it gets alone
+    st = ReducedState.from_nx(2.5, 15.0)
+    u_sq = np.linspace(0.0, 30.0, 41)[:, None] ** 2
+    v_sq = np.linspace(0.0, 6.0, 60)[None, :] ** 2
+    sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+    for k in range(0, sol.s.size, 13):
+        i, j = divmod(k, v_sq.size)
+        alone = saddle.solve_saddle_uv_many(st, float(u_sq[i, 0]), float(v_sq[0, j]))
+        assert (alone.s, alone.residual, alone.iterations) == (
+            sol.s[i, j], sol.residual[i, j], sol.iterations[i, j]), (i, j)
+
+
 def test_vectorized_broadcasting_and_validation():
     st = ReducedState.from_nx(1.0, 1.0)
     u = np.linspace(0.0, 5.0, 7)[:, None]

@@ -262,6 +262,18 @@ def test_bessel_table_once_per_distinct_r(monkeypatch):
         assert max(rows) <= max(1, wg._TABLE_ELEMS // proj.quad_points)
 
 
+def test_only_the_extrapolated_n_are_assembled(monkeypatch):
+    # _extrapolate reads the last four N; the earlier ones only set the
+    # envelope cut, so no Bessel table is built for them
+    st = ReducedState.from_nx(10.0, 15.0)
+    read = wg.WignerSettings().n_list[-4:]
+    calls = _spy_bessel(monkeypatch)
+    value, spread = wg.ln_w(st, 1.0, 2.0)
+    assert sorted({order for order, _ in calls}) == [N // 2 - 1 for N in read]
+    per_n = np.array([wg.ln_w_at_N(st, 1.0, 2.0, N) for N in read])
+    assert (value, spread) == tuple(map(float, wg._extrapolate(per_n, read)))
+
+
 def test_bessel_blocks_match_one_table(monkeypatch):
     # a table cut into blocks gives the values of the single table
     settings = wg.WignerSettings(n_list=(4, 8, 12))
