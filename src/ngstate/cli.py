@@ -19,7 +19,8 @@ Presets:
 Exit codes: 0 success; 1 a computation failed or did not converge
 (completed artifacts are still written and flagged in meta.json);
 2 invalid configuration, before any file is written.  A Wigner artifact
-converged when its max_spread is at most wigner.SPREAD_TOL (meta's tol).
+extrapolates the four N of --N-list, and converged when its max_spread is
+at most wigner.SPREAD_TOL (meta's tol).
 
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
@@ -88,19 +89,17 @@ _positive = _number(float, 0.0, strict=True)
 _count = _number(int, 1)
 
 
-def _grid(min_h):
-    """argparse type for --grid: W or WxH, with W >= 2 and H >= min_h."""
+def _grid(shape):
+    """argparse type for --grid of shape "W" or "WxH": each size >= 2."""
     def parse(text):
         try:
-            dims = [int(p) for p in text.lower().split("x")]
+            dims = tuple(int(p) for p in text.lower().split("x"))
         except ValueError:
-            dims = []
-        if len(dims) == 1:
-            dims.append(1)
-        if len(dims) != 2 or dims[0] < 2 or dims[1] < min_h:
+            dims = ()
+        if len(dims) != len(shape.split("x")) or min(dims) < 2:
             raise argparse.ArgumentTypeError(
-                f"expected WxH with W >= 2, H >= {min_h}, got {text!r}")
-        return dims[0], dims[1]
+                f"expected {shape} with each size >= 2, got {text!r}")
+        return dims
     return parse
 
 
@@ -178,7 +177,7 @@ def _plan_fig3(args):
 
 def _plan_fig4(args):
     x_values = _resolve_x(args)
-    nu, _ = args.grid
+    [nu] = args.grid
     states = [ReducedState.from_nx(args.n, x) for x in x_values]
 
     def build():
@@ -252,7 +251,7 @@ def _plan_fig6(args):
 
 def _plan_fig7(args):
     [x] = _resolve_x(args)
-    nphi, _ = args.grid
+    [nphi] = args.grid
     settings = _wig.WignerSettings(n_list=args.n_list)
     sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=args.phi)
     state, big_a, _ = sq.reduced(x)
@@ -378,19 +377,18 @@ def _add_state(p, x_default, x_nargs="+"):
                        help="set x through the four-point ratio instead of --x")
 
 
-def _add_axes(p, grid, min_h, u_help):
-    p.add_argument("--grid", type=_grid(min_h), default=grid,
-                   help=f"resolution {'WxH' if min_h > 1 else 'W'} "
-                        "(default: %(default)s)")
+def _add_axes(p, grid, shape, u_help):
+    p.add_argument("--grid", type=_grid(shape), default=grid,
+                   help=f"resolution {shape} (default: %(default)s)")
     p.add_argument("--u-max", type=_positive, help=u_help)
 
 
 def _add_wigner(p, n_list):
-    p.add_argument("--N-list", dest="n_list", type=int, nargs="+",
+    p.add_argument("--N-list", dest="n_list", type=int, nargs=4, metavar="N",
                    default=n_list,
-                   help="ascending even dof counts N: the first sets the "
-                        "envelope cut, the last the mesh, and the last four "
-                        "are assembled and extrapolated (default: %(default)s)")
+                   help="four ascending even dof counts N >= 4, each "
+                        "assembled and extrapolated in 1/N; the last also "
+                        "sets the mesh (default: %(default)s)")
 
 
 def build_parser():
@@ -415,19 +413,19 @@ def build_parser():
 
     p = sub.add_parser("fig3_dsurface", help="matrix-element surfaces")
     _add_state(p, slices)
-    _add_axes(p, "201x201", 2, "u-axis maximum (default: past the ridge)")
+    _add_axes(p, "201x201", "WxH", "u-axis maximum (default: past the ridge)")
     p.add_argument("--v-max", type=_positive, default=4.0,
                    help="v-axis maximum (default: %(default)s)")
     _add_common(p, "fig3_dsurface")
 
     p = sub.add_parser("fig4_dslices", help="matrix-element v=0 slices")
     _add_state(p, slices)
-    _add_axes(p, "201", 1, "u-axis maximum (default: past the widest ridge)")
+    _add_axes(p, "201", "W", "u-axis maximum (default: past the widest ridge)")
     _add_common(p, "fig4_dslices")
 
     p = sub.add_parser("fig5_wigner", help="radial Wigner grids")
     _add_state(p, slices)
-    _add_axes(p, "101x101", 2, "u-axis maximum (default: past the ridge)")
+    _add_axes(p, "101x101", "WxH", "u-axis maximum (default: past the ridge)")
     p.add_argument("--r-max", type=_positive, default=2.0,
                    help="r-axis maximum (default: %(default)s)")
     _add_wigner(p, n_list)
@@ -442,10 +440,10 @@ def build_parser():
     p.add_argument("--mode", choices=("para", "perp"), nargs=1,
                    default=["para", "perp"],
                    help="projection mode (default: both)")
-    _add_axes(p, "41x41", 2, "phi-axis maximum (default: automatic window)")
+    _add_axes(p, "41x41", "WxH", "phi-axis maximum (default: automatic window)")
     p.add_argument("--r-max", type=_positive,
                    help="pi-axis maximum (default: automatic window)")
-    _add_wigner(p, [4, 8, 12, 16, 20])
+    _add_wigner(p, [8, 12, 16, 20])
     _add_common(p, "fig6_contours")
 
     p = sub.add_parser("fig7_slice", help="strong-nongaussianity Wigner slice")
@@ -456,7 +454,7 @@ def build_parser():
                    help="squeeze angle (default: %(default)s)")
     p.add_argument("--mode", choices=("para", "perp"), default="para",
                    help="projection mode (default: %(default)s)")
-    _add_axes(p, "201", 1, "phi-axis maximum (default: 1.4x the peak phi)")
+    _add_axes(p, "201", "W", "phi-axis maximum (default: 1.4x the peak phi)")
     _add_wigner(p, n_list)
     _add_common(p, "fig7_slice")
 

@@ -47,8 +47,8 @@ def entropy_per_dof(n: float) -> float:
     Independent of x: the quartic contributions to -tr(D ln D) cancel
     against the shift in ln Z (the definitional oracle checks this).
     """
-    if n < 0:
-        raise ValueError(f"occupation must be >= 0, got {n}")
+    if not 0 <= n < math.inf:
+        raise ValueError(f"occupation must be finite and >= 0, got {n}")
     if n == 0:
         return 0.0
     return (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
@@ -75,8 +75,8 @@ def c4_half_ratio_nx(n: float, x: float) -> float:
     1e-9 relative of the exact value.  Raises PrecisionLoss where kappa
     underflows (n above about 5e153) or zeta*x overflows (x near 1e308).
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not (n >= 0 and x >= 0):
+        raise ValueError(f"n and x must be >= 0, got ({n}, {x})")
     if x == 0.0:
         return 0.0
     if n < N_SMALL:
@@ -167,8 +167,8 @@ def purity_limit_large_n(x: float):
     p/p0 = (n~/n) exp(-x (1 - n~^4/(4 n^4))); the ratio tends to
     sqrt(2/e) = 0.8577... as x -> infinity.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0.0:
         return 1.0, 1.0
     # conjugate form of 2/(1 - 2x + sqrt(1+4x^2)): the naive denominator

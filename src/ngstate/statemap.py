@@ -60,8 +60,9 @@ class GaussianMoments:
     R: float = 0.0
 
     def __post_init__(self):
-        if not (self.F > 0 and self.K > 0):
-            raise ValueError(f"moments need F, K > 0, got F={self.F}, K={self.K}")
+        finite = all(math.isfinite(v) for v in (self.F, self.K, self.R))
+        if not (finite and self.F > 0 and self.K > 0):
+            raise ValueError(f"moments need finite F, K > 0 and R, got {self}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class OperatorParams:
     def __post_init__(self):
         if not self.A > 0:
             raise NonPositiveA(f"A must be > 0, got {self.A}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
 
     @property
@@ -166,7 +167,7 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
     B = kappa*K - 2*eta*F, where kappa is evaluated at the occupation of m.
     Raises PrecisionLoss where kappa underflows (n above about 5e153).
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
     n = occupation(m)
     if n < N_SMALL:
@@ -225,8 +226,8 @@ def x_from_c4(n: float, c4_half_ratio: float) -> float:
     (numerically -1 for every n, approached like -1 + O(1/x)); targets at
     or below the floor raise Unreachable.
     """
-    if not -1.0 <= c4_half_ratio <= 0.0:
-        raise ValueError(f"c4_half_ratio must lie in [-1, 0], got {c4_half_ratio}")
+    if not (n >= 0 and -1.0 <= c4_half_ratio <= 0.0):
+        raise ValueError(f"need n >= 0, c4 ratio in [-1, 0], got ({n}, {c4_half_ratio})")
     if c4_half_ratio == 0.0:
         return 0.0
     from . import observables as _obs  # deferred: observables imports us

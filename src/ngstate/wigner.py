@@ -16,11 +16,12 @@ cancels analytically:
 
     W_N(r=0) = (4 pi N)^{N/2} / Gamma(N/2) * Integral dv v^{N-1} D.
 
-ln w per dof, (1/N) ln W_N, is computed for the last four N of the
-settings list and extrapolated to N -> infinity (Richardson in 1/N); the
-first N sets only the envelope cut.  At x = 0 the integral is a Weber
-integral with the exact value ln w_N = ln w_inf - ln(2)/N, so the
-extrapolation is exact there, and ln_w_gaussian_exact is the oracle.
+ln w per dof, (1/N) ln W_N, is computed for the four N of the settings
+list and extrapolated to N -> infinity (Richardson in 1/N); the envelope
+cut is sized at N = _CUT_N, the smallest N accepted.  At x = 0 the
+integral is a Weber integral with the exact value ln w_N = ln w_inf -
+ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
+the oracle.
 
 Grids, projections and single points share one assembly, which builds
 each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS.
@@ -61,10 +62,18 @@ __all__ = [
 
 _GL_ORDER = 16
 _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
+_CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
 # every default preset (<= 188 r x 384 nodes), 3x the probe's 201 u x 159 g
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
+
+
+def _even_n(N) -> int:
+    """N as an int; refused unless an even integer >= 4 (Bessel order N/2-1)."""
+    if not (math.isfinite(N) and N == int(N) and N >= 4 and N % 2 == 0):
+        raise ValueError(f"N must be an even integer >= 4, got {N!r}")
+    return int(N)
 
 
 class ProjectionMode(Enum):
@@ -76,22 +85,19 @@ class ProjectionMode(Enum):
 class WignerSettings:
     """Extrapolation knob.
 
-    n_list: ascending even integers N (integer Bessel order N/2-1), at
-    least three.  The last four (all of a three-entry list) are assembled
-    and extrapolated in 1/N.  The quadrature is sized from the inputs and
-    the list's ends: its cut v_max from the envelope decay at the first N,
-    its mesh from the oscillation wavelength at the last.
+    n_list: four ascending even integers N >= 4 (integer Bessel order
+    N/2-1), each assembled and extrapolated in 1/N.  The quadrature is
+    sized from the inputs: its cut v_max from the envelope decay at
+    N = _CUT_N, its mesh from the oscillation wavelength at the last N.
     """
 
-    n_list: tuple = (4, 8, 12, 16, 20, 24, 28, 32, 36, 40)
+    n_list: tuple = (28, 32, 36, 40)
 
     def __post_init__(self):
-        ns = tuple(int(N) for N in self.n_list)
+        ns = tuple(map(_even_n, self.n_list))
         object.__setattr__(self, "n_list", ns)
-        if len(ns) < 3:
-            raise ValueError("n_list needs at least three entries to extrapolate")
-        if any(N < 4 or N % 2 for N in ns):
-            raise ValueError(f"all N must be even and >= 4, got {ns}")
+        if len(ns) != 4:
+            raise ValueError(f"n_list needs exactly four entries, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"n_list must be strictly ascending, got {ns}")
 
@@ -109,8 +115,8 @@ class SqueezeParams:
     phi: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+        if not self.n >= 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -291,9 +297,9 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
 
 
 def _extrapolate(vals, n_list):
-    """(value, spread) along axis 0: the three-point Lagrange extrapolant
-    to 1/N = 0 from the last three N, and its distance from the one a
-    step earlier (from the last value when n_list has three entries)."""
+    """(value, spread) along axis 0 of four N: the three-point Lagrange
+    extrapolant to 1/N = 0 from the last three N, and its distance from
+    the one from the first three."""
     h = 1.0 / np.asarray(n_list, dtype=float)
 
     def step(k):
@@ -303,9 +309,8 @@ def _extrapolate(vals, n_list):
         c2 = h0 * h1 / ((h2 - h0) * (h2 - h1))
         return c0 * vals[k - 2] + c1 * vals[k - 1] + c2 * vals[k]
 
-    last = step(len(h) - 1)
-    prev = step(len(h) - 2) if len(h) > 3 else vals[-1]
-    return last, np.abs(last - prev)
+    last = step(3)
+    return last, np.abs(last - step(2))
 
 
 def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
@@ -314,7 +319,7 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
     # the callers refuse non-finite inputs: these overflowed on the way
     if not (np.all(np.isfinite(u_sq)) and math.isfinite(settings.n_list[-1] * r_max)):
         raise PrecisionLoss("phase-space coordinates overflow")
-    v_max = _auto_v_max(state, u_sq, settings.n_list[0])
+    v_max = _auto_v_max(state, u_sq, _CUT_N)
     n_panels = _panel_count(v_max, settings.n_list[-1], r_max)
     v, w = _gl_mesh(v_max, n_panels)
     per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w)
@@ -334,9 +339,9 @@ def _point_per_n(state, u_sq, r_sq, n_list, settings):
 def _normalised(state, u_sq, r_rows, settings):
     """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
-    read = settings.n_list[-4:]  # the N _extrapolate reads
-    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, read, settings)
-    value, spread = _extrapolate(per_n, read)
+    ns = settings.n_list
+    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, ns, settings)
+    value, spread = _extrapolate(per_n, ns)
     top = float(value.max())
     return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
                 quad_points=n_quad, v_max=v_max)
@@ -350,10 +355,7 @@ def ln_w_at_N(state: ReducedState, u_sq: float, r_sq: float, N: int,
               settings: WignerSettings | None = None) -> float:
     """Per-dof log Wigner value at one finite even N (no extrapolation)."""
     settings = settings or WignerSettings()
-    N = int(N)
-    if N < 4 or N % 2:
-        raise ValueError(f"N must be even and >= 4, got {N}")
-    return float(_point_per_n(state, u_sq, r_sq, (N,), settings)[0])
+    return float(_point_per_n(state, u_sq, r_sq, (_even_n(N),), settings)[0])
 
 
 def ln_w(state: ReducedState, u_sq: float, r_sq: float,
@@ -363,9 +365,8 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float,
     Raises NotConverged when the spread exceeds SPREAD_TOL.
     """
     settings = settings or WignerSettings()
-    read = settings.n_list[-4:]  # the N _extrapolate reads
-    per_n = _point_per_n(state, u_sq, r_sq, read, settings)
-    value, spread = map(float, _extrapolate(per_n, read))
+    per_n = _point_per_n(state, u_sq, r_sq, settings.n_list, settings)
+    value, spread = map(float, _extrapolate(per_n, settings.n_list))
     if spread > SPREAD_TOL:
         raise NotConverged(
             f"ln w spread {spread:.3e} above tolerance {SPREAD_TOL:.3e} "

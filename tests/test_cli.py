@@ -150,7 +150,7 @@ def test_fig7_peak_is_interior(tmp_path):
 def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
     # small N-list keeps it fast; a 0.5 tolerance accepts its coarse spread
     monkeypatch.setattr(wigner, "SPREAD_TOL", 0.5)
-    args = ["fig6_contours", "--grid", "7x7", "--N-list", "4", "6", "8"]
+    args = ["fig6_contours", "--grid", "7x7", "--N-list", "4", "6", "8", "10"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
     assert cli.main(args + ["--threads", "8", "--out", str(b)]) == 0
@@ -192,8 +192,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert cli.main(["fig3_dsurface", "--grid", "bogus", "--out", out]) == 2
     assert cli.main(["fig1_c4", "--threads", "0", "--out", out]) == 2
     assert cli.main(["fig5_wigner", "--tol", "-1", "--out", out]) == 2
-    assert cli.main(["fig5_wigner", "--N-list", "4", "5", "6",
-                     "--out", out]) == 2
+    assert cli.main(["fig5_wigner", "--N-list", "4", "6", "8",
+                     "--out", out]) == 2                  # three N
+    assert cli.main(["fig5_wigner", "--N-list", "4", "5", "6", "8",
+                     "--out", out]) == 2                  # odd N
     assert cli.main(["fig6_contours", "--gamma", "1.5", "--out", out]) == 2
     capsys.readouterr()
 
@@ -259,6 +261,8 @@ def test_every_float_flag_refuses_non_finite(tmp_path, capsys, value):
     ["fig3_dsurface", "--n", "0"],
     *([p, "--grid", "5"] for p in ("fig3_dsurface", "fig5_wigner",
                                    "fig6_contours")),
+    ["fig4_dslices", "--grid", "21x7"],           # one-axis presets take W
+    ["fig7_slice", "--grid", "9x3"],
     ["fig6_contours", "--x", "1", "2"],
     ["fig3_dsurface", "--n", "1e308"],           # kappa underflows
     ["fig5_wigner", "--n", "1e120", "--x", "0.5"],  # xi underflows
@@ -352,8 +356,8 @@ def test_underflowing_state_exits_1_with_meta(tmp_path, capsys, preset, name):
 def test_not_converged_exits_1_with_partial_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(wigner, "SPREAD_TOL", 1e-9)
     out = tmp_path / "nc"
-    code = cli.main(["fig5_wigner", "--x", "15", "--N-list", "4", "6", "8",
-                     "--grid", "5x5", "--out", str(out)])
+    code = cli.main(["fig5_wigner", "--x", "15", "--grid", "5x5",
+                     "--out", str(out)])
     assert code == 1
     capsys.readouterr()
     assert (out / "wigner_x15.csv").exists()       # partial output kept
@@ -379,7 +383,8 @@ def test_overflowing_wigner_coordinates_exit_1_with_meta(tmp_path, capsys,
     out = tmp_path / "ovf"
     small = {"fig3_dsurface": ["--x", "1", "--grid", "5x5"],
              "fig4_dslices": ["--x", "1", "--grid", "5"],
-             "fig5_wigner": ["--x", "1", "--grid", "3x3", "--N-list", "4", "6", "8"],
+             "fig5_wigner": ["--x", "1", "--grid", "3x3",
+                             "--N-list", "4", "6", "8", "10"],
              "fig6_contours": ["--phi", "0", "--mode", "para", "--grid", "3x3"],
              "fig7_slice": ["--grid", "3"]}[argv[0]]
     assert cli.main([*argv, *small, "--out", str(out)]) == 1

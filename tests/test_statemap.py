@@ -17,7 +17,8 @@ from ngstate import (
     x_from_c4,
 )
 from ngstate.errors import HeisenbergViolation, NonPositiveA, PrecisionLoss, Unreachable
-from ngstate.observables import c4_half_ratio_nx
+from ngstate.observables import (c4_half_ratio_nx, entropy_per_dof,
+                                 purity_limit_large_n)
 
 
 def test_occupation_basics():
@@ -35,6 +36,29 @@ def test_moments_validation():
         GaussianMoments(F=-1.0, K=1.0)
     with pytest.raises(ValueError):
         GaussianMoments(F=1.0, K=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: c4_half_ratio_nx(-1.0, 1.0),
+    lambda: c4_half_ratio_nx(math.nan, 1.0),
+    lambda: c4_half_ratio_nx(1.0, math.nan),
+    lambda: x_from_c4(-1.0, -0.3),
+    lambda: x_from_c4(math.nan, -0.3),
+    lambda: entropy_per_dof(math.nan),
+    lambda: entropy_per_dof(math.inf),
+    lambda: purity_limit_large_n(math.nan),
+    lambda: purity_limit_large_n(math.inf),
+    lambda: params_from_moments(GaussianMoments(1.0, 1.0), math.nan),
+    lambda: OperatorParams(A=1.0, B=1.0, C=0.0, eta=math.nan),
+    lambda: GaussianMoments(1.0, 1.0, R=math.inf),
+    lambda: GaussianMoments(math.inf, 1.0),
+    lambda: GaussianMoments(1.0, math.nan),
+])
+def test_scalar_entry_points_refuse_negative_or_nan(call):
+    # a negative n was read as the small-n limit, and NaN or inf passed
+    # through to a NaN or inf result or a misleading error
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_params_from_moments_gaussian_point():
