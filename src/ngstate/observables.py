@@ -171,8 +171,9 @@ def purity_limit_large_n(x: float):
         raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0.0:
         return 1.0, 1.0
-    # conjugate form of 2/(1 - 2x + sqrt(1+4x^2)): the naive denominator
-    # cancels catastrophically once x >> 1
-    ratio_sq = (math.sqrt(1.0 + 4.0 * x * x) + 2.0 * x - 1.0) / (2.0 * x)
+    # h = sqrt(1+4x^2)/2 without overflow; (n~/n)^2 and x (1 - n~^4/(4 n^4))
+    # in conjugate forms, since the naive ones cancel once x >> 1
+    h = math.hypot(0.5, x)
+    ratio_sq = 1.0 + x / (0.5 + h)
     r = math.sqrt(ratio_sq)
-    return r, r * math.exp(-x * (1.0 - 0.25 * ratio_sq * ratio_sq))
+    return r, r * math.exp(-(0.5 + 0.25 * ratio_sq) / (1.0 + (0.5 + h) / x))

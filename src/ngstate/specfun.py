@@ -36,7 +36,6 @@ garbage value from the wrong trigonometric sheet.
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "POLE_MAIN",
@@ -231,12 +230,65 @@ def small_f(s):
     return _eval(s, _SMALL_F, POLE_MAIN, "small_f")
 
 
+# Hankel's series (DLMF 10.17.3) for orders 0, 1: signed a_k(nu), P and Q*x
+# from the even and odd k in w = 1/x**2; a_k / 25**k < 1e-18 from k = 22
+_HANKEL = [np.cumprod([1.0] + [(4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) for k in range(1, 22)])
+           * np.repeat((-1.0) ** np.arange(11), 2) for nu in (0, 1)]
+_BESSEL_CHUNK = 4096  # elements per pass: each temporary stays at 32 KiB
+
+
+def _bessel_series(nu, x):
+    # (x/2)^nu/nu! through the log, so tiny x underflows smoothly
+    with np.errstate(divide="ignore"):
+        pre = np.exp(nu * np.log(0.5 * x) - math.lgamma(nu + 1)) if nu else 1.0
+    # (-x^2/4)^k/(k! (nu+1)_k), below 5e-18 from k = 13 at x < 2
+    return pre * _horner(x * x, np.cumprod([1.0] + [-0.25 / (k * (k + nu)) for k in range(1, 13)]))
+
+
+def _bessel_miller(nu, x):
+    # from an even start >= 40 above nu and x (more for a high order's turning
+    # point), normalised by J0 + 2 sum J_2k = 1; |J| grows <= 1 + 2k/x <= 1 + k
+    # a step, so a check every 8 steps keeps it below 1e250 * top**8
+    top = max(nu, 25) + max(40, math.isqrt(40 * nu))
+    two_x, lo, j = 2.0 / x, np.zeros_like(x), np.ones_like(x)
+    evens = ans = 0.0
+    for k in range(top + top % 2, 0, -1):
+        lo, j = j, k * two_x * j - lo  # j is J_{k-1}
+        evens = evens + j if k % 2 and k > 1 else evens
+        ans = j if k - 1 == nu else ans
+        if k % 8 == 0 and np.abs(j).max() > 1e250:
+            scale = np.where(np.abs(j) > 1e250, 1e-250, 1.0)
+            lo, j, evens, ans = lo * scale, j * scale, evens * scale, ans * scale
+    return ans / (j + 2.0 * evens)
+
+
+def _bessel_hankel(nu, x):
+    w, c, s = 1.0 / (x * x), np.cos(x), np.sin(x)
+    (p0, q0), (p1, q1) = ((_horner(w, a[0::2]), _horner(w, a[1::2]) / x) for a in _HANKEL)
+    root = np.sqrt(math.pi * x)
+    j0 = (p0 * (c + s) - q0 * (s - c)) / root
+    j1 = (p1 * (s - c) + q1 * (s + c)) / root
+    for k in range(1, nu):  # stable upward while k < x (A&S 9.1.27)
+        j0, j1 = j1, (2.0 * k / x) * j1 - j0
+    return j1 if nu else j0
+
+
 def bessel_j(order, argument):
-    """Bessel J of non-negative integer order at non-negative argument."""
+    """Bessel J of non-negative integer order at non-negative argument, in
+    three ranges of the argument (README design notes)."""
     if int(order) != order or order < 0:
         raise ValueError(f"bessel_j: order must be a non-negative integer, got {order}")
     arg = np.asarray(argument, dtype=float)
     if not np.all(arg >= 0):
         raise ValueError("bessel_j: argument must be >= 0")
-    out = _sp.jv(int(order), arg)
-    return float(out) if arg.ndim == 0 else out
+    nu, flat = int(order), arg.ravel()
+    out = np.zeros_like(flat)
+    for at in range(0, flat.size, _BESSEL_CHUNK):
+        x, dst = flat[at:at + _BESSEL_CHUNK], out[at:at + _BESSEL_CHUNK]
+        small, big = x < 2.0, x >= max(25.0, nu)
+        for mask, kernel in ((small, _bessel_series),
+                             (~small & ~big, _bessel_miller),
+                             (big & (x < math.inf), _bessel_hankel)):
+            if mask.any():
+                dst[mask] = kernel(nu, x[mask])
+    return float(out[0]) if arg.ndim == 0 else out.reshape(arg.shape)

@@ -152,12 +152,15 @@ def _gaussian_constants(n):
 
 def occupation(m: GaussianMoments) -> float:
     """Occupation number n = sqrt(F*K - R**2) - 1/2."""
-    det = m.F * m.K - m.R * m.R
-    if det < 0.25:
+    det, c = m.F * m.K - m.R * m.R, 1.0
+    if not math.isfinite(det):  # F*K or R**2 overflows: scale by the largest
+        c = max(m.F, m.K, abs(m.R))
+        det = (m.F / c) * (m.K / c) - (m.R / c) ** 2
+    if det * c < 0.25 / c:
         raise HeisenbergViolation(
-            f"F*K - R**2 = {det} < 1/4: not a valid quantum state"
+            f"F*K - R**2 = {det * c * c} < 1/4: not a valid quantum state"
         )
-    return math.sqrt(det) - 0.5
+    return c * math.sqrt(det) - 0.5
 
 
 def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:

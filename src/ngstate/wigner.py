@@ -10,9 +10,9 @@ position-basis amplitude D = exp(N ln_d):
 
 which this module evaluates in log-factored form: the smooth envelope
 exp(N g(v)), g = (1/2) ln v + ln_d, is scaled by its maximum, while the
-Bessel factor (|J| <= 1) stays linear.  At r = 0 the Bessel kernel is
-replaced by its exact small-argument limit, where the r-dependence
-cancels analytically:
+Bessel factor (|J| <= 1) stays linear.  At r = 0 (and at r so small that
+N r^2 v^2 / 2 < 2^-53 over the mesh) the Bessel kernel is replaced by its
+exact small-argument limit, where the r-dependence cancels analytically:
 
     W_N(r=0) = (4 pi N)^{N/2} / Gamma(N/2) * Integral dv v^{N-1} D.
 
@@ -240,8 +240,8 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
     """ln w for each N at the points (u_sq[i], r_rows[i, k]): (nN, nu, nr).
 
     r_rows has one row per u, or one row for every u (a tensor grid).  The
-    Bessel table is built once per distinct positive r, in blocks; only the
-    points' own entries are checked and logged.
+    Bessel table is built once per distinct r above r_tiny, in blocks; only
+    the points' own entries are checked and logged.
     """
     ln_v = np.log(v)
     lnd = _dm.ln_d_many(state, u_sq[:, None], (v * v)[None, :])  # (nu, nodes)
@@ -254,7 +254,9 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
     r_rows = np.broadcast_to(r_rows, (u_sq.size, r_rows.shape[1]))
     out = np.empty((len(n_list),) + r_rows.shape)
     flat = out.reshape(len(n_list), -1)
-    pos = r_rows.ravel() > 0.0
+    # below r_tiny, N r^2 v^2 / 2 < 2^-53 and the exact r = 0 path holds
+    r_tiny = math.sqrt(2.0 ** -52 / max(n_list)) / v[-1]
+    pos = r_rows.ravel() >= r_tiny
     at = np.flatnonzero(pos)
     r_pos, inv = np.unique(r_rows.ravel()[at], return_inverse=True)
     block = max(1, _TABLE_ELEMS // v.size)

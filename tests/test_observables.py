@@ -176,6 +176,17 @@ def test_purity_limit_values():
     _, ratio = obs.purity_limit_large_n(1e8)
     assert ratio == pytest.approx(math.sqrt(2 / math.e), rel=1e-7)
     assert ratio > math.sqrt(2 / math.e)
+    # sqrt(1 + 4x^2) overflowed to (inf, inf) from x ~ 1e154
+    r, ratio = obs.purity_limit_large_n(1e200)
+    assert r == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert ratio == pytest.approx(math.sqrt(2 / math.e), rel=1e-15)
+    # the old forms cancelled: 3e-9 relative at x = 1e-8, 4e-5 at x = 1e12
+    with mpmath.workdps(40):
+        for x in (1e-8, 1e12):
+            xm = mpmath.mpf(x)
+            r_sq = (mpmath.sqrt(1 + 4 * xm * xm) + 2 * xm - 1) / (2 * xm)
+            want = mpmath.sqrt(r_sq) * mpmath.exp(-xm * (1 - r_sq * r_sq / 4))
+            assert obs.purity_limit_large_n(x)[1] == pytest.approx(float(want), rel=1e-15)
 
 
 def _purity_mp(n, x):

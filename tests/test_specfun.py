@@ -6,6 +6,10 @@ branches are compared against the same oracle.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -168,6 +172,8 @@ def test_array_shapes_and_scalars():
 def test_bessel_values_and_bounds():
     assert sf.bessel_j(0, 0.0) == 1.0
     assert sf.bessel_j(1, 0.0) == 0.0
+    assert sf.bessel_j(0, math.inf) == 0.0
+    assert sf.bessel_j(3, np.zeros((2, 3))).shape == (2, 3)
     assert sf.bessel_j(9, 10.0) == pytest.approx(0.29185568526512005, rel=1e-10)
     assert sf.bessel_j(3, 7.5) == pytest.approx(-0.25806091319346031, rel=1e-10)
     x = np.linspace(0.0, 400.0, 2000)
@@ -179,3 +185,40 @@ def test_bessel_values_and_bounds():
         sf.bessel_j(1.5, 1.0)
     with pytest.raises(ValueError):
         sf.bessel_j(2, -0.5)
+
+
+def _bessel_args(order):
+    """x in each range of the kernel, its branch edges +- 1 ulp, and tiny x."""
+    edges = [e for edge in (2.0, 25.0, float(order)) if edge > 0
+             for e in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf))]
+    return np.concatenate([np.linspace(0.0, 2.0, 9, endpoint=False),
+                           np.linspace(2.0, 25.0, 12, endpoint=False) + 0.37,
+                           np.geomspace(25.0, 400.0, 12), edges,
+                           [0.0, 1e-300, 1e-40]])
+
+
+@pytest.mark.parametrize("order", [0, 1, *range(3, 20), 99])
+def test_bessel_against_mpmath(order):
+    # every order the presets reach (N = 8 ... 40), plus 0, 1 and N = 200
+    x = _bessel_args(order)
+    got = sf.bessel_j(order, x)
+    ref = np.array([float(mp.besselj(order, mp.mpf(float(xi)))) for xi in x])
+    assert np.abs(got - ref).max() <= 4e-15
+    small = x < 2.0
+    np.testing.assert_allclose(got[small], ref[small], rtol=1e-12, atol=0.0)
+
+
+def test_bessel_backward_recurrence_rescales():
+    # J_150(2) ~ 1e-263: the unnormalised recurrence passes 1e250 on its way
+    # down to J0 and is rescaled, the answer keeping its relative precision
+    for x in (2.0, 2.5, 7.0):
+        want = float(mp.besselj(150, mp.mpf(x)))
+        assert sf.bessel_j(150, x) == pytest.approx(want, rel=1e-12)
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, ngstate.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(pathlib.Path(sf.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

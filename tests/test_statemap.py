@@ -29,6 +29,10 @@ def test_occupation_basics():
         occupation(GaussianMoments(1.0, 0.2, 0.0))
     with pytest.raises(HeisenbergViolation):
         occupation(GaussianMoments(1.0, 1.0, 0.9))
+    # F*K overflows: n comes from the scaled form, finite
+    assert occupation(GaussianMoments(1e200, 1e200)) == pytest.approx(1e200 - 0.5, rel=1e-15)
+    with pytest.raises(HeisenbergViolation):
+        occupation(GaussianMoments(1e200, 1e200, 1e200))
 
 
 def test_moments_validation():

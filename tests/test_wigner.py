@@ -373,6 +373,15 @@ def test_small_n_fails_inside_window(n, c4, u_sq, r_sq, error, match):
         wg.ln_w(state, u_sq, r_sq)
 
 
+@pytest.mark.parametrize("r_sq", [1e-40, 1e-50, 1e-62])
+def test_tiny_r_takes_the_exact_r0_path(r_sq):
+    # J_{N/2-1}(N r v) underflows here; the points take the r = 0 limit,
+    # which the Bessel path meets to rounding once N r^2 v^2 / 2 < 2^-53
+    state = ReducedState.from_nx(10.0, 15.0)
+    at_zero, _ = wg.ln_w(state, 1.0, 0.0)
+    assert wg.ln_w(state, 1.0, r_sq)[0] == pytest.approx(at_zero, abs=1e-12)
+
+
 def test_envelope_cut_failure_is_typed(monkeypatch):
     # a flat ln d never drops below the cut, however far the probe widens
     monkeypatch.setattr(dm, "ln_d_many", lambda state, u_sq, v_sq:
