@@ -16,11 +16,12 @@ Presets:
                    angle and projection mode
     fig7_slice     strongly non-Gaussian Wigner slice along phi at pi = 0
 
-Exit codes: 0 success; 1 a computation failed or did not converge
-(completed artifacts are still written and flagged in meta.json);
-2 invalid configuration, before any file is written.  A Wigner artifact
-extrapolates the four N of --N-list, and converged when its max_spread is
-at most wigner.SPREAD_TOL (meta's tol).
+Exit codes: 0 success; 1 a computation failed, did not converge or could
+not be written (completed artifacts are still written and flagged in
+meta.json); 2 invalid configuration or an --out that cannot be made a
+directory, before any file is written.  A Wigner artifact extrapolates
+the four N of --N-list, and converged when its max_spread is at most
+wigner.SPREAD_TOL (meta's tol).
 
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
@@ -290,7 +291,7 @@ _PLANNERS = {
 def _execute(jobs, threads, out_dir, fmt):
     """Run each builder, which returns (header, table, diag), and write its
     table: name -> (file, rows, diag), or the NgStateError of the build or
-    of the write (a table holding NaN or inf)."""
+    of the write (a table holding NaN or inf), or the OSError of the write."""
     write = _io.write_csv if fmt == "csv" else _io.write_json_rows
 
     def run(name, build):
@@ -298,7 +299,7 @@ def _execute(jobs, threads, out_dir, fmt):
             header, table, diag = build()
             write(os.path.join(out_dir, f"{name}.{fmt}"), header, table)
             return f"{name}.{fmt}", len(table), diag
-        except NgStateError as exc:
+        except (NgStateError, OSError) as exc:
             return exc
 
     if threads == 1 or len(jobs) == 1:
@@ -318,7 +319,11 @@ def _cmd_figure(preset, args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        print(f"error: --out {out_dir!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     results = _execute(jobs, args.threads, out_dir, args.format)
 
     meta.update({"preset": preset, "version": __version__,
@@ -338,7 +343,11 @@ def _cmd_figure(preset, args):
             meta[f"{name}.{key}"] = value
         if diag.get("converged") is False:
             ok = False
-    _io.write_metadata(os.path.join(out_dir, "meta.json"), meta)
+    try:
+        _io.write_metadata(os.path.join(out_dir, "meta.json"), meta)
+    except OSError as exc:
+        print(f"error: meta.json not written: {exc.strerror}", file=sys.stderr)
+        return 1
     if not ok:
         print(f"warning: some artifacts failed or did not converge; "
               f"see {os.path.join(out_dir, 'meta.json')}", file=sys.stderr)

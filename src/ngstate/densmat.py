@@ -245,12 +245,21 @@ def ln_d_many(state: ReducedState, u_sq, v_sq):
     return _ln_d_at(state, s, u_sq, v_sq)
 
 
+def grid_axes(**axes):
+    """Each named axis as a float array; refuses one that is not 1-D or is
+    empty, naming it."""
+    arrays = [np.asarray(values, dtype=float) for values in axes.values()]
+    for name, axis in zip(axes, arrays):
+        if axis.ndim != 1:
+            raise ValueError(f"{name} must be a one-dimensional array")
+        if axis.size == 0:
+            raise ValueError(f"{name} axis is empty")
+    return arrays
+
+
 def d_surface(state: ReducedState, u, v) -> DSurface:
     """Vectorized ln d over the tensor grid u x v, normalized to its max."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("u and v must be one-dimensional arrays")
+    u, v = grid_axes(u=u, v=v)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ValueError("grid bounds must be finite")
     if np.any(u < 0.0) or np.any(v < 0.0):

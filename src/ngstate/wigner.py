@@ -385,10 +385,7 @@ def wigner_grid(state: ReducedState, u, r,
     caller can flag partial results; QuadratureNonPositive still raises.
     """
     settings = settings or WignerSettings()
-    u = np.asarray(u, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if u.ndim != 1 or r.ndim != 1:
-        raise ValueError("u and r must be one-dimensional")
+    u, r = _dm.grid_axes(u=u, r=r)
     if not all(np.all((0.0 <= a) & (a < math.inf)) for a in (u, r)):
         raise ValueError("grid values must be finite and >= 0")
     with np.errstate(over="ignore"):
@@ -412,10 +409,7 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
     correlators (F, K, R), tilt included.
     """
     settings = settings or WignerSettings()
-    phi = np.asarray(phi, dtype=float)
-    pi_arr = np.asarray(pi, dtype=float)
-    if phi.ndim != 1 or pi_arr.ndim != 1:
-        raise ValueError("phi and pi must be one-dimensional")
+    phi, pi_arr = _dm.grid_axes(phi=phi, pi=pi)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(pi_arr))):
         raise ValueError("phi and pi must be finite")
     state, big_a, rho = sq.reduced(x)

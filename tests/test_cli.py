@@ -407,6 +407,37 @@ def test_non_finite_table_is_refused(tmp_path, capsys, monkeypatch, fmt):
     assert "non-finite" in meta["c4_ratio.error"]
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, under):
+    # --out names an existing file (FileExistsError) or a path under one
+    # (NotADirectoryError): one error line, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    out = blocker / under if under else blocker
+    assert cli.main(["fig1_c4", "--x", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out")
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("blocked", ["c4_ratio.csv", "meta.json"])
+def test_unwritable_file_exits_1(tmp_path, capsys, blocked):
+    # a directory where a file goes: the write's OSError exits 1; an
+    # artifact's is flagged in meta.json like a refused table
+    out = tmp_path / "blk"
+    (out / blocked).mkdir(parents=True)
+    assert cli.main(["fig1_c4", "--x", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if blocked == "meta.json":
+        assert (out / "c4_ratio.csv").exists()
+        assert err.startswith("error: meta.json not written")
+        return
+    meta = _read_meta(out)
+    assert meta["c4_ratio.converged"] is False
+    assert "c4_ratio.csv" in meta["c4_ratio.error"]
+    assert "c4_ratio.file" not in meta
+
+
 def _bench_tracer():
     path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)

@@ -45,3 +45,32 @@ def test_writers_refuse_non_finite(tmp_path, write, bad):
     assert not path.exists()
     with pytest.raises(ValueError):
         write(path, ("a", "b"), [[0.0, 1.0, 2.0]])
+
+
+def test_writers_match_per_row_text_across_block_seams(tmp_path):
+    # 2 full blocks and a short one; edge values sit on each seam
+    n_rows = 2 * gridio._BLOCK_ROWS + 7
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-12, 12, (n_rows, 3))
+    table[::5, 1] = np.round(table[::5, 1])              # integral floats
+    edges = [-0.0, 1e-320, 1e300, -1e300, 7.0, -0.0]
+    for seam in (gridio._BLOCK_ROWS, 2 * gridio._BLOCK_ROWS, n_rows):
+        table[seam - 2:seam] = np.reshape(edges, (2, 3))
+    folded = [[v + 0.0 for v in row] for row in table.tolist()]  # -0.0 prints as 0
+    header = ("a", "b", "c")
+
+    gridio.write_csv(tmp_path / "t.csv", header, table)
+    expected = "a,b,c\n" + "".join("%.9g,%.9g,%.9g\n" % tuple(r) for r in folded)
+    assert (tmp_path / "t.csv").read_text() == expected
+
+    gridio.write_json_rows(tmp_path / "t.json", header, table)
+    rounded = [[float("%.9g" % v) for v in row] for row in folded]
+    assert (tmp_path / "t.json").read_text() == json.dumps(
+        {"header": list(header), "rows": rounded}, sort_keys=True) + "\n"
+
+    table[-1, 0] = np.nan
+    for write, path in ((gridio.write_csv, tmp_path / "n.csv"),
+                        (gridio.write_json_rows, tmp_path / "n.json")):
+        with pytest.raises(NonFiniteValue):
+            write(path, header, table)
+        assert not path.exists()

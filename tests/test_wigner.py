@@ -552,3 +552,21 @@ def test_projection_input_validation():
     with pytest.raises(ValueError):
         wg.project_physical(sq, 0.0, wg.ProjectionMode.PARA,
                             np.zeros((2, 2)), np.array([0.0]))
+
+
+def _project(mode):
+    sq = wg.SqueezeParams(n=1.0, gamma=0.0, phi=0.0)
+    return lambda st, phi, pi: wg.project_physical(sq, 0.0, mode, phi, pi)
+
+
+@pytest.mark.parametrize("grid, empty", [
+    (dm.d_surface, "u"), (dm.d_surface, "v"),
+    (wg.wigner_grid, "u"), (wg.wigner_grid, "r"),
+    (_project(wg.ProjectionMode.PARA), "phi"), (_project(wg.ProjectionMode.PERP), "pi"),
+], ids=["d_surface-u", "d_surface-v", "wigner_grid-u", "wigner_grid-r",
+        "project_physical-phi", "project_physical-pi"])
+def test_empty_axis_is_refused_by_name(grid, empty):
+    # numpy's own message ("zero-size array to reduction ...") names no axis
+    first, second = ([], [0.0, 0.5]) if empty in ("u", "phi") else ([0.0, 0.5], [])
+    with pytest.raises(ValueError, match=rf"^{empty} axis is empty"):
+        grid(ReducedState.from_nx(1.0, 1.0), first, second)
