@@ -68,9 +68,10 @@ def write_json_rows(path, header, rows):
     blocks = _blocks(header, rows)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write('{"header": %s, "rows": [' % json.dumps(list(header)))
-        lines = (line for block in blocks for line in block.splitlines())
-        for k, line in enumerate(lines):
-            fh.write((", " if k else "") + json.dumps([float(t) for t in line.split(",")]))
+        for k, block in enumerate(blocks):  # one parse and one dumps a block
+            values = np.array(block.replace(",", " ").split(), dtype=float)
+            text = json.dumps(values.reshape(-1, len(header)).tolist())
+            fh.write((", " if k else "") + text[1:-1])
         fh.write("]}\n")
 
 

@@ -71,15 +71,19 @@ def _find_root(g, lo, hi, *args, climb=False):
     it safe, bisection otherwise.  lo, hi and args broadcast; g gets flat
     blocks of up to _BLOCK elements, which a point leaves once its bracket
     is below 2 eps relative, so its root and count (a climb step counts
-    where the point climbs) depend on it alone.  g returns arrays.
+    where the point climbs) depend on it alone.  A 0-d arg reaches g as it
+    is, never broadcast or compacted.  g returns arrays.  A point's count
+    is its evaluations before the loop plus the loop's steps so far.
     Returns (root, g at root, nfev).
     """
-    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
-    root, g_at = np.empty(lo.shape), np.empty(lo.shape)
-    nfev = np.empty(lo.shape, dtype=int)
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *map(np.shape, args))
+    lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+    args = [np.broadcast_to(a, shape) if np.ndim(a) else a for a in args]
+    root, g_at = np.empty(shape), np.empty(shape)
+    nfev = np.empty(shape, dtype=int)
     for start in range(0, lo.size, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        p = [a.flat[blk] for a in args]
+        p = [a.flat[blk] if np.ndim(a) else a for a in args]
         # x1: newest point; x2: bracket end opposite to it; x3: the one before
         x1, x2 = lo.flat[blk], hi.flat[blk]
         f1, f2 = g(x1, *p), g(x2, *p)
@@ -92,10 +96,11 @@ def _find_root(g, lo, hi, *args, climb=False):
         if not np.all(ok):
             raise BracketError(f"no sign change at {np.size(ok) - np.count_nonzero(ok)} points")
         at = np.arange(start, start + x1.size)  # each live point's output index
+        steps = 0
         while True:
             x = x1 + t * (x2 - x1)
             f = g(x, *p)
-            evals += 1
+            steps += 1
             same = np.sign(f) == np.sign(f1)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
@@ -107,19 +112,22 @@ def _find_root(g, lo, hi, *args, climb=False):
             done = (fm == 0.0) | (dx < tol)
             if done.any():
                 root.flat[at[done]], g_at.flat[at[done]], nfev.flat[at[done]] = (
-                    xm[done], fm[done], evals[done])
+                    xm[done], fm[done], evals[done] + steps)
                 if done.all():
                     break
                 live = ~done
-                x1, x2, x3, f1, f2, f3, tol, dx, evals, at, *p = (
-                    a[live] for a in (x1, x2, x3, f1, f2, f3, tol, dx, evals, at, *p))
+                x1, x2, x3, f1, f2, f3, tol, dx, evals, at = (
+                    a[live] for a in (x1, x2, x3, f1, f2, f3, tol, dx, evals, at))
+                p = [a[live] if np.ndim(a) else a for a in p]
             xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
+            d12, d32 = f1 - f2, f3 - f2
+            phi = d12 / d32
             alpha = (x3 - x1) / (x2 - x1)
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
-                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
+            # f2 - f3 is -d32 exactly, so its term is added; where d32 = 0, iqi is false
+            t = np.where(iqi, f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32, 0.5)
+            edge = 0.5 * tol / dx
+            t = np.minimum(np.maximum(t, edge), 1.0 - edge)  # np.clip, at half the cost
     return root, g_at, nfev
 
 

@@ -79,8 +79,8 @@ _SFV = (1 / 3, -1 / 90, 1 / 2520, -1 / 75600, 1 / 2395008,
 
 
 def _horner(s, coeffs):
-    acc = np.zeros_like(s) + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    acc = s * coeffs[-1] + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc = acc * s + c
     return acc
 
@@ -90,100 +90,97 @@ def _lnsinh(z):
     return z - _LN2 + np.log1p(-np.exp(-2.0 * z))
 
 
-# Closed-form branches.  The positive-branch fu/fv are written in terms of
-# t = exp(-z) so they stay finite for arbitrarily large z (sinh/cosh would
-# overflow past z ~ 710).
+# Each family evaluates a branch in one function of the branch's s that
+# returns all of its kernels: (series, s > 0, s < 0).  The positive-branch
+# fu/fv are written in terms of t = exp(-z) so they stay finite for
+# arbitrarily large z (sinh/cosh would overflow past z ~ 710).
 
-def _h_trace_pos(z):
-    return z * np.tanh(0.5 * z)
-
-
-def _h_trace_neg(y):
-    return -y * np.tan(0.5 * y)
+def _series(*coeffs):
+    return lambda s: tuple(_horner(s, c) for c in coeffs)
 
 
-def _h2_pos(z):
-    return z * np.tanh(z)
+def _h_trace_pos(s):
+    z = np.sqrt(s)
+    return (z * np.tanh(0.5 * z),)
 
 
-def _h2_neg(y):
-    return -y * np.tan(y)
+def _h_trace_neg(s):
+    y = np.sqrt(-s)
+    return (-y * np.tan(0.5 * y),)
 
 
-def _f0_big_pos(z):
-    return 0.5 * (_LN4PI + _lnsinh(z) - np.log(z))
+def _h2_pos(s):
+    z = np.sqrt(s)
+    return (z * np.tanh(z),)
 
 
-def _f0_big_neg(y):
-    return 0.5 * (_LN4PI + np.log(np.sin(y)) - np.log(y))
+def _h2_neg(s):
+    y = np.sqrt(-s)
+    return (-y * np.tan(y),)
 
 
-def _fv_big_pos(z):
-    return 0.5 * z / np.tanh(0.5 * z)
+def _big_f_pos(s):  # (F0, h_trace, Fv)
+    z = np.sqrt(s)
+    half, th = 0.5 * z, np.tanh(0.5 * z)
+    return 0.5 * (_LN4PI + _lnsinh(z) - np.log(z)), z * th, half / th
 
 
-def _fv_big_neg(y):
-    return 0.5 * y / np.tan(0.5 * y)
+def _big_f_neg(s):
+    y = np.sqrt(-s)
+    half, tn = 0.5 * y, np.tan(0.5 * y)
+    return 0.5 * (_LN4PI + np.log(np.sin(y)) - np.log(y)), -y * tn, half / tn
 
 
-def _f0_small_pos(z):
-    return (z / np.tanh(z) - 1.0) / (z * z)
-
-
-def _f0_small_neg(y):
-    return (1.0 - y / np.tan(y)) / (y * y)
-
-
-def _fu_small_pos(z):
+def _small_f_pos(s):  # (f0, fu, fv)
+    z = np.sqrt(s)
     t = np.exp(-z)
-    return ((1.0 - t * t) / (2.0 * z) + t) / (t + 0.5 * (1.0 + t * t))
+    tt = t * t
+    a, b = (1.0 - tt) / (2.0 * z), 0.5 * (1.0 + tt)
+    return (z / np.tanh(z) - 1.0) / (z * z), (a + t) / (t + b), (a - t) / (b - t)
 
 
-def _fu_small_neg(y):
+def _small_f_neg(s):
     # 1 + cos y written as 2 cos^2(y/2): the naive form rounds to exactly
-    # zero a hair away from y = pi and the inf poisons grid bracketing.
-    c = np.cos(0.5 * y)
-    return (np.sin(y) / y + 1.0) / (2.0 * c * c)
+    # zero a hair away from y = pi and the inf poisons grid bracketing
+    y = np.sqrt(-s)
+    sinc, half = np.sin(y) / y, 0.5 * y
+    c, s2 = np.cos(half), np.sin(half)
+    return ((1.0 - y / np.tan(y)) / (y * y), (sinc + 1.0) / (2.0 * c * c),
+            (1.0 - sinc) / (2.0 * s2 * s2))
 
 
-def _fv_small_pos(z):
-    t = np.exp(-z)
-    return ((1.0 - t * t) / (2.0 * z) - t) / (0.5 * (1.0 + t * t) - t)
+_H_TRACE_K = (_series(_H_TRACE), _h_trace_pos, _h_trace_neg)
+_H2_K = (_series(_H2), _h2_pos, _h2_neg)
+_BIG_F = (_series(_F0, _H_TRACE, _FV), _big_f_pos, _big_f_neg)
+_SMALL_F = (_series(_SF0, _SFU, _SFV), _small_f_pos, _small_f_neg)
 
 
-def _fv_small_neg(y):
-    s2 = np.sin(0.5 * y)
-    return (1.0 - np.sin(y) / y) / (2.0 * s2 * s2)
-
-
-_H_TRACE_K = (_H_TRACE, _h_trace_pos, _h_trace_neg)
-_BIG_F = ((_F0, _f0_big_pos, _f0_big_neg), _H_TRACE_K, (_FV, _fv_big_pos, _fv_big_neg))
-_SMALL_F = ((_SF0, _f0_small_pos, _f0_small_neg),
-            (_SFU, _fu_small_pos, _fu_small_neg),
-            (_SFV, _fv_small_pos, _fv_small_neg))
-
-
-def _eval(s, kernels, pole, name):
-    """Each (coeffs, pos_fn, neg_fn) kernel at s, as a tuple; the pole check,
-    the three branch masks and each branch's square root are shared."""
+def _eval(s, family, pole, name):
+    """The family's kernels at s, as a tuple.  A block within one branch
+    gets that branch's arrays; a mixed one is split by the branch masks
+    and scattered back."""
     arr = np.asarray(s, dtype=float)
-    if not np.all(arr > pole):
-        raise ValueError(
-            f"{name}: argument must satisfy s > {pole:.6f} (pole), "
-            f"got min {np.min(arr) if arr.size else 'empty'}"
-        )
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    outs = [np.empty_like(arr) for _ in kernels]
-    masks = (np.abs(arr) < SERIES_CUT, arr >= SERIES_CUT, arr <= -SERIES_CUT)
-    for branch, mask in enumerate(masks):
-        if mask.any():
-            sub = arr[mask]
-            arg = sub if branch == 0 else np.sqrt(sub if branch == 1 else -sub)
-            for out, kernel in zip(outs, kernels):
-                out[mask] = (_horner(arg, kernel[0]) if branch == 0
-                             else kernel[branch](arg))
-    return tuple(float(out[0]) for out in outs) if scalar else tuple(outs)
+    scalar, arr = arr.ndim == 0, np.atleast_1d(arr)
+    lo, hi = (arr.min(), arr.max()) if arr.size else (math.inf, math.inf)
+    if not lo > pole:
+        raise ValueError(f"{name}: argument must satisfy s > {pole:.6f} (pole), "
+                         f"got min {lo}")
+    if lo >= SERIES_CUT:
+        outs = family[1](arr)
+    elif hi <= -SERIES_CUT:
+        outs = family[2](arr)
+    elif -SERIES_CUT < lo and hi < SERIES_CUT:
+        outs = family[0](arr)
+    else:
+        outs = None
+        masks = (np.abs(arr) < SERIES_CUT, arr >= SERIES_CUT, arr <= -SERIES_CUT)
+        for mask, branch in zip(masks, family):
+            if mask.any():
+                values = branch(arr[mask])
+                outs = outs or tuple(np.empty_like(arr) for _ in values)
+                for out, value in zip(outs, values):
+                    out[mask] = value
+    return tuple(float(out[0]) for out in outs) if scalar else outs
 
 
 def h_trace(s):
@@ -194,12 +191,12 @@ def h_trace(s):
     h_trace(ln(1+1/n)**2) = ln(1+1/n)/(2n+1), the occupation identity
     used throughout the state map.
     """
-    return _eval(s, (_H_TRACE_K,), POLE_MAIN, "h_trace")[0]
+    return _eval(s, _H_TRACE_K, POLE_MAIN, "h_trace")[0]
 
 
 def h2(s):
     """Doubled-parameter gap kernel z*tanh(z) of s = z**2 (s > -pi**2/4)."""
-    return _eval(s, ((_H2, _h2_pos, _h2_neg),), POLE_HALF, "h2")[0]
+    return _eval(s, _H2_K, POLE_HALF, "h2")[0]
 
 
 def big_f(s):
@@ -276,7 +273,7 @@ def _bessel_hankel(nu, x):
 def bessel_j(order, argument):
     """Bessel J of non-negative integer order at non-negative argument, in
     three ranges of the argument (README design notes)."""
-    if int(order) != order or order < 0:
+    if not (math.isfinite(order) and int(order) == order and order >= 0):
         raise ValueError(f"bessel_j: order must be a non-negative integer, got {order}")
     arg = np.asarray(argument, dtype=float)
     if not np.all(arg >= 0):

@@ -35,6 +35,7 @@ for tensor grids, other points can move a value in its last digits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 _GL_ORDER = 16
+# computed once, on first use: importing numpy.polynomial costs ~5 ms
+_gl_rule = functools.cache(lambda: np.polynomial.legendre.leggauss(_GL_ORDER))
 _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
 _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
@@ -227,7 +230,7 @@ def _panel_count(v_max: float, n_max: int, r_max: float) -> int:
 
 
 def _gl_mesh(v_max: float, n_panels: int):
-    x16, w16 = np.polynomial.legendre.leggauss(_GL_ORDER)
+    x16, w16 = _gl_rule()
     edges = np.linspace(0.0, v_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

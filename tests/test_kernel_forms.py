@@ -1,0 +1,159 @@
+"""The fused kernel branches against one closed form per kernel, bit for bit.
+
+specfun evaluates each kernel family's branch in one function that shares
+subexpressions, and returns a one-branch block without masking.  The
+reference below keeps one function per kernel and branch, a Horner
+polynomial started from zeros, and always splits the input by the branch
+masks; every value and every returned shape must agree to the last bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ngstate import specfun as sf
+
+_LN2 = math.log(2.0)
+_LN4PI = math.log(4.0 * math.pi)
+
+
+def _horner(s, coeffs):
+    acc = np.zeros_like(s) + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * s + c
+    return acc
+
+
+def _lnsinh(z):
+    return z - _LN2 + np.log1p(-np.exp(-2.0 * z))
+
+
+def _h_trace_pos(z):
+    return z * np.tanh(0.5 * z)
+
+
+def _h_trace_neg(y):
+    return -y * np.tan(0.5 * y)
+
+
+def _h2_pos(z):
+    return z * np.tanh(z)
+
+
+def _h2_neg(y):
+    return -y * np.tan(y)
+
+
+def _f0_big_pos(z):
+    return 0.5 * (_LN4PI + _lnsinh(z) - np.log(z))
+
+
+def _f0_big_neg(y):
+    return 0.5 * (_LN4PI + np.log(np.sin(y)) - np.log(y))
+
+
+def _fv_big_pos(z):
+    return 0.5 * z / np.tanh(0.5 * z)
+
+
+def _fv_big_neg(y):
+    return 0.5 * y / np.tan(0.5 * y)
+
+
+def _f0_small_pos(z):
+    return (z / np.tanh(z) - 1.0) / (z * z)
+
+
+def _f0_small_neg(y):
+    return (1.0 - y / np.tan(y)) / (y * y)
+
+
+def _fu_small_pos(z):
+    t = np.exp(-z)
+    return ((1.0 - t * t) / (2.0 * z) + t) / (t + 0.5 * (1.0 + t * t))
+
+
+def _fu_small_neg(y):
+    c = np.cos(0.5 * y)
+    return (np.sin(y) / y + 1.0) / (2.0 * c * c)
+
+
+def _fv_small_pos(z):
+    t = np.exp(-z)
+    return ((1.0 - t * t) / (2.0 * z) - t) / (0.5 * (1.0 + t * t) - t)
+
+
+def _fv_small_neg(y):
+    s2 = np.sin(0.5 * y)
+    return (1.0 - np.sin(y) / y) / (2.0 * s2 * s2)
+
+
+_H_TRACE = (sf._H_TRACE, _h_trace_pos, _h_trace_neg)
+_REFERENCE = {
+    "h_trace": (sf.h_trace, (_H_TRACE,)),
+    "h2": (sf.h2, ((sf._H2, _h2_pos, _h2_neg),)),
+    "big_f": (sf.big_f, ((sf._F0, _f0_big_pos, _f0_big_neg), _H_TRACE,
+                         (sf._FV, _fv_big_pos, _fv_big_neg))),
+    "small_f": (sf.small_f, ((sf._SF0, _f0_small_pos, _f0_small_neg),
+                             (sf._SFU, _fu_small_pos, _fu_small_neg),
+                             (sf._SFV, _fv_small_pos, _fv_small_neg))),
+}
+
+
+def _reference(name, s):
+    """Each kernel through the three branch masks, like the function: a
+    tuple, or one value for h_trace and h2; floats for a scalar s."""
+    arr = np.asarray(s, dtype=float)
+    scalar, arr = arr.ndim == 0, np.atleast_1d(arr)
+    outs = []
+    for coeffs, pos, neg in _REFERENCE[name][1]:
+        out = np.empty_like(arr)
+        for branch, mask in enumerate((np.abs(arr) < sf.SERIES_CUT,
+                                       arr >= sf.SERIES_CUT, arr <= -sf.SERIES_CUT)):
+            if mask.any():
+                sub = arr[mask]
+                out[mask] = (_horner(sub, coeffs) if branch == 0 else
+                             pos(np.sqrt(sub)) if branch == 1 else neg(np.sqrt(-sub)))
+        outs.append(float(out[0]) if scalar else out)
+    if name == "big_f":
+        outs[1] = 0.5 * outs[1] + 0.0
+    return tuple(outs) if len(outs) > 1 else outs[0]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_same(got, want):
+    got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert _bits(g) == _bits(w), (g, w)
+
+
+def _points(pole):
+    cut = sf.SERIES_CUT
+    seams = [v for edge in (cut, -cut) for v in
+             (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf))]
+    near_pole = [np.nextafter(pole, math.inf), pole * (1.0 - 1e-12), pole + 1e-6]
+    inside = [0.0, -0.0, 1e-300, -1e-300, 5e-3, -5e-3]
+    outside = [0.3, 4.0, 60.0, 5e5, 1e300, -0.3, -2.0, 0.9 * pole]
+    return np.array(seams + near_pole + inside + outside)
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE))
+def test_fused_branches_match_per_kernel_forms(name):
+    fn = _REFERENCE[name][0]
+    pole = sf.POLE_HALF if name == "h2" else sf.POLE_MAIN
+    pts = _points(pole)
+    for s in pts:  # scalar input: floats
+        _assert_same(fn(float(s)), _reference(name, float(s)))
+    _assert_same(fn(pts), _reference(name, pts))  # every branch in one block
+    grid = np.concatenate([pts, pts[::-1]]).reshape(2, -1)  # 2-D, mixed
+    _assert_same(fn(grid), _reference(name, grid))
+    cut = sf.SERIES_CUT
+    for one in (pts[pts >= cut], pts[pts <= -cut], pts[np.abs(pts) < cut]):
+        _assert_same(fn(one), _reference(name, one))  # one branch: no masks
+        _assert_same(fn(one.reshape(1, -1)), _reference(name, one.reshape(1, -1)))

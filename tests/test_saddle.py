@@ -251,6 +251,29 @@ def test_each_point_counts_its_own_evaluations():
             sol.s[i, j], sol.residual[i, j], sol.iterations[i, j]), (i, j)
 
 
+def test_scalar_parameters_match_broadcast_ones():
+    # 0-d z0_sq and xi reach the root-finder as they are; broadcast to the
+    # grid's shape, across two solver blocks, they give the same solve
+    st = ReducedState.from_nx(10.0, 15.0)
+    u_sq = np.linspace(0.0, 300.0, 70)[:, None]
+    v_sq = np.linspace(0.0, 40.0, 60)[None, :]
+    assert u_sq.size * v_sq.size > saddle._BLOCK
+
+    def rhs(s, u_sq, v_sq):
+        f0, fu, fv = sf.small_f(s)
+        return f0 + fu * u_sq + fv * v_sq
+    wide = np.full((70, 60), st.z0_sq), np.full((70, 60), st.xi)
+    solves = [saddle.solve_saddle_uv_many(st, u_sq, v_sq),
+              saddle._solve(*wide, rhs, sf.POLE_MAIN, 2.0, u_sq, v_sq)]
+    xi = np.geomspace(1e-3, 1e3, 50)
+    solves += [saddle.solve_trace_raw(st.z0_sq, xi),
+               saddle.solve_trace_raw(np.full(xi.shape, st.z0_sq), xi)]
+    for narrow, broad in (solves[:2], solves[2:]):
+        for field in ("s", "residual", "iterations"):
+            got, want = getattr(narrow, field), getattr(broad, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
 def test_vectorized_broadcasting_and_validation():
     st = ReducedState.from_nx(1.0, 1.0)
     u = np.linspace(0.0, 5.0, 7)[:, None]

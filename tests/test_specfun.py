@@ -185,6 +185,9 @@ def test_bessel_values_and_bounds():
         sf.bessel_j(1.5, 1.0)
     with pytest.raises(ValueError):
         sf.bessel_j(2, -0.5)
+    for order in (math.inf, -math.inf, math.nan):  # refused by the kernel, not int()
+        with pytest.raises(ValueError, match="bessel_j: order"):
+            sf.bessel_j(order, 1.0)
 
 
 def _bessel_args(order):
