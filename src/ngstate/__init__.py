@@ -59,7 +59,6 @@ from .wigner import (
     ProjectionMode,
     SqueezeParams,
     WignerGrid,
-    WignerSettings,
     ln_w,
     ln_w_at_N,
     ln_w_gaussian_exact,

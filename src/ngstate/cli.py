@@ -20,13 +20,14 @@ Exit codes: 0 success; 1 a computation failed, did not converge or could
 not be written (completed artifacts are still written and flagged in
 meta.json); 2 invalid configuration or an --out that cannot be made a
 directory, before any file is written.  A Wigner artifact extrapolates
-the four N of --N-list, and converged when its max_spread is at most
+four N in 1/N (meta's n_list: wigner.N_LIST, or _FIG6_N_LIST for fig6's
+wider window), and converged when its max_spread is at most
 wigner.SPREAD_TOL (meta's tol).
 
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
 values out of range, and the library's constructors refuse the rest
-(--gamma, --phi, --N-list, --c4-ratio) when a planner builds its objects.
+(--gamma, --phi, --c4-ratio) when a planner builds its objects.
 
 Worker threads (--threads, or NGSTATE_THREADS when the flag is absent)
 parallelize across artifacts only; each artifact's numbers are computed
@@ -197,7 +198,6 @@ def _plan_fig4(args):
 def _plan_fig5(args):
     x_values = _resolve_x(args)
     nu, nr = args.grid
-    settings = _wig.WignerSettings(n_list=args.n_list)
     jobs = {}
     for x, tag in zip(x_values, _tags("--x", x_values)):
         state = ReducedState.from_nx(args.n, x)
@@ -205,21 +205,25 @@ def _plan_fig5(args):
         def build(state=state):
             u = _u_axis(state, nu, args.u_max)
             r = np.linspace(0.0, args.r_max, nr)
-            grid = _wig.wigner_grid(state, u, r, settings)
+            grid = _wig.wigner_grid(state, u, r)
             diag = _quad_diag(grid, u_max=float(u[-1]))
             return (("u", "r", "ln_w_norm", "spread"),
                     _io.tensor_table(u, r, grid.ln_w_norm, grid.spread), diag)
 
         jobs[f"wigner_x{tag}"] = build
     meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nr,
-            "r_max": args.r_max, "n_list": list(settings.n_list)}
+            "r_max": args.r_max, "n_list": list(_wig.N_LIST)}
     return jobs, meta
+
+
+# fig6's window corners reach r^2 ~ 7.2, where N r^2/4 at N = 40 would be
+# far past the ~45-nat cancellation window; at N = 20 it is 36
+_FIG6_N_LIST = (8, 12, 16, 20)
 
 
 def _plan_fig6(args):
     [x] = _resolve_x(args)
     nphi, npi = args.grid
-    settings = _wig.WignerSettings(n_list=args.n_list)
     jobs = {}
     for phi_s, tag in zip(args.phi, _tags("--phi", args.phi)):
         sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
@@ -237,7 +241,7 @@ def _plan_fig6(args):
                 pi_axis = np.linspace(-pi_max, pi_max, npi)
                 proj = _wig.project_physical(
                     sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis,
-                    settings)
+                    _FIG6_N_LIST)
                 diag = _quad_diag(proj, phi_max=phi_max, pi_max=pi_max)
                 return (("phi", "pi", "ln_w_norm"),
                         _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
@@ -246,14 +250,13 @@ def _plan_fig6(args):
             jobs[f"contours_phi{tag}_{mode}"] = build
     meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
             "mode": args.mode, "grid_w": nphi, "grid_h": npi,
-            "n_list": list(settings.n_list)}
+            "n_list": list(_FIG6_N_LIST)}
     return jobs, meta
 
 
 def _plan_fig7(args):
     [x] = _resolve_x(args)
     [nphi] = args.grid
-    settings = _wig.WignerSettings(n_list=args.n_list)
     sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=args.phi)
     state, big_a, _ = sq.reduced(x)
     phi0 = math.sqrt(big_a) * _dm.ridge_u(state)
@@ -264,13 +267,13 @@ def _plan_fig7(args):
         phi_axis = np.linspace(0.0, phi_max, nphi)
         pi_axis = np.array([0.0])
         proj = _wig.project_physical(
-            sq, x, _wig.ProjectionMode(args.mode), phi_axis, pi_axis, settings)
+            sq, x, _wig.ProjectionMode(args.mode), phi_axis, pi_axis)
         diag = _quad_diag(proj, phi_max=phi_max, phi_peak=phi0)
         return (("phi", "pi", "ln_w_norm"),
                 _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm), diag)
 
     meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
-            "mode": args.mode, "grid_w": nphi, "n_list": list(settings.n_list)}
+            "mode": args.mode, "grid_w": nphi, "n_list": list(_wig.N_LIST)}
     return {"slice": build}, meta
 
 
@@ -314,7 +317,7 @@ def _cmd_figure(preset, args):
     try:
         jobs, meta = _PLANNERS[preset](args)
     except (ValueError, NgStateError) as exc:
-        # a library constructor (state, squeeze, settings, c4 inversion)
+        # a library constructor (state, squeeze, c4 inversion)
         # refused the configuration
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -392,14 +395,6 @@ def _add_axes(p, grid, shape, u_help):
     p.add_argument("--u-max", type=_positive, help=u_help)
 
 
-def _add_wigner(p, n_list):
-    p.add_argument("--N-list", dest="n_list", type=int, nargs=4, metavar="N",
-                   default=n_list,
-                   help="four ascending even dof counts N >= 4, each "
-                        "assembled and extrapolated in 1/N; the last also "
-                        "sets the mesh (default: %(default)s)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ngstate",
@@ -408,7 +403,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sweep = [float(v) for v in np.linspace(0.0, 20.0, 201)]
     slices = [0.0, 0.5, 1.0, 15.0]
-    n_list = _wig.WignerSettings.n_list
 
     for preset, help_, n_default in (
             ("fig1_c4", "four-point ratio curves", [0.0, 1.0, 10.0]),
@@ -437,7 +431,6 @@ def build_parser():
     _add_axes(p, "101x101", "WxH", "u-axis maximum (default: past the ridge)")
     p.add_argument("--r-max", type=_positive, default=2.0,
                    help="r-axis maximum (default: %(default)s)")
-    _add_wigner(p, n_list)
     _add_common(p, "fig5_wigner")
 
     p = sub.add_parser("fig6_contours", help="physical Wigner contours")
@@ -452,7 +445,6 @@ def build_parser():
     _add_axes(p, "41x41", "WxH", "phi-axis maximum (default: automatic window)")
     p.add_argument("--r-max", type=_positive,
                    help="pi-axis maximum (default: automatic window)")
-    _add_wigner(p, [8, 12, 16, 20])
     _add_common(p, "fig6_contours")
 
     p = sub.add_parser("fig7_slice", help="strong-nongaussianity Wigner slice")
@@ -464,7 +456,6 @@ def build_parser():
     p.add_argument("--mode", choices=("para", "perp"), default="para",
                    help="projection mode (default: %(default)s)")
     _add_axes(p, "201", "W", "phi-axis maximum (default: 1.4x the peak phi)")
-    _add_wigner(p, n_list)
     _add_common(p, "fig7_slice")
 
     p = sub.add_parser("validate", help="run the invariant suite")

@@ -51,8 +51,8 @@ class CoherencePair:
 
     def __post_init__(self):
         for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_labels(cls, alpha: complex, alpha_prime: complex) -> "CoherencePair":
@@ -74,10 +74,10 @@ class WignerWidths:
     delta_pi_sq: float
 
     def __post_init__(self):
-        if not self.delta_phi_sq > 0.0:
-            raise ValueError("delta_phi_sq must be > 0")
-        if not self.delta_pi_sq > 0.0:
-            raise ValueError("delta_pi_sq must be > 0")
+        if not 0.0 < self.delta_phi_sq < math.inf:
+            raise ValueError("delta_phi_sq must be finite and > 0")
+        if not 0.0 < self.delta_pi_sq < math.inf:
+            raise ValueError("delta_pi_sq must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def overlap_displaced(pair: CoherencePair, widths: WignerWidths,
     """
     if n_dof < 2 or n_dof % 2:
         raise ValueError(f"N must be even and >= 2, got {n_dof}")
-    if not phi0 > 0.0:
-        raise ValueError("phi0 must be > 0")
+    if not 0.0 < phi0 < math.inf:
+        raise ValueError("phi0 must be finite and > 0")
     beta_phi = math.sqrt(0.5 * (pair.a_plus ** 2 + pair.b_minus ** 2))
     if beta_phi * phi0 < _MIN_RATIO * (n_dof / 2.0):
         raise AsymptoticRegimeViolation(

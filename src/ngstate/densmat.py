@@ -117,14 +117,30 @@ def ln_d(state: ReducedState, pt: PhasePoint, c_coeff: float = 0.0) -> MatrixEle
     never feeds back into the saddle, so it is a plain extra argument
     rather than part of ReducedState.
     """
+    if not math.isfinite(c_coeff):
+        raise ValueError(f"c_coeff must be finite, got {c_coeff}")
     sol = _saddle.solve_saddle_uv_many(state, pt.u_sq, pt.v_sq)
     return MatrixElementValue(ln_d=float(_ln_d_at(state, sol.s, pt.u_sq, pt.v_sq)),
                               phase_per_N=-2.0 * c_coeff * pt.w,
                               saddle=sol)
 
 
+_LN_D_CHUNK = 4096  # points per big_f pass, as specfun's Bessel chunks
+
+
 def _ln_d_at(state, s, u_sq, v_sq):
-    """ln d at (u^2, v^2) given the saddle frequency s there (scalars or arrays)."""
+    """ln d at (u^2, v^2) given the saddle frequency s there (scalars or
+    arrays, s of their broadcast shape).  An array of more points than
+    _LN_D_CHUNK goes through big_f in blocks of rows of at most that many
+    (or one row), so big_f's temporaries do not grow with the grid."""
+    if np.size(s) > _LN_D_CHUNK and s.shape[0] > 1:
+        u_sq, v_sq = (np.broadcast_to(a, s.shape) for a in (u_sq, v_sq))
+        rows = max(1, _LN_D_CHUNK * s.shape[0] // s.size)
+        out = np.empty(s.shape)
+        for at in range(0, s.shape[0], rows):
+            part = slice(at, at + rows)
+            out[part] = _ln_d_at(state, s[part], u_sq[part], v_sq[part])
+        return out
     big_f0, big_fu, big_fv = _sf.big_f(s)
     corr = 0.0
     if state.xi > 0.0:
@@ -159,6 +175,8 @@ def u_c_sq(state: ReducedState, v_sq: float = 0.0):
     The ridge is the locus where the saddle frequency crosses zero:
     u_c^2 = -z0_sq/xi - 1/3 - v^2/3, positive for v^2 < -3 z0_sq/xi - 1.
     """
+    if not 0.0 <= v_sq < math.inf:
+        raise ValueError(f"v_sq must be finite and >= 0, got {v_sq}")
     if classify_regime(state) is not Regime.PEAKED:
         raise RegimeError(
             f"no ridge in the monotone regime (n={state.n}, x={state.x}; "
@@ -246,22 +264,22 @@ def ln_d_many(state: ReducedState, u_sq, v_sq):
 
 
 def grid_axes(**axes):
-    """Each named axis as a float array; refuses one that is not 1-D or is
-    empty, naming it."""
+    """Each named axis as a float array; refuses one that is not 1-D, is
+    empty or holds NaN or inf, naming it."""
     arrays = [np.asarray(values, dtype=float) for values in axes.values()]
     for name, axis in zip(axes, arrays):
         if axis.ndim != 1:
             raise ValueError(f"{name} must be a one-dimensional array")
         if axis.size == 0:
             raise ValueError(f"{name} axis is empty")
+        if not np.all(np.isfinite(axis)):
+            raise ValueError(f"{name} values must be finite")
     return arrays
 
 
 def d_surface(state: ReducedState, u, v) -> DSurface:
     """Vectorized ln d over the tensor grid u x v, normalized to its max."""
     u, v = grid_axes(u=u, v=v)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("grid bounds must be finite")
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise ValueError("grid values must be >= 0")
     with np.errstate(over="ignore"):  # finite axes whose squares overflow

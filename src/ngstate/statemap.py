@@ -84,6 +84,8 @@ class OperatorParams:
             raise NonPositiveA(f"A must be > 0, got {self.A}")
         if not self.eta >= 0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not all(map(math.isfinite, (self.A, self.B, self.C, self.eta))):
+            raise ValueError(f"A, B, C and eta must be finite, got {self}")
 
     @property
     def z0_sq(self):
@@ -170,8 +172,8 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
     B = kappa*K - 2*eta*F, where kappa is evaluated at the occupation of m.
     Raises PrecisionLoss where kappa underflows (n above about 5e153).
     """
-    if not x >= 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     n = occupation(m)
     if n < N_SMALL:
         raise ValueError(

@@ -16,9 +16,10 @@ exact small-argument limit, where the r-dependence cancels analytically:
 
     W_N(r=0) = (4 pi N)^{N/2} / Gamma(N/2) * Integral dv v^{N-1} D.
 
-ln w per dof, (1/N) ln W_N, is computed for the four N of the settings
-list and extrapolated to N -> infinity (Richardson in 1/N); the envelope
-cut is sized at N = _CUT_N, the smallest N accepted.  At x = 0 the
+ln w per dof, (1/N) ln W_N, is computed for the four N of N_LIST and
+extrapolated to N -> infinity (Richardson in 1/N); project_physical takes
+its own four N, as fig6 needs lower ones for its wide window.  The
+envelope cut is sized at N = _CUT_N, the smallest N accepted.  At x = 0 the
 integral is a Weber integral with the exact value ln w_N = ln w_inf -
 ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
 the oracle.
@@ -27,7 +28,7 @@ Grids, projections and single points share one assembly, which builds
 each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
-settings), so results are bitwise reproducible however a caller
+N list), so results are bitwise reproducible however a caller
 distributes calls over workers.  A projection row's values do not depend
 on the other rows while the call's table fits one block; otherwise, and
 for tensor grids, other points can move a value in its last digits.
@@ -48,12 +49,12 @@ from .errors import BracketError, NotConverged, PrecisionLoss, QuadratureNonPosi
 from .statemap import GaussianMoments, ReducedState
 
 __all__ = [
+    "N_LIST",
     "ProjectionGrid",
     "ProjectionMode",
     "SPREAD_TOL",
     "SqueezeParams",
     "WignerGrid",
-    "WignerSettings",
     "ln_w",
     "ln_w_at_N",
     "ln_w_gaussian_exact",
@@ -70,6 +71,9 @@ _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
 # every default preset (<= 188 r x 384 nodes), 3x the probe's 201 u x 159 g
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
+# the four N that ln_w and wigner_grid extrapolate in 1/N; the last also
+# sets the mesh of every single point, ln_w_at_N's included
+N_LIST = (28, 32, 36, 40)
 
 
 def _even_n(N) -> int:
@@ -82,27 +86,6 @@ def _even_n(N) -> int:
 class ProjectionMode(Enum):
     PARA = "para"
     PERP = "perp"
-
-
-@dataclass(frozen=True)
-class WignerSettings:
-    """Extrapolation knob.
-
-    n_list: four ascending even integers N >= 4 (integer Bessel order
-    N/2-1), each assembled and extrapolated in 1/N.  The quadrature is
-    sized from the inputs: its cut v_max from the envelope decay at
-    N = _CUT_N, its mesh from the oscillation wavelength at the last N.
-    """
-
-    n_list: tuple = (28, 32, 36, 40)
-
-    def __post_init__(self):
-        ns = tuple(map(_even_n, self.n_list))
-        object.__setattr__(self, "n_list", ns)
-        if len(ns) != 4:
-            raise ValueError(f"n_list needs exactly four entries, got {ns}")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError(f"n_list must be strictly ascending, got {ns}")
 
 
 @dataclass(frozen=True)
@@ -318,35 +301,36 @@ def _extrapolate(vals, n_list):
     return last, np.abs(last - step(2))
 
 
-def _mesh_and_assemble(state, u_sq, r_rows, n_list, settings):
-    """Mesh for the points, then ln w per N -> (per_n, v_max, nodes)."""
+def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh):
+    """Mesh for the points, its panels sized at n_mesh, then ln w for each
+    N of n_list -> (per_n, v_max, nodes)."""
     r_max = float(r_rows.max()) if r_rows.size else 0.0
     # the callers refuse non-finite inputs: these overflowed on the way
-    if not (np.all(np.isfinite(u_sq)) and math.isfinite(settings.n_list[-1] * r_max)):
+    if not (np.all(np.isfinite(u_sq)) and math.isfinite(n_mesh * r_max)):
         raise PrecisionLoss("phase-space coordinates overflow")
     v_max = _auto_v_max(state, u_sq, _CUT_N)
-    n_panels = _panel_count(v_max, settings.n_list[-1], r_max)
+    n_panels = _panel_count(v_max, n_mesh, r_max)
     v, w = _gl_mesh(v_max, n_panels)
     per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w)
     return per_n, v_max, n_panels * _GL_ORDER
 
 
-def _point_per_n(state, u_sq, r_sq, n_list, settings):
-    """ln w for each N at one point, as a 1x1 grid: (nN,)."""
+def _point_per_n(state, u_sq, r_sq, n_list):
+    """ln w for each N of n_list at one point, on the N_LIST mesh: (nN,)."""
     if not (0.0 <= u_sq < math.inf and 0.0 <= r_sq < math.inf):
         raise ValueError(f"u_sq and r_sq must be finite and >= 0, got ({u_sq}, {r_sq})")
     per_n, _, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
                                      np.array([[math.sqrt(r_sq)]]), n_list,
-                                     settings)
+                                     N_LIST[-1])
     return per_n[:, 0, 0]
 
 
-def _normalised(state, u_sq, r_rows, settings):
+def _normalised(state, u_sq, r_rows, n_list):
     """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
-    ns = settings.n_list
-    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, ns, settings)
-    value, spread = _extrapolate(per_n, ns)
+    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, n_list,
+                                              n_list[-1])
+    value, spread = _extrapolate(per_n, n_list)
     top = float(value.max())
     return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
                 quad_points=n_quad, v_max=v_max)
@@ -356,22 +340,18 @@ def _normalised(state, u_sq, r_rows, settings):
 # public surface
 
 
-def ln_w_at_N(state: ReducedState, u_sq: float, r_sq: float, N: int,
-              settings: WignerSettings | None = None) -> float:
+def ln_w_at_N(state: ReducedState, u_sq: float, r_sq: float, N: int) -> float:
     """Per-dof log Wigner value at one finite even N (no extrapolation)."""
-    settings = settings or WignerSettings()
-    return float(_point_per_n(state, u_sq, r_sq, (_even_n(N),), settings)[0])
+    return float(_point_per_n(state, u_sq, r_sq, (_even_n(N),))[0])
 
 
-def ln_w(state: ReducedState, u_sq: float, r_sq: float,
-         settings: WignerSettings | None = None):
-    """Extrapolated per-dof log Wigner value -> (value, spread).
+def ln_w(state: ReducedState, u_sq: float, r_sq: float):
+    """Extrapolated per-dof log Wigner value from N_LIST -> (value, spread).
 
     Raises NotConverged when the spread exceeds SPREAD_TOL.
     """
-    settings = settings or WignerSettings()
-    per_n = _point_per_n(state, u_sq, r_sq, settings.n_list, settings)
-    value, spread = map(float, _extrapolate(per_n, settings.n_list))
+    per_n = _point_per_n(state, u_sq, r_sq, N_LIST)
+    value, spread = map(float, _extrapolate(per_n, N_LIST))
     if spread > SPREAD_TOL:
         raise NotConverged(
             f"ln w spread {spread:.3e} above tolerance {SPREAD_TOL:.3e} "
@@ -380,26 +360,26 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float,
     return value, spread
 
 
-def wigner_grid(state: ReducedState, u, r,
-                settings: WignerSettings | None = None) -> WignerGrid:
-    """Extrapolated ln w over the tensor grid u x r, normalized to max = 0.
+def wigner_grid(state: ReducedState, u, r) -> WignerGrid:
+    """Extrapolated ln w from N_LIST over the tensor grid u x r, normalized
+    to max = 0.
 
     Convergence is reported per point in .spread rather than raised, so a
     caller can flag partial results; QuadratureNonPositive still raises.
     """
-    settings = settings or WignerSettings()
     u, r = _dm.grid_axes(u=u, r=r)
-    if not all(np.all((0.0 <= a) & (a < math.inf)) for a in (u, r)):
-        raise ValueError("grid values must be finite and >= 0")
+    if np.any(u < 0.0) or np.any(r < 0.0):
+        raise ValueError("grid values must be >= 0")
     with np.errstate(over="ignore"):
         u_sq = u * u
-    return WignerGrid(u=u, r=r, **_normalised(state, u_sq, r[None, :], settings))
+    return WignerGrid(u=u, r=r, **_normalised(state, u_sq, r[None, :], N_LIST))
 
 
 def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
-                     phi, pi, settings: WignerSettings | None = None
-                     ) -> ProjectionGrid:
-    """ln w on a physical (phi, pi) grid (per-sqrt(N)-scaled coordinates).
+                     phi, pi, n_list=N_LIST) -> ProjectionGrid:
+    """ln w on a physical (phi, pi) grid (per-sqrt(N)-scaled coordinates),
+    extrapolated from n_list: four strictly ascending even N >= 4, the
+    last of which also sets the mesh.
 
     The map into the reduced (u, r) plane uses A = kappa*F and the actual
     correlator slope rho = R/F:
@@ -411,10 +391,10 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
     At x = 0 this reproduces the exact Gaussian Wigner function of the
     correlators (F, K, R), tilt included.
     """
-    settings = settings or WignerSettings()
+    n_list = tuple(map(_even_n, n_list))
+    if len(n_list) != 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list needs four strictly ascending N, got {n_list}")
     phi, pi_arr = _dm.grid_axes(phi=phi, pi=pi)
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(pi_arr))):
-        raise ValueError("phi and pi must be finite")
     state, big_a, rho = sq.reduced(x)
     with np.errstate(over="ignore"):  # _mesh_and_assemble refuses inf
         u_sq = phi * phi / big_a
@@ -427,4 +407,4 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
         else:
             raise ValueError(f"unknown projection mode {mode!r}")
     return ProjectionGrid(phi=phi, pi=pi_arr, mode=mode,
-                          **_normalised(state, u_sq, np.sqrt(r_sq), settings))
+                          **_normalised(state, u_sq, np.sqrt(r_sq), n_list))

@@ -179,9 +179,8 @@ def test_criterion_08_wigner_pipeline(capsys):
         st = ReducedState.from_nx(10.0, 15.0)
         u101 = dm.default_grid(st, 101, 2)[0]
         r101 = np.linspace(0.0, 2.0, 101)
-        window = wg.WignerSettings(n_list=(12, 16, 20, 24))
-        plateau = wg.wigner_grid(st, u101, r101, window)
-        assert float(np.max(plateau.spread)) < 1e-3
+        plateau = wg._normalised(st, u101 * u101, r101[None, :], (12, 16, 20, 24))
+        assert float(np.max(plateau["spread"])) < 1e-3
         # shape (normalized) steps between successive N are also plateaued
         probes = [(0.0, 0.0), (4.0, 1.0), (16.0, 2.25), (49.0, 0.25)]
         base = (0.25, 1.0)

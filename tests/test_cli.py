@@ -147,10 +147,20 @@ def test_fig7_peak_is_interior(tmp_path):
     assert rows[top][0] == pytest.approx(meta["slice.phi_peak"], rel=0.05)
 
 
-def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
-    # small N-list keeps it fast; a 0.5 tolerance accepts its coarse spread
-    monkeypatch.setattr(wigner, "SPREAD_TOL", 0.5)
-    args = ["fig6_contours", "--grid", "7x7", "--N-list", "4", "6", "8", "10"]
+@pytest.mark.parametrize("argv, n_list", [
+    (["fig5_wigner", "--x", "0", "--grid", "2x2"], "28,32,36,40"),
+    (["fig6_contours", "--phi", "0", "--mode", "para", "--grid", "2x2"], "8,12,16,20"),
+    (["fig7_slice", "--grid", "2"], "28,32,36,40"),
+], ids=["fig5", "fig6", "fig7"])
+def test_meta_records_the_presets_own_n(tmp_path, argv, n_list):
+    # the four extrapolated N belong to the preset; no flag sets them
+    out = tmp_path / "n"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert _read_meta(out)["n_list"] == n_list
+
+
+def test_threads_do_not_change_bytes(tmp_path):
+    args = ["fig6_contours", "--grid", "7x7"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
     assert cli.main(args + ["--threads", "8", "--out", str(b)]) == 0
@@ -192,10 +202,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert cli.main(["fig3_dsurface", "--grid", "bogus", "--out", out]) == 2
     assert cli.main(["fig1_c4", "--threads", "0", "--out", out]) == 2
     assert cli.main(["fig5_wigner", "--tol", "-1", "--out", out]) == 2
-    assert cli.main(["fig5_wigner", "--N-list", "4", "6", "8",
-                     "--out", out]) == 2                  # three N
-    assert cli.main(["fig5_wigner", "--N-list", "4", "5", "6", "8",
-                     "--out", out]) == 2                  # odd N
+    assert cli.main(["fig5_wigner", "--N-list", "4", "6", "8", "10",
+                     "--out", out]) == 2                  # each preset's own N
     assert cli.main(["fig6_contours", "--gamma", "1.5", "--out", out]) == 2
     capsys.readouterr()
 
@@ -383,8 +391,7 @@ def test_overflowing_wigner_coordinates_exit_1_with_meta(tmp_path, capsys,
     out = tmp_path / "ovf"
     small = {"fig3_dsurface": ["--x", "1", "--grid", "5x5"],
              "fig4_dslices": ["--x", "1", "--grid", "5"],
-             "fig5_wigner": ["--x", "1", "--grid", "3x3",
-                             "--N-list", "4", "6", "8", "10"],
+             "fig5_wigner": ["--x", "1", "--grid", "3x3"],
              "fig6_contours": ["--phi", "0", "--mode", "para", "--grid", "3x3"],
              "fig7_slice": ["--grid", "3"]}[argv[0]]
     assert cli.main([*argv, *small, "--out", str(out)]) == 1

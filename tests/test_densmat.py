@@ -258,6 +258,26 @@ def test_ln_d_many_matches_scalar():
         assert arr[k] == dm.ln_d(st, dm.PhasePoint(u_sq[k], v_sq[k])).ln_d
 
 
+@pytest.mark.parametrize("u_shape, v_shape", [
+    ((3000,), (3000,)),     # 1-D: blocks of elements
+    ((40, 1), (1, 97)),     # 2-D: blocks of rows
+    ((3, 1), (1, 5000)),    # rows longer than a block: one row at a time
+], ids=["1-D", "rows", "long-rows"])
+def test_ln_d_blocks_match_one_pass(monkeypatch, u_shape, v_shape):
+    # ln d taken in blocks equals one big_f pass bit for bit; the points
+    # cross the ridge, so s takes both signs and the series branch
+    st = ReducedState.from_nx(10.0, 15.0)
+    rng = np.random.default_rng(7)
+    u_sq = rng.uniform(0.0, 400.0, u_shape)
+    v_sq = rng.uniform(0.0, 4.0, v_shape)
+    monkeypatch.setattr(dm, "_LN_D_CHUNK", 10 ** 9)
+    one = dm.ln_d_many(st, u_sq, v_sq)
+    monkeypatch.setattr(dm, "_LN_D_CHUNK", 100)
+    blocked = dm.ln_d_many(st, u_sq, v_sq)
+    assert blocked.shape == one.shape
+    assert blocked.tobytes() == one.tobytes()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=hst.floats(1e-3, 1e4), x=hst.floats(0.0, 1e4),
        u_max=hst.floats(1e-3, 100.0), v_max=hst.floats(1e-3, 100.0))

@@ -1,5 +1,6 @@
 """The README's Quick start must run against the package as it is."""
 
+import argparse
 import pathlib
 import re
 
@@ -28,3 +29,17 @@ def test_command_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_prose_flags_exist():
+    # a flag the prose still names after it was deleted fails here
+    text = README.read_text(encoding="utf-8")
+    prose = text.split("\nCommand line:", 1)[1].split("\n## ", 1)[0]
+    named = {flag for span in re.findall(r"`([^`]*)`", prose)
+             for flag in re.findall(r"--[A-Za-z][\w-]*", span)}
+    assert named, "no backticked flag under Command line"
+    presets = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    options = {opt for p in presets.values() for a in p._actions
+               for opt in a.option_strings}
+    assert sorted(named - options) == []

@@ -16,6 +16,8 @@ from ngstate import (
     moments_from_params,
     x_from_c4,
 )
+from ngstate.coherence import CoherencePair, WignerWidths, overlap_displaced
+from ngstate.densmat import PhasePoint, ln_d, u_c_sq
 from ngstate.errors import HeisenbergViolation, NonPositiveA, PrecisionLoss, Unreachable
 from ngstate.observables import (c4_half_ratio_nx, entropy_per_dof,
                                  purity_limit_large_n)
@@ -61,6 +63,33 @@ def test_moments_validation():
 def test_scalar_entry_points_refuse_negative_or_nan(call):
     # a negative n was read as the small-n limit, and NaN or inf passed
     # through to a NaN or inf result or a misleading error
+    with pytest.raises(ValueError):
+        call()
+
+
+_ST = ReducedState.from_nx(10.0, 15.0)
+_PAIR = CoherencePair(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CoherencePair(math.nan, 1.0, 1.0, 1.0),
+    lambda: CoherencePair(1.0, 1.0, math.inf, 1.0),
+    lambda: WignerWidths(math.inf, 1.0),
+    lambda: WignerWidths(1.0, math.inf),
+    lambda: overlap_displaced(_PAIR, WignerWidths(1.0, 1.0), math.inf, 4),
+    lambda: OperatorParams(A=math.inf, B=1.0, C=0.0, eta=0.0),
+    lambda: OperatorParams(A=1.0, B=math.nan, C=0.0, eta=0.0),
+    lambda: OperatorParams(A=1.0, B=1.0, C=0.0, eta=math.inf),
+    lambda: params_from_moments(GaussianMoments(1.0, 1.0), math.inf),
+    lambda: u_c_sq(_ST, -5.0),
+    lambda: u_c_sq(_ST, math.nan),
+    lambda: ln_d(_ST, PhasePoint(1.0, 1.0), c_coeff=math.nan),
+], ids=["pair-nan", "pair-inf", "widths-phi-inf", "widths-pi-inf",
+        "displaced-phi0-inf", "params-A-inf", "params-B-nan", "params-eta-inf",
+        "from-moments-x-inf", "u_c_sq-negative", "u_c_sq-nan", "ln_d-c-nan"])
+def test_last_scalar_entry_points_refuse_non_finite(call):
+    # each was accepted and gave an inf or NaN result, or a value for a
+    # negative v^2
     with pytest.raises(ValueError):
         call()
 

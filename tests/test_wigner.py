@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings as hsettings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
@@ -25,37 +25,38 @@ def gaussian_state(n=10.0):
 
 
 # ---------------------------------------------------------------------------
-# settings and squeeze-parameter validation
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        wg.WignerSettings(n_list=(4, 8, 12))             # three entries
-    with pytest.raises(ValueError):
-        wg.WignerSettings(n_list=(4, 8, 12, 16, 20))     # five entries
-    with pytest.raises(ValueError):
-        wg.WignerSettings(n_list=(4, 7, 10, 12))         # odd entry
-    with pytest.raises(ValueError):
-        wg.WignerSettings(n_list=(2, 4, 6, 8))           # below minimum
-    with pytest.raises(ValueError):
-        wg.WignerSettings(n_list=(8, 4, 12, 16))         # not ascending
-    s = wg.WignerSettings()
-    assert s.n_list == (28, 32, 36, 40)
-
-
-@pytest.mark.parametrize("bad", [4.5, 28.7, math.nan, math.inf])
-def test_non_integer_n_refused(bad):
-    # one check for settings and single-N calls: a fractional N was
-    # truncated to the even integer below it
-    with pytest.raises(ValueError, match="even integer"):
-        wg.WignerSettings(n_list=(bad, 32, 36, 40))
-    with pytest.raises(ValueError, match="even integer"):
-        wg.ln_w_at_N(_ST, 1.0, 1.0, bad)
+# N-list and squeeze-parameter validation
 
 
 _ST = ReducedState.from_nx(10.0, 15.0)
 _SQ = wg.SqueezeParams(n=10.0, gamma=0.3, phi=0.0)
 _PARA = wg.ProjectionMode.PARA
+
+
+def _project_with(n_list):
+    return wg.project_physical(_SQ, 15.0, _PARA, [0.5], [0.0], n_list)
+
+
+def test_settings_validation():
+    # project_physical's n_list is the one settable N list
+    for bad in [(4, 8, 12),              # three entries
+                (4, 8, 12, 16, 20),      # five entries
+                (4, 7, 10, 12),          # odd entry
+                (2, 4, 6, 8),            # below minimum
+                (8, 4, 12, 16)]:         # not ascending
+        with pytest.raises(ValueError):
+            _project_with(bad)
+    assert wg.N_LIST == (28, 32, 36, 40)
+
+
+@pytest.mark.parametrize("bad", [4.5, 28.7, math.nan, math.inf])
+def test_non_integer_n_refused(bad):
+    # one check for N lists and single-N calls: a fractional N was
+    # truncated to the even integer below it
+    with pytest.raises(ValueError, match="even integer"):
+        _project_with((bad, 32, 36, 40))
+    with pytest.raises(ValueError, match="even integer"):
+        wg.ln_w_at_N(_ST, 1.0, 1.0, bad)
 
 
 @pytest.mark.parametrize("call", [
@@ -179,10 +180,10 @@ def test_plateau_in_window():
     # spread over that window alone is far below 1e-3
     st = ReducedState.from_nx(10.0, 15.0)
     u0_sq = dm.u_c_sq(st)
-    window = wg.WignerSettings(n_list=(12, 16, 20, 24))
     for u_sq, r_sq in [(u0_sq, 0.0), (0.25 * u0_sq, 1.0), (u0_sq, 4.0)]:
-        _, spread = wg.ln_w(st, u_sq, r_sq, window)
-        assert spread < 1e-3
+        window = wg._normalised(st, np.array([u_sq]), np.array([[math.sqrt(r_sq)]]),
+                                (12, 16, 20, 24))
+        assert window["spread"][0, 0] < 1e-3
     # and the raw finite-N steps are dominated by a point-independent
     # 1/N term: normalized differences settle to ~1e-7
     seq_pt = np.array([wg.ln_w_at_N(st, u0_sq, 1.0, N) for N in (12, 16, 20, 24)])
@@ -197,10 +198,9 @@ def test_scheme_agreement_on_normalized_grid():
     st = ReducedState.from_nx(10.0, 15.0)
     u = np.linspace(0.0, 1.5 * math.sqrt(dm.u_c_sq(st)), 21)
     r = np.linspace(0.0, 2.0, 21)
-    settings = wg.WignerSettings()
-    rich = wg.wigner_grid(st, u, r, settings)
-    per_n, _, _ = wg._mesh_and_assemble(st, u * u, r[None, :],
-                                        settings.n_list, settings)
+    rich = wg.wigner_grid(st, u, r)
+    per_n, _, _ = wg._mesh_and_assemble(st, u * u, r[None, :], wg.N_LIST,
+                                        wg.N_LIST[-1])
     last = per_n[-1] - per_n[-1].max()
     assert np.abs(rich.ln_w_norm - last).max() < 5e-3
 
@@ -211,13 +211,12 @@ def test_grid_matches_scalar_with_pinned_mesh(monkeypatch):
     monkeypatch.setattr(wg, "_panel_count", lambda *a: 32)
     monkeypatch.setattr(wg, "_auto_v_max", lambda *a: 6.0)
     st = ReducedState.from_nx(10.0, 15.0)
-    settings = wg.WignerSettings()
     u = np.array([0.7, 2.4])
     r = np.array([0.0, 1.1])
-    grid = wg.wigner_grid(st, u, r, settings)
+    grid = wg.wigner_grid(st, u, r)
     for i, ui in enumerate(u):
         for k, rk in enumerate(r):
-            val, _ = wg.ln_w(st, ui * ui, rk * rk, settings)
+            val, _ = wg.ln_w(st, ui * ui, rk * rk)
             assert grid.ln_w_norm[i, k] + grid.ln_w_max == pytest.approx(
                 val, abs=1e-13)
     # projection rows too: without tilt, para maps pi to r = 2 sqrt(A)|pi|,
@@ -226,17 +225,14 @@ def test_grid_matches_scalar_with_pinned_mesh(monkeypatch):
     big_a = st.kappa * sq.moments().F
     phi = np.array([0.7, 2.4]) * math.sqrt(big_a)
     pi = np.array([0.0, 0.55, -0.55, 1.1]) / (2.0 * math.sqrt(big_a))
-    proj = wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi, pi,
-                               settings)
+    proj = wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi, pi)
     full = proj.ln_w_norm + proj.ln_w_max
     for i, ph in enumerate(phi):
         for k, pk in enumerate(pi):
-            val, _ = wg.ln_w(st, ph * ph / big_a, 4.0 * big_a * pk * pk,
-                             settings)
+            val, _ = wg.ln_w(st, ph * ph / big_a, 4.0 * big_a * pk * pk)
             assert full[i, k] == pytest.approx(val, abs=1e-13)
     # a row computed alone equals the same row of the full call
-    alone = wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi[1:],
-                                pi, settings)
+    alone = wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi[1:], pi)
     np.testing.assert_array_equal(alone.ln_w_norm[0] + alone.ln_w_max, full[1])
 
 
@@ -245,8 +241,8 @@ def test_envelope_cut_does_not_read_the_list():
     st = ReducedState.from_nx(10.0, 15.0)
     u, r = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 2.0, 3)
     default = wg.wigner_grid(st, u, r)
-    window = wg.wigner_grid(st, u, r, wg.WignerSettings(n_list=(12, 16, 20, 24)))
-    assert window.v_max == default.v_max == wg._auto_v_max(st, u * u, 4)
+    window = wg._normalised(st, u * u, r[None, :], (12, 16, 20, 24))
+    assert window["v_max"] == default.v_max == wg._auto_v_max(st, u * u, 4)
 
 
 def _spy_bessel(monkeypatch):
@@ -262,22 +258,22 @@ def _spy_bessel(monkeypatch):
     return calls
 
 
-def _symmetric_projection(settings):
+def _symmetric_projection(n_list):
     """A para projection without tilt, so r = 2 sqrt(A)|pi| in every row:
     each row holds r = 0 and each positive r twice, all rows the same."""
     sq = wg.SqueezeParams(n=10.0, gamma=0.5, phi=0.0)
     phi = np.linspace(-1.0, 1.0, 5)
     pi = np.array([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
     return wg.project_physical(sq, 15.0, wg.ProjectionMode.PARA, phi, pi,
-                               settings)
+                               n_list)
 
 
 def test_bessel_table_once_per_distinct_r(monkeypatch):
     # each N builds its table once per distinct positive r, not per row
     calls = _spy_bessel(monkeypatch)
-    settings = wg.WignerSettings(n_list=(4, 8, 12, 16))
-    proj = _symmetric_projection(settings)
-    for N in settings.n_list:
+    n_list = (4, 8, 12, 16)
+    proj = _symmetric_projection(n_list)
+    for N in n_list:
         rows = [rows for order, rows in calls if order == N // 2 - 1]
         assert sum(rows) == 3
         assert max(rows) <= max(1, wg._TABLE_ELEMS // proj.quad_points)
@@ -287,7 +283,7 @@ def test_only_the_extrapolated_n_are_assembled(monkeypatch):
     # a Bessel table is built for each N of the list, which _extrapolate
     # reads whole, and for no other N
     st = ReducedState.from_nx(10.0, 15.0)
-    read = wg.WignerSettings().n_list
+    read = wg.N_LIST
     calls = _spy_bessel(monkeypatch)
     value, spread = wg.ln_w(st, 1.0, 2.0)
     assert sorted({order for order, _ in calls}) == [N // 2 - 1 for N in read]
@@ -297,11 +293,10 @@ def test_only_the_extrapolated_n_are_assembled(monkeypatch):
 
 def test_bessel_blocks_match_one_table(monkeypatch):
     # a table cut into blocks gives the values of the single table
-    settings = wg.WignerSettings(n_list=(4, 8, 12, 16))
-    one = _symmetric_projection(settings)
+    one = _symmetric_projection((4, 8, 12, 16))
     calls = _spy_bessel(monkeypatch)
     monkeypatch.setattr(wg, "_TABLE_ELEMS", 2 * one.quad_points)
-    blocked = _symmetric_projection(settings)
+    blocked = _symmetric_projection((4, 8, 12, 16))
     assert [rows for order, rows in calls if order == 1] == [2, 1]
     np.testing.assert_allclose(blocked.ln_w_norm, one.ln_w_norm,
                                rtol=0.0, atol=1e-12)
@@ -344,7 +339,7 @@ def test_not_converged_raises(monkeypatch):
     assert math.isfinite(info.value.value)
 
 
-@hsettings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=hst.floats(0.3, 20.0), x=hst.floats(0.0, 40.0),
        u_sq=hst.floats(0.0, 4.0), r_sq=hst.floats(0.0, 4.5))
 def test_ln_w_finite_or_typed(n, x, u_sq, r_sq):
@@ -408,7 +403,7 @@ def _dense_v_max(state, u_sq, n_min):
             raise BracketError("envelope failed to decay below the quadrature cut")
 
 
-@hsettings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=hst.floats(0.05, 1e4),
        x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
        u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=4),
@@ -480,14 +475,13 @@ def test_projection_matches_tilted_gaussian():
     phi = np.linspace(-1.2, 1.2, 9)
     pi = np.linspace(-0.9, 0.9, 9)
     big_p, big_q = np.meshgrid(phi, pi, indexing="ij")
-    settings = wg.WignerSettings(n_list=(4, 6, 8, 10))
     for mode, exact in [
         (wg.ProjectionMode.PARA,
          -m.F * (big_q - rho * big_p) ** 2 / (2 * det) - big_p ** 2 / (2 * m.F)),
         (wg.ProjectionMode.PERP,
          -m.F * (big_q ** 2 + (rho * big_p) ** 2) / (2 * det) - big_p ** 2 / (2 * m.F)),
     ]:
-        proj = wg.project_physical(sq, 0.0, mode, phi, pi, settings)
+        proj = wg.project_physical(sq, 0.0, mode, phi, pi, (4, 6, 8, 10))
         err = np.abs(proj.ln_w_norm - (exact - exact.max()))
         if mode is wg.ProjectionMode.PARA:
             # the two corners of largest r (N r^2/4 = 28 at N = 10): there
@@ -504,9 +498,8 @@ def test_projection_modes_coincide_without_tilt():
     sq = wg.SqueezeParams(n=1.0, gamma=0.9, phi=0.0)  # R = 0
     phi = np.linspace(-1.2, 1.2, 7)
     pi = np.linspace(-0.9, 0.9, 7)
-    settings = wg.WignerSettings(n_list=(4, 6, 8, 10))
-    pa = wg.project_physical(sq, 0.0, wg.ProjectionMode.PARA, phi, pi, settings)
-    pe = wg.project_physical(sq, 0.0, wg.ProjectionMode.PERP, phi, pi, settings)
+    pa = wg.project_physical(sq, 0.0, wg.ProjectionMode.PARA, phi, pi, (4, 6, 8, 10))
+    pe = wg.project_physical(sq, 0.0, wg.ProjectionMode.PERP, phi, pi, (4, 6, 8, 10))
     assert np.abs(pa.ln_w_norm - pe.ln_w_norm).max() < 1e-12
 
 
@@ -531,7 +524,7 @@ def test_projection_physical_widths():
     assert delta_pi_sq == pytest.approx(n + 0.5, rel=0.05)
 
 
-@hsettings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(n=hst.floats(0.05, 20.0), gamma=hst.floats(0.0, 0.95),
        angle=hst.floats(0.0, 6.28), x=hst.floats(0.0, 40.0),
        mode=hst.sampled_from(list(wg.ProjectionMode)))
@@ -540,7 +533,7 @@ def test_projection_finite_or_typed(n, gamma, angle, x, mode):
     try:
         proj = wg.project_physical(sq, x, mode, np.linspace(-1.0, 1.0, 3),
                                    np.linspace(-0.5, 0.5, 3),
-                                   wg.WignerSettings(n_list=(4, 6, 8, 10)))
+                                   (4, 6, 8, 10))
     except NgStateError:
         return
     assert np.all(np.isfinite(proj.ln_w_norm)) and math.isfinite(proj.ln_w_max)
@@ -559,14 +552,29 @@ def _project(mode):
     return lambda st, phi, pi: wg.project_physical(sq, 0.0, mode, phi, pi)
 
 
-@pytest.mark.parametrize("grid, empty", [
+_AXES = pytest.mark.parametrize("grid, axis", [
     (dm.d_surface, "u"), (dm.d_surface, "v"),
     (wg.wigner_grid, "u"), (wg.wigner_grid, "r"),
     (_project(wg.ProjectionMode.PARA), "phi"), (_project(wg.ProjectionMode.PERP), "pi"),
 ], ids=["d_surface-u", "d_surface-v", "wigner_grid-u", "wigner_grid-r",
         "project_physical-phi", "project_physical-pi"])
-def test_empty_axis_is_refused_by_name(grid, empty):
+
+
+def _with_axis(axis, values):
+    """(first, second) grid axes with the named one set to values."""
+    return (values, [0.0, 0.5]) if axis in ("u", "phi") else ([0.0, 0.5], values)
+
+
+@_AXES
+def test_empty_axis_is_refused_by_name(grid, axis):
     # numpy's own message ("zero-size array to reduction ...") names no axis
-    first, second = ([], [0.0, 0.5]) if empty in ("u", "phi") else ([0.0, 0.5], [])
-    with pytest.raises(ValueError, match=rf"^{empty} axis is empty"):
-        grid(ReducedState.from_nx(1.0, 1.0), first, second)
+    with pytest.raises(ValueError, match=rf"^{axis} axis is empty"):
+        grid(ReducedState.from_nx(1.0, 1.0), *_with_axis(axis, []))
+
+
+@_AXES
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_axis_is_refused_by_name(grid, axis, bad):
+    # densmat.grid_axes is the one finiteness check of every grid
+    with pytest.raises(ValueError, match=rf"^{axis} values must be finite"):
+        grid(ReducedState.from_nx(1.0, 1.0), *_with_axis(axis, [0.5, bad]))
