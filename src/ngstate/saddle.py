@@ -73,7 +73,9 @@ def _find_root(g, lo, hi, *args, climb=False):
     is below 2 eps relative, so its root and count (a climb step counts
     where the point climbs) depend on it alone.  A 0-d arg reaches g as it
     is, never broadcast or compacted.  g returns arrays.  A point's count
-    is its evaluations before the loop plus the loop's steps so far.
+    is its evaluations before the loop plus the loop's steps so far.  A
+    block's last live point (or a one-point block) finishes in _tail, the
+    same steps in float64 scalars, which spares ~50 array calls a step.
     Returns (root, g at root, nfev).
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *map(np.shape, args))
@@ -98,6 +100,11 @@ def _find_root(g, lo, hi, *args, climb=False):
         at = np.arange(start, start + x1.size)  # each live point's output index
         steps = 0
         while True:
+            if x1.size == 1:  # the last live point: the same steps in scalars
+                xm, fm, more = _tail(g, p, x1[0], x2[0], f1[0], f2[0], np.ravel(t)[0])
+                root.flat[at[0]], g_at.flat[at[0]], nfev.flat[at[0]] = (
+                    xm, fm, evals[0] + steps + more)
+                break
             x = x1 + t * (x2 - x1)
             f = g(x, *p)
             steps += 1
@@ -129,6 +136,38 @@ def _find_root(g, lo, hi, *args, climb=False):
             edge = 0.5 * tol / dx
             t = np.minimum(np.maximum(t, edge), 1.0 - edge)  # np.clip, at half the cost
     return root, g_at, nfev
+
+
+def _tail(g, p, x1, x2, f1, f2, t):
+    """_find_root's loop for one point in float64 scalars, op for op, so it
+    ends on the same bits; g still gets a one-element array.  Returns
+    (root, g at root, steps)."""
+    steps = 0
+    while True:
+        x = x1 + t * (x2 - x1)
+        f = g(np.array([x]), *p)[0]
+        steps += 1
+        # np.sign(f) == np.sign(f1): +-0 alike, NaN like nothing
+        same = f == f and f1 == f1 and (f > 0.0) == (f1 > 0.0) and (f < 0.0) == (f1 < 0.0)
+        x3, f3 = (x1, f1) if same else (x2, f2)
+        x2, f2 = (x2, f2) if same else (x1, f1)
+        x1, f1 = x, f
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol = _XRTOL * abs(xm) + _XATOL
+        dx = abs(x2 - x1)
+        if fm == 0.0 or dx < tol:
+            return xm, fm, steps
+        xi = (x1 - x2) / (x3 - x2)
+        d12, d32 = f1 - f2, f3 - f2
+        phi = d12 / d32
+        alpha = (x3 - x1) / (x2 - x1)
+        c = 1.0 - phi  # c * c, as np.square: a float64's ** 2 calls pow
+        iqi = phi * phi < xi and c * c < 1.0 - xi
+        t = f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32 if iqi else 0.5
+        edge = 0.5 * tol / dx
+        # np.maximum, then np.minimum: NaN from either side, else the second on a tie
+        t = t if t > edge or t != t else edge
+        t = t if t < 1.0 - edge or t != t else 1.0 - edge
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

@@ -158,10 +158,14 @@ _SMALL_F = (_series(_SF0, _SFU, _SFV), _small_f_pos, _small_f_neg)
 def _eval(s, family, pole, name):
     """The family's kernels at s, as a tuple.  A block within one branch
     gets that branch's arrays; a mixed one is split by the branch masks
-    and scattered back."""
+    and scattered back.  A one-element block's value is both ends of its
+    range, without the two reductions."""
     arr = np.asarray(s, dtype=float)
     scalar, arr = arr.ndim == 0, np.atleast_1d(arr)
-    lo, hi = (arr.min(), arr.max()) if arr.size else (math.inf, math.inf)
+    if arr.size == 1:
+        lo = hi = arr.flat[0]
+    else:
+        lo, hi = (arr.min(), arr.max()) if arr.size else (math.inf, math.inf)
     if not lo > pole:
         raise ValueError(f"{name}: argument must satisfy s > {pole:.6f} (pole), "
                          f"got min {lo}")

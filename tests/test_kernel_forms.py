@@ -137,7 +137,8 @@ def _points(pole):
     cut = sf.SERIES_CUT
     seams = [v for edge in (cut, -cut) for v in
              (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf))]
-    near_pole = [np.nextafter(pole, math.inf), pole * (1.0 - 1e-12), pole + 1e-6]
+    near_pole = [np.nextafter(pole, math.inf), pole * (1.0 - 1e-12), pole + 1e-6,
+                 *(v for v in np.nextafter(sf.POLE_HALF, [-math.inf, math.inf]) if v > pole)]
     inside = [0.0, -0.0, 1e-300, -1e-300, 5e-3, -5e-3]
     outside = [0.3, 4.0, 60.0, 5e5, 1e300, -0.3, -2.0, 0.9 * pole]
     return np.array(seams + near_pole + inside + outside)
@@ -148,8 +149,10 @@ def test_fused_branches_match_per_kernel_forms(name):
     fn = _REFERENCE[name][0]
     pole = sf.POLE_HALF if name == "h2" else sf.POLE_MAIN
     pts = _points(pole)
-    for s in pts:  # scalar input: floats
+    for s in pts:  # scalar input: floats; one element: its value is both ends
         _assert_same(fn(float(s)), _reference(name, float(s)))
+        for one in (np.full(1, s), np.full((1, 1), s)):
+            _assert_same(fn(one), _reference(name, one))
     _assert_same(fn(pts), _reference(name, pts))  # every branch in one block
     grid = np.concatenate([pts, pts[::-1]]).reshape(2, -1)  # 2-D, mixed
     _assert_same(fn(grid), _reference(name, grid))
@@ -157,3 +160,16 @@ def test_fused_branches_match_per_kernel_forms(name):
     for one in (pts[pts >= cut], pts[pts <= -cut], pts[np.abs(pts) < cut]):
         _assert_same(fn(one), _reference(name, one))  # one branch: no masks
         _assert_same(fn(one.reshape(1, -1)), _reference(name, one.reshape(1, -1)))
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE))
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_one_element_at_or_below_the_pole_is_refused(name, shape):
+    # the one value stands in for the block's min, in the check and the message
+    fn = _REFERENCE[name][0]
+    pole = sf.POLE_HALF if name == "h2" else sf.POLE_MAIN
+    for bad in (pole, np.nextafter(pole, -math.inf), -math.inf, math.nan):
+        message = f"{name}: argument must satisfy s > {pole:.6f} (pole), got min {float(bad)!r}"
+        with pytest.raises(ValueError) as err:
+            fn(np.full(shape, bad))
+        assert str(err.value) == message
