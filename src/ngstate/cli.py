@@ -27,7 +27,10 @@ wigner.SPREAD_TOL (meta's tol).
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
 values out of range, and the library's constructors refuse the rest
-(--gamma, --phi, --c4-ratio) when a planner builds its objects.
+(--gamma, --phi, --c4-ratio, an (n, x) out of range) when a planner
+builds its objects.  An axis maximum left unset takes the preset's
+default window, set here alone, in units of the ridge's u scale
+densmat.ridge_u.
 
 Worker threads (--threads, or NGSTATE_THREADS when the flag is absent)
 parallelize across artifacts only; each artifact's numbers are computed
@@ -40,6 +43,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -53,14 +57,11 @@ from .errors import NgStateError
 from .statemap import ReducedState, x_from_c4
 
 
-def _tag(value):
-    """File-name token for a parameter value: 0.5 -> '0p5'."""
-    return _io.format_number(float(value)).replace(".", "p").replace("-", "m")
-
-
 def _tags(flag, values):
-    """_tag of each value; refuses two values that would share a file."""
-    tags = [_tag(v) for v in values]
+    """File-name token of each value (0.5 -> '0p5'); refuses two values
+    that would share a file."""
+    tags = [_io.format_number(float(v)).replace(".", "p").replace("-", "m")
+            for v in values]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:
             raise ValueError(f"{flag} values {values[tags.index(tag)]!r} and "
@@ -105,12 +106,6 @@ def _grid(shape):
     return parse
 
 
-def _resolve_x(args):
-    if args.c4_ratio is not None:
-        return [x_from_c4(args.n, args.c4_ratio)]
-    return args.x
-
-
 def _quad_diag(result, **extra):
     """The preset's own diagnostics, then the quadrature and convergence
     fields of a WignerGrid or ProjectionGrid, judged as ln_w judges them."""
@@ -119,99 +114,102 @@ def _quad_diag(result, **extra):
             "quad_v_max": result.v_max, "quad_points": result.quad_points}
 
 
-def _u_axis(state, nu, u_max):
-    if u_max is not None:
-        return np.linspace(0.0, u_max, nu)
-    return _dm.default_grid(state, nu, 2)[0]
-
-
 # ---------------------------------------------------------------------------
 # preset planners: args -> ({artifact name: builder}, shared metadata)
 
-def _plan_fig1(args):
-    n_values, x_values = args.n, args.x
-
+def _plan_sweep(name, fields, values, args):
+    """fig1/fig2: one table over every (n, x) of --n and --x, its fields
+    values(n list, x list), each of shape (n count, x count)."""
     def build():
-        ratio = [[_obs.c4_half_ratio_nx(n, x) for x in x_values]
-                 for n in n_values]
-        return (("n", "x", "c4_ratio"),
-                _io.tensor_table(n_values, x_values, ratio), {})
-
-    return {"c4_ratio": build}, {"n": n_values, "x": x_values}
+        return (("n", "x", *fields),
+                _io.tensor_table(args.n, args.x, *values(args.n, args.x)), {})
+    return {name: build}, {"n": args.n, "x": args.x}
 
 
-def _plan_fig2(args):
-    n_values, x_values = args.n, args.x
+def _c4_ratio(n_values, x_values):
+    return [[[_obs.c4_half_ratio_nx(n, x) for x in x_values] for n in n_values]]
 
+
+def _purity(n_values, x_values):
+    # n = 0 is the pure-state limit: the purity stays 1 for every x
+    p = np.ones((3, len(n_values), len(x_values)))
+    rows = [i for i, n in enumerate(n_values) if n != 0.0]
+    rep = _obs.purity_many([ReducedState.from_nx(n_values[i], x)
+                            for i in rows for x in x_values])
+    p[:, rows] = np.reshape([rep.p, rep.p_gaussian, rep.ratio],
+                            (3, len(rows), len(x_values)))
+    return p
+
+
+def _per_x(args, prefix=None):
+    """(x values, states, job names) of a single-n preset: each --x, or
+    the x that --c4-ratio sets.  The states are built here, so a refused
+    one exits 2 before any file is written.  With a prefix each x names
+    one job, prefix_x<tag>, and x that would share a file are refused."""
+    xs = args.x if args.c4_ratio is None else [x_from_c4(args.n, args.c4_ratio)]
+    names = [f"{prefix}_x{tag}" for tag in _tags("--x", xs)] if prefix else None
+    return xs, [ReducedState.from_nx(args.n, x) for x in xs], names
+
+
+def _u_max(args, state):
+    """fig3-fig5 u-axis maximum: --u-max, else past the ridge (fig6 and
+    fig7 set their windows in their planners)."""
+    return args.u_max if args.u_max is not None else 1.5 * max(1.0, _dm.ridge_u(state))
+
+
+def _projection(sq, x, mode, phi_axis, pi_axis, n_list, **extra):
+    """fig6/fig7 builder: ln w of one projection mode over (phi, pi)."""
     def build():
-        # n = 0 is the pure-state limit: the purity stays 1 for every x
-        p = np.ones((3, len(n_values), len(x_values)))
-        rows = [i for i, n in enumerate(n_values) if n != 0.0]
-        rep = _obs.purity_many([ReducedState.from_nx(n_values[i], x)
-                                for i in rows for x in x_values])
-        p[:, rows] = np.reshape([rep.p, rep.p_gaussian, rep.ratio],
-                                (3, len(rows), len(x_values)))
-        return (("n", "x", "p", "p_gaussian", "ratio"),
-                _io.tensor_table(n_values, x_values, *p), {})
-
-    return {"purity": build}, {"n": n_values, "x": x_values}
+        proj = _wig.project_physical(sq, x, _wig.ProjectionMode(mode),
+                                     phi_axis, pi_axis, n_list)
+        return (("phi", "pi", "ln_w_norm"),
+                _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
+                _quad_diag(proj, **extra))
+    return build
 
 
 def _plan_fig3(args):
-    x_values = _resolve_x(args)
     nu, nv = args.grid
-    jobs = {}
-    for x, tag in zip(x_values, _tags("--x", x_values)):
-        state = ReducedState.from_nx(args.n, x)
+    xs, states, names = _per_x(args, "dsurface")
 
-        def build(state=state):
-            u = _u_axis(state, nu, args.u_max)
-            v = np.linspace(0.0, args.v_max, nv)
-            surf = _dm.d_surface(state, u, v)
-            return (("u", "v", "ln_d_norm"),
-                    _io.tensor_table(u, v, surf.ln_d_norm),
-                    {"u_max": float(u[-1]), "v_max": float(v[-1])})
+    def build(state):
+        u = np.linspace(0.0, _u_max(args, state), nu)
+        v = np.linspace(0.0, args.v_max, nv)
+        surf = _dm.d_surface(state, u, v)
+        return (("u", "v", "ln_d_norm"), _io.tensor_table(u, v, surf.ln_d_norm),
+                {"u_max": float(u[-1]), "v_max": float(v[-1])})
 
-        jobs[f"dsurface_x{tag}"] = build
-    meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nv}
-    return jobs, meta
+    jobs = {name: partial(build, state) for name, state in zip(names, states)}
+    return jobs, {"n": args.n, "x": xs, "grid_w": nu, "grid_h": nv}
 
 
 def _plan_fig4(args):
-    x_values = _resolve_x(args)
     [nu] = args.grid
-    states = [ReducedState.from_nx(args.n, x) for x in x_values]
+    xs, states, _ = _per_x(args)
 
     def build():
-        top = (args.u_max if args.u_max is not None
-               else max(float(_dm.default_grid(s, 2, 2)[0][-1]) for s in states))
-        u = np.linspace(0.0, top, nu)
+        u = np.linspace(0.0, max(_u_max(args, state) for state in states), nu)
         curves = [_dm.d_surface(state, u, [0.0]).ln_d_norm[:, 0] for state in states]
-        return (("x", "u", "ln_d_norm"),
-                _io.tensor_table(x_values, u, curves),
-                {"u_max": float(top)})
+        return (("x", "u", "ln_d_norm"), _io.tensor_table(xs, u, curves),
+                {"u_max": float(u[-1])})
 
-    meta = {"n": args.n, "x": x_values, "grid_w": nu}
-    return {"dslices": build}, meta
+    return {"dslices": build}, {"n": args.n, "x": xs, "grid_w": nu}
 
 
 def _plan_fig5(args):
-    x_values = _resolve_x(args)
     nu, nr = args.grid
-    jobs = {}
-    for x, tag in zip(x_values, _tags("--x", x_values)):
-        state = ReducedState.from_nx(args.n, x)
+    xs, states, names = _per_x(args, "wigner")
 
-        def build(state=state):
-            u = _u_axis(state, nu, args.u_max)
-            r = np.linspace(0.0, args.r_max, nr)
-            grid = _wig.wigner_grid(state, u, r)
-            diag = _quad_diag(grid, u_max=float(u[-1]))
-            return (("u", "r", "ln_w_norm", "spread"),
-                    _io.tensor_table(u, r, grid.ln_w_norm, grid.spread), diag)
+    def build(state):
+        u = np.linspace(0.0, _u_max(args, state), nu)
+        r = np.linspace(0.0, args.r_max, nr)
+        grid = _wig.wigner_grid(state, u, r)
+        return (("u", "r", "ln_w_norm", "spread"),
+                _io.tensor_table(u, r, grid.ln_w_norm, grid.spread),
+                _quad_diag(grid, u_max=float(u[-1])))
 
-        jobs[f"wigner_x{tag}"] = build
-    meta = {"n": args.n, "x": x_values, "grid_w": nu, "grid_h": nr,
+    jobs = {name: partial(build, state) for name, state in zip(names, states)}
+    meta = {"n": args.n, "x": xs, "grid_w": nu, "grid_h": nr,
             "r_max": args.r_max, "n_list": list(_wig.N_LIST)}
     return jobs, meta
 
@@ -222,64 +220,45 @@ _FIG6_N_LIST = (8, 12, 16, 20)
 
 
 def _plan_fig6(args):
-    [x] = _resolve_x(args)
+    [x], [state], _ = _per_x(args)
     nphi, npi = args.grid
     jobs = {}
     for phi_s, tag in zip(args.phi, _tags("--phi", args.phi)):
         sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
-        state, big_a, rho = sq.reduced(x)
+        _, big_a, rho = sq.reduced(x)
         # window: cover the ridge in phi; in pi follow the para-mode tilt
         # and add a few radial widths (delta_r^2 ~ 2 in reduced units)
         phi_max = (args.u_max if args.u_max is not None
                    else 1.3 * math.sqrt(big_a) * max(1.0, _dm.ridge_u(state)))
         pi_max = (args.r_max if args.r_max is not None
                   else abs(rho) * phi_max + 1.9 * math.sqrt(0.5 / big_a))
+        axes = (np.linspace(-phi_max, phi_max, nphi), np.linspace(-pi_max, pi_max, npi))
         for mode in args.mode:
-
-            def build(sq=sq, mode=mode, phi_max=phi_max, pi_max=pi_max):
-                phi_axis = np.linspace(-phi_max, phi_max, nphi)
-                pi_axis = np.linspace(-pi_max, pi_max, npi)
-                proj = _wig.project_physical(
-                    sq, x, _wig.ProjectionMode(mode), phi_axis, pi_axis,
-                    _FIG6_N_LIST)
-                diag = _quad_diag(proj, phi_max=phi_max, pi_max=pi_max)
-                return (("phi", "pi", "ln_w_norm"),
-                        _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
-                        diag)
-
-            jobs[f"contours_phi{tag}_{mode}"] = build
-    meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
-            "mode": args.mode, "grid_w": nphi, "grid_h": npi,
-            "n_list": list(_FIG6_N_LIST)}
+            jobs[f"contours_phi{tag}_{mode}"] = _projection(
+                sq, x, mode, *axes, _FIG6_N_LIST, phi_max=phi_max, pi_max=pi_max)
+    meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi, "mode": args.mode,
+            "grid_w": nphi, "grid_h": npi, "n_list": list(_FIG6_N_LIST)}
     return jobs, meta
 
 
 def _plan_fig7(args):
-    [x] = _resolve_x(args)
+    [x], [state], _ = _per_x(args)
     [nphi] = args.grid
     sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=args.phi)
-    state, big_a, _ = sq.reduced(x)
+    big_a = sq.reduced(x)[1]
     phi0 = math.sqrt(big_a) * _dm.ridge_u(state)
     phi_max = (args.u_max if args.u_max is not None
                else 1.4 * max(phi0, math.sqrt(big_a)))
-
-    def build():
-        phi_axis = np.linspace(0.0, phi_max, nphi)
-        pi_axis = np.array([0.0])
-        proj = _wig.project_physical(
-            sq, x, _wig.ProjectionMode(args.mode), phi_axis, pi_axis)
-        diag = _quad_diag(proj, phi_max=phi_max, phi_peak=phi0)
-        return (("phi", "pi", "ln_w_norm"),
-                _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm), diag)
-
+    build = _projection(sq, x, args.mode, np.linspace(0.0, phi_max, nphi),
+                        np.array([0.0]), _wig.N_LIST, phi_max=phi_max, phi_peak=phi0)
     meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi,
             "mode": args.mode, "grid_w": nphi, "n_list": list(_wig.N_LIST)}
     return {"slice": build}, meta
 
 
 _PLANNERS = {
-    "fig1_c4": _plan_fig1,
-    "fig2_purity": _plan_fig2,
+    "fig1_c4": partial(_plan_sweep, "c4_ratio", ("c4_ratio",), _c4_ratio),
+    "fig2_purity": partial(_plan_sweep, "purity", ("p", "p_gaussian", "ratio"), _purity),
     "fig3_dsurface": _plan_fig3,
     "fig4_dslices": _plan_fig4,
     "fig5_wigner": _plan_fig5,
@@ -308,17 +287,13 @@ def _execute(jobs, threads, out_dir, fmt):
     if threads == 1 or len(jobs) == 1:
         return {name: run(name, build) for name, build in jobs.items()}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {name: pool.submit(run, name, build)
-                   for name, build in jobs.items()}
-        return {name: fut.result() for name, fut in futures.items()}
+        return dict(zip(jobs, pool.map(run, jobs, jobs.values())))
 
 
 def _cmd_figure(preset, args):
     try:
         jobs, meta = _PLANNERS[preset](args)
-    except (ValueError, NgStateError) as exc:
-        # a library constructor (state, squeeze, c4 inversion)
-        # refused the configuration
+    except (ValueError, NgStateError) as exc:  # a library constructor refused it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out
@@ -335,17 +310,12 @@ def _cmd_figure(preset, args):
     ok = True
     for name, result in results.items():
         if isinstance(result, Exception):
-            meta[f"{name}.converged"] = False
-            meta[f"{name}.error"] = str(result)
-            ok = False
-            continue
-        filename, n_rows, diag = result
-        meta[f"{name}.file"] = filename
-        meta[f"{name}.rows"] = n_rows
-        for key, value in diag.items():
-            meta[f"{name}.{key}"] = value
-        if diag.get("converged") is False:
-            ok = False
+            fields = {"converged": False, "error": str(result)}
+        else:
+            filename, n_rows, diag = result
+            fields = {"file": filename, "rows": n_rows, **diag}
+        meta.update({f"{name}.{key}": value for key, value in fields.items()})
+        ok = ok and fields.get("converged") is not False
     try:
         _io.write_metadata(os.path.join(out_dir, "meta.json"), meta)
     except OSError as exc:

@@ -46,7 +46,6 @@ __all__ = [
     "Regime",
     "classify_regime",
     "d_surface",
-    "default_grid",
     "delta_u_sq_large_n",
     "ln_d",
     "peak_fit",
@@ -142,12 +141,16 @@ def _ln_d_at(state, s, u_sq, v_sq):
             out[part] = _ln_d_at(state, s[part], u_sq[part], v_sq[part])
         return out
     big_f0, big_fu, big_fv = _sf.big_f(s)
-    corr = 0.0
-    if state.xi > 0.0:
-        diff = s - state.z0_sq
-        corr = diff * diff / (8.0 * state.xi)
-    return -(big_f0 + big_fu * u_sq + big_fv * v_sq - corr) \
-        - _obs.ln_z_per_dof(state)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        corr = 0.0
+        if state.xi > 0.0:
+            diff = s - state.z0_sq
+            corr = diff * diff / (8.0 * state.xi)
+        val = -(big_f0 + big_fu * u_sq + big_fv * v_sq - corr) \
+            - _obs.ln_z_per_dof(state)
+    if not np.isfinite(val).all():
+        raise PrecisionLoss("phase-space coordinates overflow")
+    return val
 
 
 def _ridge_threshold(kappa):
@@ -239,23 +242,18 @@ class DSurface:
 
 def ridge_u(state: ReducedState) -> float:
     """u of the ridge maximum at v = 0, or 1 where there is no ridge: the
-    u scale of the default surface grid and of the Wigner windows."""
+    u scale of the CLI's default windows."""
     if classify_regime(state) is Regime.PEAKED:
         return math.sqrt(u_c_sq(state, 0.0))
     return 1.0
-
-
-def default_grid(state: ReducedState, nu: int = 201, nv: int = 201):
-    """Default surface extent: past the ridge in u, several widths in v."""
-    top = 1.5 * max(1.0, ridge_u(state))
-    return np.linspace(0.0, top, nu), np.linspace(0.0, 4.0, nv)
 
 
 def ln_d_many(state: ReducedState, u_sq, v_sq):
     """Vectorized per-dof log amplitude over broadcastable (u^2, v^2) arrays.
 
     Same quantity as ln_d(...).ln_d (phase excluded); the workhorse behind
-    d_surface and the Wigner quadrature loops.
+    d_surface and the Wigner quadrature loops.  PrecisionLoss where Fu u^2
+    or Fv v^2 overflows.
     """
     u_sq = np.asarray(u_sq, dtype=float)
     v_sq = np.asarray(v_sq, dtype=float)

@@ -113,7 +113,8 @@ def test_criterion_05_matsubara_oracles(capsys):
 def test_criterion_06_matrix_element_structure(capsys):
     def body():
         st = ReducedState.from_nx(10.0, 15.0)
-        u, v = dm.default_grid(st, 201, 201)
+        u = np.linspace(0.0, 1.5 * dm.ridge_u(st), 201)
+        v = np.linspace(0.0, 4.0, 201)
         surf = dm.d_surface(st, u, v)
         i, j = np.unravel_index(np.argmax(surf.ln_d_norm),
                                 surf.ln_d_norm.shape)
@@ -177,7 +178,7 @@ def test_criterion_08_wigner_pipeline(capsys):
 
         # (10, 15): the N-sequence has settled inside N in [12, 24]
         st = ReducedState.from_nx(10.0, 15.0)
-        u101 = dm.default_grid(st, 101, 2)[0]
+        u101 = np.linspace(0.0, 1.5 * dm.ridge_u(st), 101)
         r101 = np.linspace(0.0, 2.0, 101)
         plateau = wg._normalised(st, u101 * u101, r101[None, :], (12, 16, 20, 24))
         assert float(np.max(plateau["spread"])) < 1e-3

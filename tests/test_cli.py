@@ -170,12 +170,32 @@ def test_threads_do_not_change_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_c4_ratio_flag_sets_x(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["fig3_dsurface", "--grid", "5x5"],
+    ["fig4_dslices", "--grid", "5"],
+    ["fig5_wigner", "--grid", "5x5"],
+    ["fig6_contours", "--phi", "0", "--mode", "para", "--grid", "5x5"],
+    ["fig7_slice", "--grid", "9"],
+], ids=["fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_c4_ratio_flag_sets_x(tmp_path, argv):
+    # fig3-fig7 share one x path
     out = tmp_path / "ratio"
-    assert cli.main(["fig3_dsurface", "--c4-ratio", "-0.5", "--grid", "5x5",
-                     "--out", str(out)]) == 0
+    assert cli.main([*argv, "--c4-ratio", "-0.5", "--out", str(out)]) == 0
     meta = _read_meta(out)
     assert float(meta["x"]) == pytest.approx(x_from_c4(10.0, -0.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("x, tag, u_max", [
+    ("15", "15", 1.5 * math.sqrt(212.65545801798518)),  # past the ridge
+    ("0", "0", 1.5),                                    # no ridge: u scale 1
+], ids=["peaked", "gaussian"])
+def test_default_u_max(tmp_path, x, tag, u_max):
+    out = tmp_path / "u"
+    assert cli.main(["fig3_dsurface", "--x", x, "--grid", "2x2",
+                     "--out", str(out)]) == 0
+    meta = _read_meta(out)
+    assert meta[f"dsurface_x{tag}.u_max"] == pytest.approx(u_max, rel=1e-12)
+    assert meta[f"dsurface_x{tag}.v_max"] == 4.0
 
 
 def test_env_threads_fallback(tmp_path, monkeypatch):
@@ -383,6 +403,7 @@ def test_not_converged_exits_1_with_partial_output(tmp_path, capsys, monkeypatch
     (["fig3_dsurface", "--u-max", "1e200"], "dsurface_x1"),  # u^2 overflows
     (["fig3_dsurface", "--v-max", "1e200"], "dsurface_x1"),  # v^2 overflows
     (["fig4_dslices", "--u-max", "1e200"], "dslices"),
+    (["fig3_dsurface", "--u-max", "1e154"], "dsurface_x1"),  # Fu u^2 overflows
 ])
 def test_overflowing_wigner_coordinates_exit_1_with_meta(tmp_path, capsys,
                                                         argv, name):

@@ -7,7 +7,8 @@ from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
 from ngstate import specfun as sf
-from ngstate.errors import NgStateError, RegimeError
+from ngstate import wigner as wg
+from ngstate.errors import NgStateError, PrecisionLoss, RegimeError
 from ngstate.statemap import ReducedState
 
 
@@ -206,7 +207,7 @@ def test_gaussian_fit_residual_deep_quartic():
 
 def test_d_surface_gaussian_monotone():
     st = ReducedState.from_nx(10.0, 0.0)
-    u, v = dm.default_grid(st, nu=61, nv=41)
+    u, v = np.linspace(0.0, 1.5 * dm.ridge_u(st), 61), np.linspace(0.0, 4.0, 41)
     surf = dm.d_surface(st, u, v)
     assert surf.ln_d_norm.shape == (61, 41)
     assert float(surf.ln_d_norm.max()) == 0.0
@@ -218,7 +219,7 @@ def test_d_surface_gaussian_monotone():
 
 def test_d_surface_peaked_structure():
     st = ReducedState.from_nx(10.0, 15.0)
-    u, v = dm.default_grid(st, nu=201, nv=41)
+    u, v = np.linspace(0.0, 1.5 * dm.ridge_u(st), 201), np.linspace(0.0, 4.0, 41)
     surf = dm.d_surface(st, u, v)
     i, j = np.unravel_index(np.argmax(surf.ln_d_norm), surf.ln_d_norm.shape)
     assert j == 0
@@ -239,14 +240,17 @@ def test_d_surface_validation():
         dm.d_surface(st, np.array([0.0, np.inf]), np.array([0.0]))
 
 
-def test_default_grid_extent():
-    st = ReducedState.from_nx(10.0, 15.0)
-    u, v = dm.default_grid(st)
-    assert u.size == 201 and v.size == 201
-    assert u[-1] == pytest.approx(1.5 * math.sqrt(212.65545801798518), rel=1e-12)
-    assert v[-1] == 4.0
-    u2, _ = dm.default_grid(ReducedState.from_nx(10.0, 0.0))
-    assert u2[-1] == 1.5
+@pytest.mark.parametrize("call", [
+    lambda st: dm.ln_d(st, dm.PhasePoint(1e308, 1e308)),
+    lambda st: dm.ln_d_many(st, [0.0, 1e300], 0.0),
+    lambda st: dm.d_surface(st, [0.0, 1e154], [0.0, 1.0]),
+    lambda st: wg.ln_w(st, 1e300, 0.0),
+], ids=["ln_d", "ln_d_many", "d_surface", "ln_w"])
+def test_overflowing_terms_raise_precision_loss(call):
+    # finite coordinates whose Fu u^2 or Fv v^2 overflows: a typed error,
+    # not NaN, a numpy warning or a misleading bracket failure
+    with pytest.raises(PrecisionLoss, match="phase-space coordinates overflow"):
+        call(ReducedState.from_nx(10.0, 15.0))
 
 
 def test_ln_d_many_matches_scalar():

@@ -137,6 +137,15 @@ def test_saddle_uv_center_point():
     assert abs(sol.residual) < 1e-12
 
 
+@pytest.mark.parametrize("u_sq, v_sq", [
+    (math.nan, 0.0), (1.0, math.inf), ([1.0, 2.0], [0.0, math.nan]), (-1.0, 0.0),
+], ids=["u-nan", "v-inf", "array-v-nan", "u-negative"])
+def test_saddle_uv_refuses_non_finite_and_negative(u_sq, v_sq):
+    # refused up front, not by a kernel pole or a bracket without a sign change
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        saddle.solve_saddle_uv_many(ReducedState.from_nx(10.0, 15.0), u_sq, v_sq)
+
+
 def test_saddle_uv_gaussian_limit():
     st = ReducedState.from_nx(10.0, 0.0)
     for u_sq, v_sq in [(0.0, 0.0), (3.0, 1.0), (50.0, 4.0)]:

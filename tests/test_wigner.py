@@ -435,7 +435,7 @@ def test_envelope_cut_probe_budget(monkeypatch, x):
     # 33 coarse points and two windows of 63 per u, in two calls, over the
     # u range of the fig5 and fig7 states
     st = ReducedState.from_nx(10.0, x)
-    u_sq = dm.default_grid(st, 101, 2)[0] ** 2
+    u_sq = np.linspace(0.0, 1.5 * max(1.0, dm.ridge_u(st)), 101) ** 2
     sizes = _spy_ln_d(monkeypatch)
     wg._auto_v_max(st, u_sq, 4)
     assert len(sizes) <= 2
