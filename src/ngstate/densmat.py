@@ -197,8 +197,13 @@ def delta_u_sq_large_n(n: float, x: float) -> float:
     """Leading large-n form of the squared peak width, n^2/(2x-1) + 1/6.
 
     Asymptotic check only -- at n = 10 it sits ~10% below the exact
-    peak_fit value; the closed-form fit is authoritative.
+    peak_fit value; the closed-form fit is authoritative.  ValueError
+    unless n is finite and >= 0 and x is finite and above the pole x = 1/2.
     """
+    if not 0 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 0, got {n}")
+    if not 0.5 < x < math.inf:
+        raise ValueError(f"x must be finite and > 1/2 (the pole), got {x}")
     return n * n / (2.0 * x - 1.0) + 1.0 / 6.0
 
 

@@ -56,11 +56,15 @@ def entropy_per_dof(n: float) -> float:
 
 def c4_ratio_large_n(x):
     """Limit of the quartic ratio for n >> 1: -2x/(1+2x)."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     return -2.0 * x / (1.0 + 2.0 * x)
 
 
 def c4_ratio_small_n(x):
     """Limit of the quartic ratio for n << 1: -x/(1 + x + sqrt(1+x))."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     return -x / (1.0 + x + math.sqrt(1.0 + x))
 
 

@@ -1,17 +1,20 @@
 """Brute-force validators for every closed form the package relies on.
 
 Each function here recomputes a main-path quantity from its defining
-sum, integral, or partition-function identity, sharing as little code
-with the production path as possible: trace sums are evaluated term by
-term over the frequency modes 1..n_max, plus the midpoint-rule integral
-of the summand from n_max + 1/2 to infinity, which leaves an error far
-below the bare ~1/n_max truncation bias; the purity comes from the
-doubled-parameter partition function, the entropy from ln Z plus the
+sum, integral, or partition-function identity: trace sums are evaluated
+term by term over the frequency modes 1..n_max, plus the midpoint-rule
+integral of the summand from n_max + 1/2 to infinity, which leaves an
+error far below the bare ~1/n_max truncation bias; the purity comes from
+the doubled-parameter partition function, the entropy from ln Z plus the
 operator expectation value.  run_validation bundles them into a
 PASS/FAIL report.
 
-All sums are evaluated in fixed chunk order, so results are bitwise
-reproducible.
+The brute-force side of a check shares no code with the closed form it
+checks (the purity and entropy sides solve the raw gap equation with the
+package's root-finder and h_trace, not the (n, x) closed forms); the
+closed-form side is the production code itself, so trace_g_closed is
+specfun.h_trace and a faulty kernel fails its line.  Sums run in fixed
+chunk order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ def trace_g_sum(z_sq: float, n_max: int = 1_000_000) -> float:
 
 
 def trace_g_closed(z_sq: float) -> float:
-    """Closed form of trace_g_sum."""
-    z = math.sqrt(z_sq)
-    return 1.0 / (2.0 * z * math.tanh(0.5 * z))
+    """Closed form of trace_g_sum, 1/(2 z tanh(z/2)), from the production
+    gap kernel specfun.h_trace."""
+    if not z_sq > 0.0:
+        raise ValueError(f"z_sq must be > 0, got {z_sq}")
+    return 0.5 / _sf.h_trace(z_sq)
 
 
 def pair_g_sum(a: float, b: float, n_max: int = 1_000_000) -> float:
@@ -201,6 +206,13 @@ def _abs_check(name, value, reference, tol) -> CheckResult:
                        abs(value - reference), "abs", tol)
 
 
+def _worst(check, name, pairs, tol) -> CheckResult:
+    """The check of the (value, reference) pair with the largest error
+    (the first of equals), under its reported name."""
+    return max((check(name, v, r, tol) for v, r in pairs),
+               key=lambda c: c.error)
+
+
 def run_validation(quick: bool = False) -> list:
     """Run every definitional check and return the CheckResult list.
 
@@ -208,67 +220,45 @@ def run_validation(quick: bool = False) -> list:
     seconds.
     """
     n_max = 20_000 if quick else 1_000_000
-    results = []
-
-    # trace sum vs closed form (includes the z = ln 2 textbook value)
-    worst = max(
-        (_rel_check("", trace_g_sum(z_sq, n_max), trace_g_closed(z_sq), 1e-8)
-         for z_sq in [math.log(2.0) ** 2] + [
-             ReducedState.from_nx(n, 0.0).z_gauss ** 2
-             for n in (0.1, 1.0, 10.0)]),
-        key=lambda c: c.error)
-    results.append(_rel_check("trace-sum-vs-closed-form", worst.value,
-                              worst.reference, 1e-8))
-    results.append(_rel_check("trace-sum-ln2-value",
-                              trace_g_sum(math.log(2.0) ** 2, n_max),
-                              3.0 / (2.0 * math.log(2.0)), 1e-8))
-
-    # pair-sum identity at (a, b) = (1, 2)
-    results.append(_rel_check("pair-sum-identity",
-                              pair_g_sum(1.0, 2.0, n_max),
-                              pair_g_closed(1.0, 2.0), 1e-8))
-
-    # quartic ratio: mode sum vs closed form
-    grid = [(1.0, 1.0)] + [(n, x) for n in (0.1, 1.0, 10.0)
-                           for x in (0.5, 1.0, 5.0, 15.0)]
-    worst = max((_rel_check("", c4_sum(ReducedState.from_nx(n, x), n_max),
-                            _obs.c4_half_ratio_nx(n, x), 1e-8)
-                 for n, x in grid), key=lambda c: c.error)
-    results.append(_rel_check("c4-mode-sum-vs-closed-form", worst.value,
-                              worst.reference, 1e-8))
-
-    # purity from the doubled partition function
-    purity_grid = [(10.0, 15.0), (1.0, 5.0), (0.1, 0.5), (1e-6, 5.0)]
-    worst = max(
-        (_rel_check("", purity_by_definition(
-            params_from_moments(GaussianMoments(F=n + 0.5, K=n + 0.5, R=0.0), x)),
-            _obs.purity(ReducedState.from_nx(n, x)).p, 1e-10)
-         for n, x in purity_grid), key=lambda c: c.error)
-    results.append(_rel_check("purity-vs-definition", worst.value,
-                              worst.reference, 1e-10))
-    results.append(_rel_check(
-        "purity-gaussian-exact",
-        purity_by_definition(params_from_moments(
-            GaussianMoments(F=10.5, K=10.5, R=0.0), 0.0)),
-        1.0 / 21.0, 1e-12))
-
-    # entropy invariance across the acceptance grid
-    worst = max(
-        (_abs_check("", entropy_by_definition(ReducedState.from_nx(n, x)),
-                    _obs.entropy_per_dof(n), 1e-8)
-         for n in (0.1, 1.0, 10.0) for x in (0.0, 0.5, 1.0, 5.0, 15.0)),
-        key=lambda c: c.error)
-    results.append(_abs_check("entropy-invariance", worst.value,
-                              worst.reference, 1e-8))
-
-    # moment roundtrip
+    ln2_sq = math.log(2.0) ** 2
+    ln2_sum = trace_g_sum(ln2_sq, n_max)  # read by the first two lines
     m = GaussianMoments(F=2.6, K=1.7, R=0.9)
     m_back, _ = moments_from_params(params_from_moments(m, 3.0))
-    err = max(abs(m_back.F - m.F) / m.F, abs(m_back.K - m.K) / m.K,
-              abs(m_back.R - m.R) / abs(m.R))
-    results.append(CheckResult("moments-roundtrip", m_back.F, m.F, err,
-                               "rel", 1e-10))
-    return results
+    return [
+        _worst(_rel_check, "trace-sum-vs-closed-form",
+               [(ln2_sum, trace_g_closed(ln2_sq))]
+               + [(trace_g_sum(z_sq, n_max), trace_g_closed(z_sq))
+                  for z_sq in (ReducedState.from_nx(n, 0.0).z_gauss ** 2
+                               for n in (0.1, 1.0, 10.0))], 1e-8),
+        _rel_check("trace-sum-ln2-value", ln2_sum,
+                   3.0 / (2.0 * math.log(2.0)), 1e-8),
+        _rel_check("pair-sum-identity", pair_g_sum(1.0, 2.0, n_max),
+                   pair_g_closed(1.0, 2.0), 1e-8),
+        _worst(_rel_check, "c4-mode-sum-vs-closed-form",
+               [(c4_sum(ReducedState.from_nx(n, x), n_max),
+                 _obs.c4_half_ratio_nx(n, x))
+                for n, x in [(1.0, 1.0)] + [(n, x) for n in (0.1, 1.0, 10.0)
+                                            for x in (0.5, 1.0, 5.0, 15.0)]],
+               1e-8),
+        _worst(_rel_check, "purity-vs-definition",
+               [(purity_by_definition(params_from_moments(
+                   GaussianMoments(F=n + 0.5, K=n + 0.5, R=0.0), x)),
+                 _obs.purity(ReducedState.from_nx(n, x)).p)
+                for n, x in [(10.0, 15.0), (1.0, 5.0), (0.1, 0.5), (1e-6, 5.0)]],
+               1e-10),
+        _rel_check("purity-gaussian-exact", purity_by_definition(
+            params_from_moments(GaussianMoments(F=10.5, K=10.5, R=0.0), 0.0)),
+            1.0 / 21.0, 1e-12),
+        _worst(_abs_check, "entropy-invariance",
+               [(entropy_by_definition(ReducedState.from_nx(n, x)),
+                 _obs.entropy_per_dof(n))
+                for n in (0.1, 1.0, 10.0) for x in (0.0, 0.5, 1.0, 5.0, 15.0)],
+               1e-8),
+        # F's value and reference, with the worst of the F, K, R errors
+        CheckResult("moments-roundtrip", m_back.F, m.F,
+                    max(abs(m_back.F - m.F) / m.F, abs(m_back.K - m.K) / m.K,
+                        abs(m_back.R - m.R) / abs(m.R)), "rel", 1e-10),
+    ]
 
 
 def format_report(results) -> str:

@@ -228,16 +228,16 @@ def solve_saddle_uv_many(state: "ReducedState", u_sq, v_sq) -> SaddleSolution:
     Unique root of (s - z0_sq)/xi = f0(s) + fu(s)*u^2 + fv(s)*v^2 over
     s in (-pi^2, inf) per point (s < 0: the imaginary continuation of the
     kernels), shaped like the inputs; x = 0 pins s = z0_sq.  ValueError
-    unless every u^2 and v^2 is finite and >= 0 (at x > 0).
+    unless every u^2 and v^2 is finite and >= 0.
     """
     u_sq, v_sq = np.broadcast_arrays(np.asarray(u_sq, float),
                                      np.asarray(v_sq, float))
-    if state.x == 0.0:
-        return _solution(np.full(u_sq.shape, state.z0_sq), np.zeros(u_sq.shape),
-                         np.zeros(u_sq.shape, dtype=int))
     for a in (u_sq, v_sq):  # NaN fails the comparison too
         if not (0.0 <= a.min(initial=math.inf) and a.max(initial=0.0) < math.inf):
             raise ValueError("u_sq and v_sq must be finite and >= 0")
+    if state.x == 0.0:
+        return _solution(np.full(u_sq.shape, state.z0_sq), np.zeros(u_sq.shape),
+                         np.zeros(u_sq.shape, dtype=int))
 
     def rhs(s, u_sq, v_sq):
         f0, fu, fv = _sf.small_f(s)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ngstate import ReducedState
+from ngstate import densmat as dm
 from ngstate import observables as obs
 from ngstate.errors import PrecisionLoss
 
@@ -167,6 +168,24 @@ def test_purity_matches_large_n_closed_form():
         rep = obs.purity(ReducedState.from_nx(100.0, x))
         _, ratio_limit = obs.purity_limit_large_n(x)
         assert rep.ratio == pytest.approx(ratio_limit, rel=0.01)
+
+
+@pytest.mark.parametrize("form, args", [
+    (obs.c4_ratio_large_n, (math.inf,)),
+    (obs.c4_ratio_large_n, (math.nan,)),
+    (obs.c4_ratio_large_n, (-1.0,)),
+    (obs.c4_ratio_small_n, (math.inf,)),
+    (obs.c4_ratio_small_n, (-2.0,)),
+    (dm.delta_u_sq_large_n, (10.0, 0.5)),
+    (dm.delta_u_sq_large_n, (10.0, 0.2)),
+    (dm.delta_u_sq_large_n, (math.nan, 1.0)),
+], ids=["c4-large-inf", "c4-large-nan", "c4-large-negative", "c4-small-inf",
+        "c4-small-negative", "width-at-pole", "width-below-pole", "width-n-nan"])
+def test_limit_forms_refuse_bad_input(form, args):
+    # refused like purity_limit_large_n: not NaN, a value off the curve,
+    # ZeroDivisionError or a math domain error
+    with pytest.raises(ValueError, match="must be finite and"):
+        form(*args)
 
 
 def test_purity_limit_values():

@@ -7,6 +7,7 @@ import pytest
 
 from ngstate import observables as obs
 from ngstate import oracle as orc
+from ngstate import specfun as sf
 from ngstate.statemap import (GaussianMoments, OperatorParams, ReducedState,
                               moments_from_params, occupation,
                               params_from_moments)
@@ -46,8 +47,10 @@ def test_trace_sum_limits():
         1.0 / 12.0, rel=1e-5)
     # large z: closed form collapses to 1/(2z)
     assert orc.trace_g_closed(2500.0) == pytest.approx(0.01, rel=1e-10)
-    with pytest.raises(ValueError):
-        orc.trace_g_sum(0.0)
+    for z_sq in (0.0, -1.0):  # the closed form (h_trace) refuses them alike
+        for form in (orc.trace_g_sum, orc.trace_g_closed):
+            with pytest.raises(ValueError, match="z_sq must be > 0"):
+                form(z_sq)
 
 
 def test_trace_truncation_monotone():
@@ -134,9 +137,25 @@ def test_entropy_independent_of_representative():
 def test_run_validation_all_pass():
     results = orc.run_validation(quick=True)
     assert results and all(c.passed for c in results)
+    # the report's lines, in order (the benchmark digests exactly these)
+    assert [c.name for c in results] == [
+        "trace-sum-vs-closed-form", "trace-sum-ln2-value", "pair-sum-identity",
+        "c4-mode-sum-vs-closed-form", "purity-vs-definition",
+        "purity-gaussian-exact", "entropy-invariance", "moments-roundtrip"]
     report = orc.format_report(results)
     assert "FAIL" not in report
     assert report.strip().endswith("0 failed")
+
+
+def test_run_validation_corrupt_trace_kernel_fails_trace_lines(monkeypatch):
+    # negative control: h_trace off by 0.1 % must fail the lines that check
+    # it against its mode sum; the textbook ln 2 value shares no code with it
+    h_trace = sf.h_trace
+    monkeypatch.setattr(sf, "h_trace", lambda s: 1.001 * h_trace(s))
+    by_name = {c.name: c for c in orc.run_validation(quick=True)}
+    assert not by_name["trace-sum-vs-closed-form"].passed
+    assert not by_name["pair-sum-identity"].passed
+    assert by_name["trace-sum-ln2-value"].passed
 
 
 def test_run_validation_corrupt_kappa_fails_roundtrip(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from ngstate import ReducedState, purity
 from ngstate import cli, saddle
+from ngstate import densmat as dm
 from ngstate import specfun as sf
 from ngstate.errors import BracketError
 
@@ -137,13 +138,21 @@ def test_saddle_uv_center_point():
     assert abs(sol.residual) < 1e-12
 
 
-@pytest.mark.parametrize("u_sq, v_sq", [
-    (math.nan, 0.0), (1.0, math.inf), ([1.0, 2.0], [0.0, math.nan]), (-1.0, 0.0),
-], ids=["u-nan", "v-inf", "array-v-nan", "u-negative"])
-def test_saddle_uv_refuses_non_finite_and_negative(u_sq, v_sq):
-    # refused up front, not by a kernel pole or a bracket without a sign change
+@pytest.mark.parametrize("x, u_sq, v_sq", [
+    (15.0, math.nan, 0.0), (15.0, 1.0, math.inf),
+    (15.0, [1.0, 2.0], [0.0, math.nan]), (15.0, -1.0, 0.0),
+    (0.0, math.nan, 0.0), (0.0, 1.0, math.inf),
+    (0.0, [1.0, 2.0], [0.0, math.nan]), (0.0, -4.0, 0.0),
+], ids=["u-nan", "v-inf", "array-v-nan", "u-negative",
+        "x0-u-nan", "x0-v-inf", "x0-array-v-nan", "x0-u-negative"])
+def test_saddle_uv_refuses_non_finite_and_negative(x, u_sq, v_sq):
+    # refused up front, not by a kernel pole or a bracket without a sign
+    # change, and at x = 0 before the Gaussian shortcut
+    st = ReducedState.from_nx(10.0, x)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        saddle.solve_saddle_uv_many(ReducedState.from_nx(10.0, 15.0), u_sq, v_sq)
+        saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        dm.ln_d_many(st, u_sq, v_sq)
 
 
 def test_saddle_uv_gaussian_limit():
