@@ -79,8 +79,8 @@ def c4_half_ratio_nx(n: float, x: float) -> float:
     1e-9 relative of the exact value.  Raises PrecisionLoss where kappa
     underflows (n above about 5e153) or zeta*x overflows (x near 1e308).
     """
-    if not (n >= 0 and x >= 0):
-        raise ValueError(f"n and x must be >= 0, got ({n}, {x})")
+    if not (0.0 <= n < math.inf and 0.0 <= x < math.inf):
+        raise ValueError(f"n and x must be finite and >= 0, got ({n}, {x})")
     if x == 0.0:
         return 0.0
     if n < N_SMALL:

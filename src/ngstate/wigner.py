@@ -67,8 +67,15 @@ _GL_ORDER = 16
 _gl_rule = functools.cache(lambda: np.polynomial.legendre.leggauss(_GL_ORDER))
 _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
 _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
+# First pass of the envelope probe: grid indices 0..95, v < 4.5 at the first
+# probe_hi = 48.  Past the peak Fv(s*) only rises, so g(v) - g_max <=
+# ln w - (w^2 - 1)/2 with w = v/v_peak, which reaches -45/4 at w ~ 5.18.
+# Where s* >= 0 at the peak, Fv >= 1 and v_peak <= 1/sqrt(2): the cut lies at
+# v <= 3.67 (index <= 80), so every such row settles in this pass; 96 = 3 x 32
+# hands over to the coarse points (every 32nd index) with no gap.
+_PROBE_NEAR = 96
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
-# every default preset (<= 188 r x 384 nodes), 3x the probe's 201 u x 159 g
+# every default preset (<= 188 r x 384 nodes), 5x the probe's 201 u x 96
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
 # the four N that ln_w and wigner_grid extrapolate in 1/N; the last also
@@ -167,26 +174,38 @@ def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
 
 def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
     """Envelope cut: the first of 1025 v on [1e-3, probe_hi] past the peak of
-    g = ln v + ln d where the weakest exponent N_min*(g - g_max) < -45; g has
-    one peak in v, so ~160 samples find it bit for bit (README design notes)."""
-    u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))[:, None]
+    g = ln v + ln d where the weakest exponent N_min*(g - g_max) < -45.
+
+    Each pass samples the rows not yet settled (_peak_and_cut): the first
+    _PROBE_NEAR indices, every 32nd, +-31 around the peak and the 63 below
+    the cut, the whole row.  g has one peak in v, so a settled row's cut
+    is the full scan's, bit for bit (README design notes).
+    """
+    u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))
+    cols = np.arange(1025)
     probe_hi = 48.0
     while True:
         v = np.linspace(1e-3, probe_hi, 1025)
         ln_v, v_sq = np.log(v), v * v
-        idx = np.broadcast_to(np.arange(0, 1025, 32), (u_sq.size, 33))
-        g = ln_v[idx] + _dm.ln_d_many(state, u_sq, v_sq[idx])
-        peak, cut = _peak_and_cut(idx, g, n_min)
-        win = np.hstack([peak[:, None] + np.arange(-31, 32),
-                         cut[:, None] + np.arange(-63, 0)]).clip(0, 1024)
-        idx = np.hstack([idx, win])
-        g = np.hstack([g, ln_v[win] + _dm.ln_d_many(state, u_sq, v_sq[win])])
-        peak, cut = _peak_and_cut(idx, g, n_min)
-        # a cut is exact once the index below it is sampled (peak, 1024 are)
-        blind = ~np.any(idx == cut[:, None] - 1, axis=1)
-        if blind.any():
-            g = ln_v + _dm.ln_d_many(state, u_sq[blind], v_sq)
-            cut[blind] = _peak_and_cut(np.arange(1025), g, n_min)[1]
+        cut = np.empty(u_sq.size, dtype=int)
+        rows = np.arange(u_sq.size)  # not yet settled; peak, at: their peak, cut
+        g = np.full((u_sq.size, _PROBE_NEAR), np.nan)  # NaN: not sampled yet
+        for step in range(4):
+            if step == 1:
+                want = cols % 32 == 0
+            elif step == 2:
+                want = ((np.abs(cols - peak[:, None]) <= 31)
+                        | (np.abs(cols - at[:, None] + 32) <= 31))
+            else:
+                want = True
+            r, c = np.nonzero(want & np.isnan(g))
+            g[r, c] = ln_v[c] + _dm.ln_d_many(state, u_sq[rows[r]], v_sq[c])
+            peak, at, settled = _peak_and_cut(g, n_min)
+            cut[rows[settled]] = at[settled]
+            rows, g, peak, at = (a[~settled] for a in (rows, g, peak, at))
+            if not rows.size:
+                break
+            g = np.pad(g, ((0, 0), (0, 1025 - g.shape[1])), constant_values=np.nan)
         if np.all(cut < 1025):
             return float(v[cut].max())
         probe_hi *= 2.0
@@ -194,13 +213,23 @@ def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
             raise BracketError("envelope failed to decay below the quadrature cut")
 
 
-def _peak_and_cut(idx, g, n_min):
-    """Per row of samples g at probe indices idx: the first index of the
-    maximum, and the first past it that dropped below the cut (or 1025)."""
-    g_max = g.max(axis=1, keepdims=True)
-    peak = np.where(g == g_max, idx, 1025).min(axis=1)
-    dropped = (idx > peak[:, None]) & (n_min * (g - g_max) < -_ENVELOPE_DROP)
-    return peak, np.where(dropped, idx, 1025).min(axis=1)
+def _peak_and_cut(g, n_min):
+    """Per row of g at the first g.shape[1] of the 1025 probe indices (NaN
+    where not sampled): the first index of the sampled maximum, the first
+    sampled index past it that dropped below the cut (or 1025), and whether
+    the row is settled: the peak's neighbours and the index below the cut
+    are sampled."""
+    g_max = np.fmax.reduce(g, axis=1)[:, None]
+    peak = np.argmax(g == g_max, axis=1)
+    dropped = ((np.arange(g.shape[1]) > peak[:, None])
+               & (n_min * (g - g_max) < -_ENVELOPE_DROP))
+    cut = np.where(dropped.any(axis=1), np.argmax(dropped, axis=1), 1025)
+    # column j + 1 of seen is index j; the grid's two ends count as seen
+    seen = np.pad(~np.isnan(g), ((0, 0), (1, 1026 - g.shape[1])))
+    seen[:, [0, -1]] = True
+    rows = np.arange(g.shape[0])
+    settled = seen[rows, peak] & seen[rows, peak + 2] & seen[rows, cut]
+    return peak, cut, settled
 
 
 def _panel_count(v_max: float, n_max: int, r_max: float) -> int:

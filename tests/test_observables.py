@@ -188,6 +188,17 @@ def test_limit_forms_refuse_bad_input(form, args):
         form(*args)
 
 
+@pytest.mark.parametrize("n, x", [(math.inf, 0.0), (10.0, math.inf),
+                                  (math.inf, 1.0), (0.0, math.inf)],
+                         ids=["n-inf-x0", "x-inf", "n-inf", "n0-x-inf"])
+def test_c4_ratio_refuses_infinite_input(n, x):
+    # one ValueError naming the pair, whatever branch n would take: not
+    # 0.0, PrecisionLoss or the small-n form's own error
+    with pytest.raises(ValueError, match=r"n and x must be finite and >= 0, "
+                                         r"got \((inf, .*|.*, inf)\)$"):
+        obs.c4_half_ratio_nx(n, x)
+
+
 def test_purity_limit_values():
     assert obs.purity_limit_large_n(0.0) == (1.0, 1.0)
     r, _ = obs.purity_limit_large_n(1.0)

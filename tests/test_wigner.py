@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
+from ngstate import saddle as sd
 from ngstate import wigner as wg
 from ngstate.errors import (BracketError, NgStateError, NotConverged,
                             QuadratureNonPositive)
@@ -411,10 +412,32 @@ def _dense_v_max(state, u_sq, n_min):
 @example(n=10.0, x=0.5, u_sq=[0.0, 2.0], n_min=4)      # monotone in u
 @example(n=10.0, x=15.0, u_sq=[0.0, 212.0], n_min=4)   # peaked, on the ridge
 @example(n=30.0, x=3e4, u_sq=[0.0], n_min=4)           # widens past 48
+@example(n=10.0, x=3000.0, u_sq=[0.0, 212.0], n_min=4)  # u^2 = 0 unsettled
+@example(n=30.0, x=3e4, u_sq=[400.0, 0.0], n_min=4)     # split, then widens
 def test_envelope_cut_matches_dense_scan(n, x, u_sq, n_min):
     state = ReducedState.from_nx(n, x)
     assert wg._auto_v_max(state, u_sq, n_min) == _dense_v_max(state, u_sq,
                                                                n_min)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=hst.floats(0.05, 1e4),
+       x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=4),
+       n_min=hst.sampled_from([4, 8, 20]))
+def test_envelope_cut_first_pass_settles_rows_with_s_nonnegative(n, x, u_sq,
+                                                                n_min):
+    # Fv(s*) >= 1 at a peak with s* >= 0 puts the cut at v <= 3.67, inside
+    # the first pass's 96 indices, whatever the rest of the row does
+    state = ReducedState.from_nx(n, x)
+    u_sq = np.asarray(u_sq)
+    v = np.linspace(1e-3, 48.0, 1025)
+    near = v[:wg._PROBE_NEAR]
+    g = np.log(near) + dm.ln_d_many(state, u_sq[:, None], near * near)
+    peak, cut, settled = wg._peak_and_cut(g, n_min)
+    s_peak = sd.solve_saddle_uv_many(state, u_sq, v[peak] ** 2).s
+    assert np.all(settled[s_peak >= 0.0])
+    assert np.all(cut[s_peak >= 0.0] <= 80)
 
 
 def _spy_ln_d(monkeypatch, fake=None):
@@ -432,33 +455,56 @@ def _spy_ln_d(monkeypatch, fake=None):
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 15.0, 3000.0])
 def test_envelope_cut_probe_budget(monkeypatch, x):
-    # 33 coarse points and two windows of 63 per u, in two calls, over the
-    # u range of the fig5 and fig7 states
+    # over the u range of the fig5 and fig7 states: the first pass of 96
+    # indices settles every row up to x = 15; at x = 3000 the rows near
+    # u = 0 go on to the 30 coarse points above it and the two windows
+    # (126), and the rows near the ridge do not
     st = ReducedState.from_nx(10.0, x)
     u_sq = np.linspace(0.0, 1.5 * max(1.0, dm.ridge_u(st)), 101) ** 2
     sizes = _spy_ln_d(monkeypatch)
     wg._auto_v_max(st, u_sq, 4)
-    assert len(sizes) <= 2
-    assert sum(sizes) <= 160 * u_sq.size
+    if x <= 15.0:
+        assert sizes == [96 * u_sq.size]
+    else:
+        assert len(sizes) <= 3 and sizes[0] == 96 * u_sq.size
+        assert sum(sizes) <= (96 + 30 + 126) * u_sq.size
+        assert sizes[1] < 30 * u_sq.size
 
 
-def test_envelope_cut_scans_rows_the_windows_miss(monkeypatch):
-    # a spike of height 8 and width 0.1 midway between two coarse points,
-    # on a slope of 1: the coarse maximum sits 8.75 below the true one, so
-    # the coarse drop lands ~9 past the cut, below the drop window; the row
-    # is then scanned whole and still gives the dense cut
+def _spike(slope):
+    """ln d whose g = ln v + ln d is a spike of height 8 and width 0.1
+    midway between two coarse points, on a slope falling away from it."""
     v0 = np.linspace(1e-3, 48.0, 1025)[336]
 
     def fake(state, u_sq, v_sq):
         v = np.sqrt(v_sq) + 0.0 * u_sq
-        return (-np.log(v) - np.abs(v - v0)
+        return (-np.log(v) - slope * np.abs(v - v0)
                 + 8.0 * np.exp(-((v - v0) / 0.1) ** 2))
+    return fake
 
+
+def test_envelope_cut_scans_rows_the_windows_miss(monkeypatch):
+    # on a slope of 1: the first pass ends on the rise, the coarse maximum
+    # sits 8.75 below the true one, so the coarse drop lands ~9 past the
+    # cut, below the drop window; the row is then scanned whole, each point
+    # solved once, and still gives the dense cut
     st = ReducedState.from_nx(10.0, 1.0)
-    sizes = _spy_ln_d(monkeypatch, fake)
+    sizes = _spy_ln_d(monkeypatch, _spike(1.0))
     got = wg._auto_v_max(st, [1.0], 4)
-    assert len(sizes) == 3 and sizes[-1] == 1025
+    assert len(sizes) == 4 and sum(sizes) == 1025
     assert got == _dense_v_max(st, [1.0], 4)
+
+
+def test_envelope_cut_waits_for_the_true_peak(monkeypatch):
+    # on a slope of 0.2, g(48) is 6.3 below the coarse maximum, short of
+    # the drop of 45/4, but 14.45 below the spike: the row must not settle
+    # while its peak's neighbours are unsampled, or the range would widen;
+    # the peak window finds the spike, and the cut lands at v ~ 32
+    st = ReducedState.from_nx(10.0, 1.0)
+    sizes = _spy_ln_d(monkeypatch, _spike(0.2))
+    got = wg._auto_v_max(st, [1.0], 4)
+    assert len(sizes) == 4 and sum(sizes) == 1025
+    assert got == _dense_v_max(st, [1.0], 4) < 48.0
 
 
 # ---------------------------------------------------------------------------
