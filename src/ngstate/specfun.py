@@ -33,6 +33,8 @@ s = -pi**2.  Callers get a ValueError at or beyond the pole rather than a
 garbage value from the wrong trigonometric sheet.
 """
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -238,58 +240,112 @@ _HANKEL = [np.cumprod([1.0] + [(4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) for 
 _BESSEL_CHUNK = 4096  # elements per pass: each temporary stays at 32 KiB
 
 
-def _bessel_series(nu, x):
+def _take(nu, order, j, ans):
+    # the answer with J_order = j put in: all of j for one order, else where
+    # the element's own order is `order`
+    return j if isinstance(nu, int) else np.where(nu == order, j, ans)
+
+
+@functools.lru_cache(maxsize=256)
+def _series_terms(order):
+    # (-x^2/4)^k/(k! (nu+1)_k), below 5e-18 from k = 13 at x < 2; built once
+    # per order, not per chunk, and shared, so read-only
+    terms = np.cumprod([1.0] + [-0.25 / (k * (k + order)) for k in range(1, 13)])
+    terms.flags.writeable = False
+    return terms
+
+
+def _bessel_series(nu, x, orders):
     # (x/2)^nu/nu! through the log, so tiny x underflows smoothly
-    with np.errstate(divide="ignore"):
-        pre = np.exp(nu * np.log(0.5 * x) - math.lgamma(nu + 1)) if nu else 1.0
-    # (-x^2/4)^k/(k! (nu+1)_k), below 5e-18 from k = 13 at x < 2
-    return pre * _horner(x * x, np.cumprod([1.0] + [-0.25 / (k * (k + nu)) for k in range(1, 13)]))
+    if isinstance(nu, int):
+        with np.errstate(divide="ignore"):
+            pre = np.exp(nu * np.log(0.5 * x) - math.lgamma(nu + 1)) if nu else 1.0
+        return pre * _horner(x * x, _series_terms(nu))
+    at = np.searchsorted(orders, nu)
+    lgam = np.array([math.lgamma(o + 1) for o in orders])[at]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * -inf where nu = x = 0
+        pre = np.where(nu > 0, np.exp(nu * np.log(0.5 * x) - lgam), 1.0)
+    return pre * _horner(x * x, np.array([_series_terms(o) for o in orders])[at].T)
 
 
-def _bessel_miller(nu, x):
+def _bessel_miller(nu, x, orders):
     # from an even start >= 40 above nu and x (more for a high order's turning
     # point), normalised by J0 + 2 sum J_2k = 1; |J| grows <= 1 + 2k/x <= 1 + k
-    # a step, so a check every 8 steps keeps it below 1e250 * top**8
-    top = max(nu, 25) + max(40, math.isqrt(40 * nu))
-    two_x, lo, j = 2.0 / x, np.zeros_like(x), np.ones_like(x)
+    # a step, so a check every 8 steps keeps it below 1e250 * top**8.  An
+    # element whose start lies lower holds J = 0, which the recurrence keeps,
+    # until its start seeds J = 1; orders <= 25 all start at 66
+    starts = [t + t % 2 for t in (max(o, 25) + max(40, math.isqrt(40 * o)) for o in orders)]
+    one = isinstance(nu, int)
+    start = starts[0] if one else np.array(starts)[np.searchsorted(orders, nu)]
+    two_x, lo = 2.0 / x, np.zeros_like(x)
+    j = np.ones_like(x) if one else np.where(start == starts[-1], 1.0, lo)
+    marks = {k + 1 for k in orders + starts}  # one lookup a step
     evens = ans = 0.0
-    for k in range(top + top % 2, 0, -1):
+    for k in range(starts[-1], 0, -1):
         lo, j = j, k * two_x * j - lo  # j is J_{k-1}
         evens = evens + j if k % 2 and k > 1 else evens
-        ans = j if k - 1 == nu else ans
+        if k in marks:
+            ans = _take(nu, k - 1, j, ans) if k - 1 in orders else ans
+            j = np.where(start == k - 1, 1.0, j) if k - 1 in starts else j
         if k % 8 == 0 and np.abs(j).max() > 1e250:
             scale = np.where(np.abs(j) > 1e250, 1e-250, 1.0)
             lo, j, evens, ans = lo * scale, j * scale, evens * scale, ans * scale
     return ans / (j + 2.0 * evens)
 
 
-def _bessel_hankel(nu, x):
-    w, c, s = 1.0 / (x * x), np.cos(x), np.sin(x)
+def _bessel_hankel(nu, x, orders):
+    # x * x overflows past 1.3e154 and pi * x past 5.7e307, where w and J are
+    # 0 to absolute precision
+    with np.errstate(over="ignore"):
+        w, root = 1.0 / (x * x), np.sqrt(math.pi * x)
+    c, s = np.cos(x), np.sin(x)
     (p0, q0), (p1, q1) = ((_horner(w, a[0::2]), _horner(w, a[1::2]) / x) for a in _HANKEL)
-    root = np.sqrt(math.pi * x)
     j0 = (p0 * (c + s) - q0 * (s - c)) / root
     j1 = (p1 * (s - c) + q1 * (s + c)) / root
-    for k in range(1, nu):  # stable upward while k < x (A&S 9.1.27)
-        j0, j1 = j1, (2.0 * k / x) * j1 - j0
-    return j1 if nu else j0
+    ans, done = 0.0, 1  # j1 is J_done
+    # stable upward while k < x (A&S 9.1.27); of several orders, an element
+    # recurs on past its own unread and may overflow there
+    with np.errstate(over="ignore", invalid="ignore") if len(orders) > 1 else contextlib.nullcontext():
+        for order in orders:
+            for k in range(done, order):
+                j0, j1 = j1, (2.0 * k / x) * j1 - j0
+            done = max(done, order)
+            ans = _take(nu, order, j1 if order else j0, ans)
+    return ans
+
+
+def _bessel_rows(orders, argument):
+    """J of order orders[i] (an int >= 0) at each element of argument[i]
+    (>= 0), in chunks of _BESSEL_CHUNK elements of the flattened argument.
+    A chunk of one order passes it to each range as an int; a chunk of
+    several passes each element's order, and each range shares one pass
+    among them (README design notes)."""
+    flat = argument.ravel()
+    out = np.zeros_like(flat)
+    width = flat.size // max(1, len(orders))
+    for at in range(0, flat.size, _BESSEL_CHUNK):
+        x, dst = flat[at:at + _BESSEL_CHUNK], out[at:at + _BESSEL_CHUNK]
+        first = at // width
+        rows = orders[first:(at + x.size - 1) // width + 1]
+        distinct = sorted(set(rows))
+        one = len(distinct) == 1
+        nu = int(distinct[0]) if one else np.array(rows)[np.arange(at, at + x.size) // width - first]
+        small, big = x < 2.0, x >= (max(25.0, nu) if one else np.maximum(25.0, nu))
+        for mask, kernel in ((small, _bessel_series),
+                             (~small & ~big, _bessel_miller),
+                             (big & (x < math.inf), _bessel_hankel)):
+            if mask.any():
+                dst[mask] = kernel(nu if one else nu[mask], x[mask], distinct)
+    return out.reshape(argument.shape)
 
 
 def bessel_j(order, argument):
     """Bessel J of non-negative integer order at non-negative argument, in
     three ranges of the argument (README design notes)."""
-    if not (math.isfinite(order) and int(order) == order and order >= 0):
+    if np.ndim(order) or not (math.isfinite(order) and int(order) == order and order >= 0):
         raise ValueError(f"bessel_j: order must be a non-negative integer, got {order}")
     arg = np.asarray(argument, dtype=float)
     if not np.all(arg >= 0):
         raise ValueError("bessel_j: argument must be >= 0")
-    nu, flat = int(order), arg.ravel()
-    out = np.zeros_like(flat)
-    for at in range(0, flat.size, _BESSEL_CHUNK):
-        x, dst = flat[at:at + _BESSEL_CHUNK], out[at:at + _BESSEL_CHUNK]
-        small, big = x < 2.0, x >= max(25.0, nu)
-        for mask, kernel in ((small, _bessel_series),
-                             (~small & ~big, _bessel_miller),
-                             (big & (x < math.inf), _bessel_hankel)):
-            if mask.any():
-                dst[mask] = kernel(nu, x[mask])
-    return float(out[0]) if arg.ndim == 0 else out.reshape(arg.shape)
+    out = _bessel_rows([int(order)], arg.reshape(1, -1))
+    return float(out[0, 0]) if arg.ndim == 0 else out.reshape(arg.shape)

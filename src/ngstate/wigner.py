@@ -25,7 +25,9 @@ ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
 the oracle.
 
 Grids, projections and single points share one assembly, which builds
-each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS.
+each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS; the
+N of a block share one kernel call while their tables together fit one
+Bessel chunk (a single point's four), else each N takes its own.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
 N list), so results are bitwise reproducible however a caller
@@ -251,6 +253,20 @@ def _gl_mesh(v_max: float, n_panels: int):
     return v, w
 
 
+def _bessel_tables(n_list, r_blk, v):
+    """Each N's Bessel table J_{N/2-1}(N r v), (r, node), in turn: from one
+    kernel call while the tables together fit one Bessel chunk (a single
+    point's four), else from one call per N, made as its table is read."""
+    if len(n_list) * r_blk.size * v.size > _sf._BESSEL_CHUNK:
+        for N in n_list:
+            yield _sf._bessel_rows([N // 2 - 1] * r_blk.size, N * np.outer(r_blk, v))
+    else:
+        rv = np.outer(r_blk, v)
+        tables = _sf._bessel_rows([N // 2 - 1 for N in n_list for _ in r_blk],
+                                  np.concatenate([N * rv for N in n_list]))
+        yield from tables.reshape(len(n_list), r_blk.size, v.size)
+
+
 def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
     """ln w for each N at the points (u_sq[i], r_rows[i, k]): (nN, nu, nr).
 
@@ -283,9 +299,10 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
         # a tensor grid needs every (u, r) pair; else each row takes only
         # the table rows of its own r values
         edges = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
+        tables = _bessel_tables(n_list, r_blk, v)
         for i_n, N in enumerate(n_list):
             envelope = np.exp(N * (g_half - gmax_h[:, None])) * w  # (nu, nodes)
-            bes = _sf.bessel_j(N // 2 - 1, N * np.outer(r_blk, v))
+            bes = next(tables)  # after the envelope: the last N's is freed by then
             if shared:
                 integral = (envelope @ bes.T)[row, col]
             else:

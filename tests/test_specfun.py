@@ -188,6 +188,20 @@ def test_bessel_values_and_bounds():
     for order in (math.inf, -math.inf, math.nan):  # refused by the kernel, not int()
         with pytest.raises(ValueError, match="bessel_j: order"):
             sf.bessel_j(order, 1.0)
+    for order in (np.array([1, 2]), [3]):  # one order per call, not numpy's TypeError
+        with pytest.raises(ValueError, match="bessel_j: order"):
+            sf.bessel_j(order, 1.0)
+
+
+def test_bessel_beyond_squarable_argument():
+    # x * x overflows past 1.3e154 and pi * x past 5.7e307, where w = 1/x^2
+    # and J are 0 to absolute precision: no RuntimeWarning (an error under
+    # the suite's filterwarnings), and |J| within its envelope sqrt(2/(pi x))
+    x = np.array([1e154, 1e155, 1e300, 1.7e308])
+    for order in (0, 1, 5):
+        got = sf.bessel_j(order, x)
+        assert np.all(np.abs(got) <= math.sqrt(2.0 / math.pi) / np.sqrt(x))
+        assert got[2] != 0.0
 
 
 def _bessel_args(order):

@@ -247,15 +247,17 @@ def test_envelope_cut_does_not_read_the_list():
 
 
 def _spy_bessel(monkeypatch):
-    """Record (order, rows) of every Bessel table the engine builds."""
+    """Record each Bessel kernel call the engine makes, as the (order, rows)
+    of every table it holds: one order per row of the argument."""
     calls = []
-    real = wg._sf.bessel_j
+    real = wg._sf._bessel_rows
 
-    def spy(order, argument):
-        calls.append((order, argument.shape[0]))
-        return real(order, argument)
+    def spy(orders, argument):
+        assert len(orders) == argument.shape[0]
+        calls.append([(order, orders.count(order)) for order in dict.fromkeys(orders)])
+        return real(orders, argument)
 
-    monkeypatch.setattr(wg._sf, "bessel_j", spy)
+    monkeypatch.setattr(wg._sf, "_bessel_rows", spy)
     return calls
 
 
@@ -275,7 +277,7 @@ def test_bessel_table_once_per_distinct_r(monkeypatch):
     n_list = (4, 8, 12, 16)
     proj = _symmetric_projection(n_list)
     for N in n_list:
-        rows = [rows for order, rows in calls if order == N // 2 - 1]
+        rows = [rows for call in calls for order, rows in call if order == N // 2 - 1]
         assert sum(rows) == 3
         assert max(rows) <= max(1, wg._TABLE_ELEMS // proj.quad_points)
 
@@ -287,9 +289,20 @@ def test_only_the_extrapolated_n_are_assembled(monkeypatch):
     read = wg.N_LIST
     calls = _spy_bessel(monkeypatch)
     value, spread = wg.ln_w(st, 1.0, 2.0)
-    assert sorted({order for order, _ in calls}) == [N // 2 - 1 for N in read]
+    assert sorted({order for call in calls for order, _ in call}) == [N // 2 - 1 for N in read]
+    # the four one-row tables fit one chunk, so one kernel call holds them all
+    assert calls == [[(N // 2 - 1, 1) for N in read]]
     per_n = np.array([wg.ln_w_at_N(st, 1.0, 2.0, N) for N in read])
     assert (value, spread) == tuple(map(float, wg._extrapolate(per_n, read)))
+
+
+def test_tables_above_one_chunk_take_one_call_per_n(monkeypatch):
+    # a fig5-sized table (100 positive r) is larger than a chunk for each N
+    calls = _spy_bessel(monkeypatch)
+    grid = wg.wigner_grid(ReducedState.from_nx(10.0, 15.0), np.linspace(0.0, 3.0, 4),
+                          np.linspace(0.0, 2.0, 101))
+    assert 100 * grid.quad_points > wg._sf._BESSEL_CHUNK
+    assert calls == [[(N // 2 - 1, 100)] for N in wg.N_LIST]
 
 
 def test_bessel_blocks_match_one_table(monkeypatch):
@@ -298,7 +311,7 @@ def test_bessel_blocks_match_one_table(monkeypatch):
     calls = _spy_bessel(monkeypatch)
     monkeypatch.setattr(wg, "_TABLE_ELEMS", 2 * one.quad_points)
     blocked = _symmetric_projection((4, 8, 12, 16))
-    assert [rows for order, rows in calls if order == 1] == [2, 1]
+    assert [rows for call in calls for order, rows in call if order == 1] == [2, 1]
     np.testing.assert_allclose(blocked.ln_w_norm, one.ln_w_norm,
                                rtol=0.0, atol=1e-12)
 
