@@ -87,8 +87,14 @@ def trace_g_closed(z_sq: float) -> float:
     return 0.5 / _sf.h_trace(z_sq)
 
 
+def _check_pair(a: float, b: float) -> None:  # the sums divide by a^2 b^2 and b^2 - a^2
+    if not (math.isfinite(a) and math.isfinite(b) and a * a * b * b != 0.0 and a * a != b * b):
+        raise ValueError(f"a and b must be finite and non-zero, a^2 != b^2, got ({a}, {b})")
+
+
 def pair_g_sum(a: float, b: float, n_max: int = 1_000_000) -> float:
     """Sum over k != 0 of 1/((omega_k^2 + a^2)(omega_k^2 + b^2))."""
+    _check_pair(a, b)
     total = 2.0 * _sum_over_modes(
         lambda k: 1.0 / ((_TWO_PI_SQ * k * k + a * a)
                          * (_TWO_PI_SQ * k * k + b * b)), n_max)
@@ -99,6 +105,7 @@ def pair_g_sum(a: float, b: float, n_max: int = 1_000_000) -> float:
 
 def pair_g_closed(a: float, b: float) -> float:
     """Closed form of pair_g_sum including the k = 0 term, minus k = 0."""
+    _check_pair(a, b)
     full = (trace_g_closed(a * a) - trace_g_closed(b * b)) / (b * b - a * a)
     return full - 1.0 / (a * a * b * b)
 
@@ -109,10 +116,9 @@ def c4_sum(state: ReducedState, n_max: int = 1_000_000) -> float:
     The connected four-point function reduces to products of mode
     propagators at shifted frequencies 2z, 2z*sqrt(1+x), 2z*sqrt(1+zeta*x);
     this evaluates those sums directly and must reproduce the closed-form
-    c4_half_ratio_nx to 1e-8 relative.
+    c4_half_ratio_nx to 1e-8 relative.  Needs x >= 1.5 * 2^-52 (~3.3e-16):
+    below it (x = 0 too) b rounds onto a, and pair_g_sum raises ValueError.
     """
-    if not state.x > 0.0:
-        raise ValueError("c4_sum needs x > 0")
     z, x, zeta = state.z_gauss, state.x, state.zeta
     a = 2.0 * z
     b = 2.0 * z * math.sqrt(1.0 + x)

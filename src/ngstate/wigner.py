@@ -25,9 +25,9 @@ ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
 the oracle.
 
 Grids, projections and single points share one assembly, which builds
-each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS; the
-N of a block share one kernel call while their tables together fit one
-Bessel chunk (a single point's four), else each N takes its own.
+each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS; a
+kernel call takes as many of a block's N as fit one Bessel chunk together,
+and at least one: a single point's four share one call.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
 N list), so results are bitwise reproducible however a caller
@@ -110,8 +110,8 @@ class SqueezeParams:
     phi: float
 
     def __post_init__(self):
-        if not self.n >= 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        if not (self.n >= 0 and math.isfinite(self.n)):
+            raise ValueError(f"n must be finite and >= 0, got {self.n}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -254,17 +254,20 @@ def _gl_mesh(v_max: float, n_panels: int):
 
 
 def _bessel_tables(n_list, r_blk, v):
-    """Each N's Bessel table J_{N/2-1}(N r v), (r, node), in turn: from one
-    kernel call while the tables together fit one Bessel chunk (a single
-    point's four), else from one call per N, made as its table is read."""
-    if len(n_list) * r_blk.size * v.size > _sf._BESSEL_CHUNK:
-        for N in n_list:
-            yield _sf._bessel_rows([N // 2 - 1] * r_blk.size, N * np.outer(r_blk, v))
-    else:
-        rv = np.outer(r_blk, v)
-        tables = _sf._bessel_rows([N // 2 - 1 for N in n_list for _ in r_blk],
-                                  np.concatenate([N * rv for N in n_list]))
-        yield from tables.reshape(len(n_list), r_blk.size, v.size)
+    """Each N's Bessel table J_{N/2-1}(N r v), (r, node), in turn; a kernel
+    call, made when its first table is read, takes as many N as fit one
+    Bessel chunk together, and at least one."""
+    per_call = max(1, _sf._BESSEL_CHUNK // (r_blk.size * v.size))
+    for at in range(0, len(n_list), per_call):
+        group = n_list[at:at + per_call]
+        arg = np.empty((len(group), r_blk.size, v.size))  # N * (r v), (N, r, node)
+        np.outer(r_blk, v, out=arg[-1])  # the last N's in place, so one N takes one table
+        for i, N in enumerate(group):
+            np.multiply(N, arg[-1], out=arg[i])
+        tables = _sf._bessel_rows([N // 2 - 1 for N in group for _ in r_blk],
+                                  arg.reshape(-1, v.size)).reshape(arg.shape)
+        del arg  # only the tables stay while they are read
+        yield from tables
 
 
 def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):

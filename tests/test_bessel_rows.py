@@ -1,8 +1,9 @@
-"""The packed Bessel kernel against the one-order code, bit for bit.
+"""The Bessel kernel against the one-order code, bit for bit.
 
 specfun._bessel_rows takes one order per index of the argument's leading
-axis and, where a 4096-element chunk holds several orders, shares each
-argument range's pass among them.  The reference below is the one-order
+axis.  Every 4096-element chunk, of one order or of several, passes each
+element's own order to the three argument ranges, and each range's pass
+is shared among the chunk's orders.  The reference below is the one-order
 kernel that runs each order on its own (series, Miller's recurrence,
 Hankel's series, chunk by chunk); every element must agree with it to the
 last bit, and the shape must be the argument's.

@@ -66,6 +66,22 @@ def test_pair_sum_identity():
     assert got == pytest.approx(orc.pair_g_closed(1.0, 2.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("form, args", [
+    (orc.pair_g_sum, (1.0, 1.0)),
+    (orc.pair_g_closed, (1.0, 1.0)),
+    (orc.pair_g_sum, (0.0, 1.0)),
+    (orc.pair_g_closed, (1.0, 0.0)),
+    (orc.pair_g_sum, (math.nan, 2.0)),
+    (orc.pair_g_closed, (1.0, math.inf)),
+    # x below 1.5 * 2^-52: b = 2z sqrt(1 + x) rounds onto a = 2z
+    (orc.c4_sum, (ReducedState.from_nx(1.0, 1e-17),)),
+])
+def test_pair_refuses_degenerate_frequencies(form, args):
+    # the partial fractions divide by a^2 b^2 and by b^2 - a^2
+    with pytest.raises(ValueError, match="a and b must be finite and non-zero"):
+        form(*args)
+
+
 def test_c4_sum_matches_closed_form():
     for n, x in [(1.0, 1.0), (0.1, 0.5), (1.0, 5.0), (10.0, 15.0),
                  (10.0, 0.5), (0.1, 15.0)]:

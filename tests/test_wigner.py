@@ -90,6 +90,8 @@ def test_squeeze_params():
         wg.SqueezeParams(n=1.0, gamma=0.5, phi=7.0)
     with pytest.raises(ValueError):
         wg.SqueezeParams(n=-1.0, gamma=0.5, phi=0.0)
+    with pytest.raises(ValueError, match="n must be finite"):
+        wg.SqueezeParams(n=math.inf, gamma=0.1, phi=0.0)
     # the polar family preserves the symplectic area at every angle
     for n in (0.3, 1.0, 10.0):
         for gamma in (0.0, 0.5, 0.9):
@@ -303,6 +305,17 @@ def test_tables_above_one_chunk_take_one_call_per_n(monkeypatch):
                           np.linspace(0.0, 2.0, 101))
     assert 100 * grid.quad_points > wg._sf._BESSEL_CHUNK
     assert calls == [[(N // 2 - 1, 100)] for N in wg.N_LIST]
+
+
+def test_tables_between_sizes_share_calls_as_they_fit_a_chunk(monkeypatch):
+    # four tables of 4 positive r x 384 nodes: all four outgrow a chunk,
+    # two fit one, so the four N go two to a kernel call
+    calls = _spy_bessel(monkeypatch)
+    grid = wg.wigner_grid(ReducedState.from_nx(10.0, 1.0), np.linspace(0.0, 3.0, 5),
+                          np.linspace(0.0, 2.0, 5))
+    assert grid.quad_points == 384
+    assert 2 * 4 * 384 <= wg._sf._BESSEL_CHUNK < 3 * 4 * 384
+    assert calls == [[(13, 4), (15, 4)], [(17, 4), (19, 4)]]
 
 
 def test_bessel_blocks_match_one_table(monkeypatch):
