@@ -77,7 +77,7 @@ _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
 # hands over to the coarse points (every 32nd index) with no gap.
 _PROBE_NEAR = 96
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
-# every default preset (<= 188 r x 384 nodes), 5x the probe's 201 u x 96
+# every default preset (<= 188 r x 384 nodes)
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
 # the four N that ln_w and wigner_grid extrapolate in 1/N; the last also
@@ -110,8 +110,8 @@ class SqueezeParams:
     phi: float
 
     def __post_init__(self):
-        if not (self.n >= 0 and math.isfinite(self.n)):
-            raise ValueError(f"n must be finite and >= 0, got {self.n}")
+        if not (self.n > 0 and math.isfinite(self.n)):
+            raise ValueError(f"n must be finite and > 0, got {self.n}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -164,10 +164,14 @@ def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
     Follows from the Weber integral; the finite-N value is exactly this
     minus ln(2)/N, which makes it the pipeline oracle at x = 0.
     """
+    u_sq, r_sq = np.asarray(u_sq, dtype=float), np.asarray(r_sq, dtype=float)
+    if not (np.all(0.0 <= u_sq) and np.all(u_sq < math.inf)
+            and np.all(0.0 <= r_sq) and np.all(r_sq < math.inf)):
+        raise ValueError("u_sq and r_sq must be finite and >= 0")
     n, z = state.n, state.z_gauss
     return (math.log(2.0 / (2.0 * n + 1.0))
-            - 0.5 * state.kappa * np.asarray(u_sq, dtype=float)
-            - np.asarray(r_sq, dtype=float) / (2.0 * z * (2.0 * n + 1.0)))
+            - 0.5 * state.kappa * u_sq
+            - r_sq / (2.0 * z * (2.0 * n + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,43 +180,63 @@ def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
 
 def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
     """Envelope cut: the first of 1025 v on [1e-3, probe_hi] past the peak of
-    g = ln v + ln d where the weakest exponent N_min*(g - g_max) < -45.
+    g = ln v + ln d where the weakest exponent N_min*(g - g_max) < -45,
+    the largest over the rows u_sq.
 
-    Each pass samples the rows not yet settled (_peak_and_cut): the first
-    _PROBE_NEAR indices, every 32nd, +-31 around the peak and the 63 below
-    the cut, the whole row.  g has one peak in v, so a settled row's cut
-    is the full scan's, bit for bit (README design notes).
+    The row of the smallest u^2 is settled (_settle), which gives its peak
+    p and cut M.  Every other distinct u^2 is sampled at p and M only: a
+    row with N_min*(g(M) - g(p)) < -45 has g(M) < g(p), so by its single
+    peak M lies past that peak, and g(p) <= g_max makes the drop test hold
+    at M; its cut is at most M.  A row that fails the check is settled
+    too.  As the cut is non-increasing in u^2, the check passes but for
+    rounding (README design notes).
     """
-    u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))
-    cols = np.arange(1025)
+    u_sq = np.unique(np.asarray(u_sq, dtype=float))  # ascending, distinct
     probe_hi = 48.0
     while True:
         v = np.linspace(1e-3, probe_hi, 1025)
         ln_v, v_sq = np.log(v), v * v
-        cut = np.empty(u_sq.size, dtype=int)
-        rows = np.arange(u_sq.size)  # not yet settled; peak, at: their peak, cut
-        g = np.full((u_sq.size, _PROBE_NEAR), np.nan)  # NaN: not sampled yet
-        for step in range(4):
-            if step == 1:
-                want = cols % 32 == 0
-            elif step == 2:
-                want = ((np.abs(cols - peak[:, None]) <= 31)
-                        | (np.abs(cols - at[:, None] + 32) <= 31))
-            else:
-                want = True
-            r, c = np.nonzero(want & np.isnan(g))
-            g[r, c] = ln_v[c] + _dm.ln_d_many(state, u_sq[rows[r]], v_sq[c])
-            peak, at, settled = _peak_and_cut(g, n_min)
-            cut[rows[settled]] = at[settled]
-            rows, g, peak, at = (a[~settled] for a in (rows, g, peak, at))
-            if not rows.size:
-                break
-            g = np.pad(g, ((0, 0), (0, 1025 - g.shape[1])), constant_values=np.nan)
-        if np.all(cut < 1025):
-            return float(v[cut].max())
+        (p,), (cut,) = _settle(state, u_sq[:1], ln_v, v_sq, n_min)
+        if cut < 1025 and u_sq.size > 1:
+            pair = np.array([p, cut])
+            g = ln_v[pair] + _dm.ln_d_many(state, u_sq[1:, None], v_sq[pair])
+            open_ = ~(n_min * (g[:, 1] - g[:, 0]) < -_ENVELOPE_DROP)
+            if open_.any():
+                cut = max(cut, _settle(state, u_sq[1:][open_], ln_v, v_sq,
+                                       n_min)[1].max())
+        if cut < 1025:
+            return float(v[cut])
         probe_hi *= 2.0
         if probe_hi > 1e4:
             raise BracketError("envelope failed to decay below the quadrature cut")
+
+
+def _settle(state, u_sq, ln_v, v_sq, n_min):
+    """(peak, cut) of each row u_sq on the probe grid, the full scan's bit
+    for bit (1025 for no cut).  Each pass samples the rows not yet settled
+    (_peak_and_cut): the first _PROBE_NEAR indices, every 32nd, +-31
+    around the peak and the 63 below the cut, the whole row."""
+    cols = np.arange(1025)
+    peak_of, cut_of = np.empty((2, u_sq.size), dtype=int)
+    rows = np.arange(u_sq.size)  # not yet settled; peak, at: their peak, cut
+    g = np.full((u_sq.size, _PROBE_NEAR), np.nan)  # NaN: not sampled yet
+    for step in range(4):
+        if step == 1:
+            want = cols % 32 == 0
+        elif step == 2:
+            want = ((np.abs(cols - peak[:, None]) <= 31)
+                    | (np.abs(cols - at[:, None] + 32) <= 31))
+        else:
+            want = True
+        r, c = np.nonzero(want & np.isnan(g))
+        g[r, c] = ln_v[c] + _dm.ln_d_many(state, u_sq[rows[r]], v_sq[c])
+        peak, at, settled = _peak_and_cut(g, n_min)
+        peak_of[rows[settled]], cut_of[rows[settled]] = peak[settled], at[settled]
+        rows, g, peak, at = (a[~settled] for a in (rows, g, peak, at))
+        if not rows.size:
+            break
+        g = np.pad(g, ((0, 0), (0, 1025 - g.shape[1])), constant_values=np.nan)
+    return peak_of, cut_of
 
 
 def _peak_and_cut(g, n_min):

@@ -297,6 +297,7 @@ def test_every_float_flag_refuses_non_finite(tmp_path, capsys, value):
     *([p, "--x", "1e308"] for p in ("fig3_dsurface", "fig4_dslices",
                                     "fig5_wigner", "fig6_contours",
                                     "fig7_slice")),    # z0_sq overflows
+    *([p, "--n", "0"] for p in ("fig6_contours", "fig7_slice")),
 ])
 def test_out_of_range_flags_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "range"

@@ -92,6 +92,9 @@ def test_squeeze_params():
         wg.SqueezeParams(n=-1.0, gamma=0.5, phi=0.0)
     with pytest.raises(ValueError, match="n must be finite"):
         wg.SqueezeParams(n=math.inf, gamma=0.1, phi=0.0)
+    # n = 0 has no reduced state: refused here, not by project_physical
+    with pytest.raises(ValueError, match="n must be finite and > 0"):
+        wg.SqueezeParams(n=0.0, gamma=0.5, phi=0.0)
     # the polar family preserves the symplectic area at every angle
     for n in (0.3, 1.0, 10.0):
         for gamma in (0.0, 0.5, 0.9):
@@ -163,6 +166,28 @@ def test_invalid_point_arguments():
         wg.wigner_grid(st, np.array([[0.1]]), np.array([0.0]))
     with pytest.raises(ValueError):
         wg.wigner_grid(st, np.array([0.1]), np.array([-0.5]))
+
+
+@pytest.mark.parametrize("u_sq,r_sq", [
+    (-1.0, 0.0),                          # above the oracle's own maximum
+    (0.0, math.inf),                      # read -inf
+    (math.nan, 0.0),
+    (np.array([0.0, 1.0]), np.array([0.5, -0.1])),
+    (np.array([[0.0], [math.nan]]), np.array([0.0, 1.0])),
+])
+def test_gaussian_oracle_refuses_bad_coordinates(u_sq, r_sq):
+    with pytest.raises(ValueError, match="u_sq and r_sq"):
+        wg.ln_w_gaussian_exact(gaussian_state(), u_sq, r_sq)
+
+
+def test_gaussian_oracle_keeps_its_types():
+    st = gaussian_state()
+    top = wg.ln_w_gaussian_exact(st, 0.0, 0.0)
+    assert isinstance(top, np.float64)
+    assert top == math.log(2.0 / 21.0)
+    grid = wg.ln_w_gaussian_exact(st, np.array([0.0, 1.0])[:, None],
+                                  np.array([0.0, 2.0, 3.0]))
+    assert grid.shape == (2, 3) and grid[0, 0] == top
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +458,7 @@ def _dense_v_max(state, u_sq, n_min):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=hst.floats(0.05, 1e4),
        x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
-       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=4),
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=8),
        n_min=hst.sampled_from([4, 8, 20]))
 @example(n=10.0, x=0.5, u_sq=[0.0, 2.0], n_min=4)      # monotone in u
 @example(n=10.0, x=15.0, u_sq=[0.0, 212.0], n_min=4)   # peaked, on the ridge
@@ -481,20 +506,48 @@ def _spy_ln_d(monkeypatch, fake=None):
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 15.0, 3000.0])
 def test_envelope_cut_probe_budget(monkeypatch, x):
-    # over the u range of the fig5 and fig7 states: the first pass of 96
-    # indices settles every row up to x = 15; at x = 3000 the rows near
-    # u = 0 go on to the 30 coarse points above it and the two windows
-    # (126), and the rows near the ridge do not
+    # over the u range of the fig5 and fig7 states: only u = 0 is settled,
+    # and every other u is checked at its peak and cut in one call of two
+    # per row.  Its first pass of 96 indices settles it up to x = 15; at
+    # x = 3000 it goes on to the 30 coarse points above it and the two
+    # windows (at most 126)
     st = ReducedState.from_nx(10.0, x)
     u_sq = np.linspace(0.0, 1.5 * max(1.0, dm.ridge_u(st)), 101) ** 2
     sizes = _spy_ln_d(monkeypatch)
     wg._auto_v_max(st, u_sq, 4)
     if x <= 15.0:
-        assert sizes == [96 * u_sq.size]
+        assert sizes == [96, 200]
     else:
-        assert len(sizes) <= 3 and sizes[0] == 96 * u_sq.size
-        assert sum(sizes) <= (96 + 30 + 126) * u_sq.size
-        assert sizes[1] < 30 * u_sq.size
+        settle = sizes[:-1]
+        assert sizes[-1] == 200 and len(settle) <= 3 and settle[0] == 96
+        assert sum(settle) <= 96 + 30 + 126 and settle[1] == 30
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=hst.floats(0.05, 1e4),
+       x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=2, max_size=6),
+       n_min=hst.sampled_from([4, 8, 20]))
+@example(n=10.0, x=3000.0, u_sq=[0.0, 1.0, 212.0], n_min=4)  # s* < 0 near u = 0
+def test_dense_cut_is_non_increasing_in_u(n, x, u_sq, n_min):
+    # the premise of the probe's two-sample check: dg/dv = 1/v - 2v Fv(s*)
+    # falls as u^2 raises s*, so a larger u^2 peaks and cuts no later
+    state = ReducedState.from_nx(n, x)
+    cuts = [_dense_v_max(state, [u], n_min) for u in sorted(u_sq)]
+    assert all(b <= a for a, b in zip(cuts, cuts[1:]))
+
+
+def test_envelope_cut_settles_rows_that_fail_the_check(monkeypatch):
+    # on a fake ln d whose g = ln v - v^2 / (2 (1 + u^2)) peaks and cuts
+    # later at larger u^2, the two samples of the u^2 = 0 row cannot bound
+    # the others: both are settled in one more run of the passes, and the
+    # cut is still the dense scan's
+    st = ReducedState.from_nx(10.0, 1.0)
+    sizes = _spy_ln_d(monkeypatch, lambda state, u_sq, v_sq:
+                      -0.5 * v_sq / (1.0 + u_sq))
+    got = wg._auto_v_max(st, [4.0, 0.0, 1.0, 4.0], 20)
+    assert sizes[:3] == [96, 4, 2 * 96]
+    assert got == _dense_v_max(st, [0.0, 1.0, 4.0], 20) > _dense_v_max(st, [0.0], 20)
 
 
 def _spike(slope):
