@@ -35,7 +35,11 @@ densmat.ridge_u.
 Worker threads (--threads, or NGSTATE_THREADS when the flag is absent)
 parallelize across artifacts only; each artifact's numbers are computed
 on a fixed mesh independent of the thread count, so data files are
-byte-identical for any --threads value.
+byte-identical for any --threads value.  The fig5 and fig6 planners make
+one memo per run, which their jobs share, on any thread, to build each
+Bessel row and ln d row once (wigner.wigner_grid); rows are keyed
+exactly, a row is the same whichever job builds it, and the memo is
+dropped with the jobs when the run ends.
 """
 
 import argparse
@@ -157,11 +161,12 @@ def _u_max(args, state):
     return args.u_max if args.u_max is not None else 1.5 * max(1.0, _dm.ridge_u(state))
 
 
-def _projection(sq, x, mode, phi_axis, pi_axis, n_list, **extra):
-    """fig6/fig7 builder: ln w of one projection mode over (phi, pi)."""
+def _projection(sq, x, mode, phi_axis, pi_axis, n_list, memo=None, **extra):
+    """fig6/fig7 builder: ln w of one projection mode over (phi, pi), with
+    the run's memo (see wigner.wigner_grid) if one is given."""
     def build():
         proj = _wig.project_physical(sq, x, _wig.ProjectionMode(mode),
-                                     phi_axis, pi_axis, n_list)
+                                     phi_axis, pi_axis, n_list, memo=memo)
         return (("phi", "pi", "ln_w_norm"),
                 _io.tensor_table(phi_axis, pi_axis, proj.ln_w_norm),
                 _quad_diag(proj, **extra))
@@ -199,11 +204,12 @@ def _plan_fig4(args):
 def _plan_fig5(args):
     nu, nr = args.grid
     xs, states, names = _per_x(args, "wigner")
+    memo = {}  # one per run: at the defaults the x share their mesh's Bessel rows
 
     def build(state):
         u = np.linspace(0.0, _u_max(args, state), nu)
         r = np.linspace(0.0, args.r_max, nr)
-        grid = _wig.wigner_grid(state, u, r)
+        grid = _wig.wigner_grid(state, u, r, memo=memo)
         return (("u", "r", "ln_w_norm", "spread"),
                 _io.tensor_table(u, r, grid.ln_w_norm, grid.spread),
                 _quad_diag(grid, u_max=float(u[-1])))
@@ -222,7 +228,7 @@ _FIG6_N_LIST = (8, 12, 16, 20)
 def _plan_fig6(args):
     [x], [state], _ = _per_x(args)
     nphi, npi = args.grid
-    jobs = {}
+    jobs, memo = {}, {}  # a para/perp pair shares its mesh and ln d rows
     for phi_s, tag in zip(args.phi, _tags("--phi", args.phi)):
         sq = _wig.SqueezeParams(n=args.n, gamma=args.gamma, phi=phi_s)
         _, big_a, rho = sq.reduced(x)
@@ -235,7 +241,7 @@ def _plan_fig6(args):
         axes = (np.linspace(-phi_max, phi_max, nphi), np.linspace(-pi_max, pi_max, npi))
         for mode in args.mode:
             jobs[f"contours_phi{tag}_{mode}"] = _projection(
-                sq, x, mode, *axes, _FIG6_N_LIST, phi_max=phi_max, pi_max=pi_max)
+                sq, x, mode, *axes, _FIG6_N_LIST, memo, phi_max=phi_max, pi_max=pi_max)
     meta = {"n": args.n, "x": x, "gamma": args.gamma, "phi": args.phi, "mode": args.mode,
             "grid_w": nphi, "grid_h": npi, "n_list": list(_FIG6_N_LIST)}
     return jobs, meta

@@ -24,10 +24,16 @@ integral is a Weber integral with the exact value ln w_N = ln w_inf -
 ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
 the oracle.
 
-Grids, projections and single points share one assembly, which builds
-each N's Bessel table once per distinct r, in blocks of _TABLE_ELEMS; a
-kernel call takes as many of a block's N as fit one Bessel chunk together,
-and at least one: a single point's four share one call.
+Grids, projections and single points share one assembly, which solves
+ln d once per distinct u^2 and builds each N's Bessel table once per
+distinct r, in blocks of _TABLE_ELEMS, from rows keyed exactly: ln d by
+u^2 on its (state, mesh), Bessel by (N, r) on its mesh (v_max, panel
+count).  A kernel call takes the missing rows of as many of a block's N
+as fit one Bessel chunk together, and of one N at least: a single point's
+four share one call.  A call's rows are its own unless the caller passes
+a memo (wigner_grid), which a run of calls shares and drops after it.  An
+element depends on its own inputs alone, so a row is the same bits
+whichever call builds it.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
 N list), so results are bitwise reproducible however a caller
@@ -277,37 +283,59 @@ def _gl_mesh(v_max: float, n_panels: int):
     return v, w
 
 
-def _bessel_tables(n_list, r_blk, v):
-    """Each N's Bessel table J_{N/2-1}(N r v), (r, node), in turn; a kernel
-    call, made when its first table is read, takes as many N as fit one
-    Bessel chunk together, and at least one."""
+def _bessel_tables(n_list, r_blk, v, rows):
+    """Each N's Bessel table J_{N/2-1}(N r v), (r, node), in turn, from
+    rows: a dict (N, r) -> row on the mesh v, which gets the rows it lacks.
+    A kernel call, made when its first table is read, takes the missing
+    rows of as many N as fit one Bessel chunk together, and of one N at
+    least; an element depends on its own order and argument alone, so a
+    table is the same whichever call built its rows."""
+    r_key = r_blk.tolist()
     per_call = max(1, _sf._BESSEL_CHUNK // (r_blk.size * v.size))
     for at in range(0, len(n_list), per_call):
         group = n_list[at:at + per_call]
-        arg = np.empty((len(group), r_blk.size, v.size))  # N * (r v), (N, r, node)
-        np.outer(r_blk, v, out=arg[-1])  # the last N's in place, so one N takes one table
-        for i, N in enumerate(group):
-            np.multiply(N, arg[-1], out=arg[i])
-        tables = _sf._bessel_rows([N // 2 - 1 for N in group for _ in r_blk],
-                                  arg.reshape(-1, v.size)).reshape(arg.shape)
-        del arg  # only the tables stay while they are read
-        yield from tables
+        todo = [(N, r) for N in group for r in r_key if (N, r) not in rows]
+        if todo:
+            n_of, r_of = np.array(todo).T
+            arg = np.outer(r_of, v)  # N * (r v), (row, node)
+            arg *= n_of[:, None]
+            rows.update(zip(todo, _sf._bessel_rows([N // 2 - 1 for N, _ in todo], arg)))
+            del arg  # only the rows stay
+        for N in group:
+            yield np.array([rows[N, r] for r in r_key])
 
 
-def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
+def _envelope(g, g_max, N, weight, out):
+    """exp(N (g - g_max)) * weight, g_max per row, computed in out."""
+    np.subtract(g, g_max[:, None], out=out)
+    out *= N
+    np.exp(out, out=out)
+    out *= weight
+    return out
+
+
+def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
     """ln w for each N at the points (u_sq[i], r_rows[i, k]): (nN, nu, nr).
 
     r_rows has one row per u, or one row for every u (a tensor grid).  The
-    Bessel table is built once per distinct r above r_tiny, in blocks; only
-    the points' own entries are checked and logged.
+    rows on the mesh v come from lnd_rows (u^2 -> ln d) and bessel_rows
+    (_bessel_tables), which get the rows they lack; tables cover the r
+    above r_tiny.  Only the points' own entries are checked and logged.
     """
+    todo = np.unique(u_sq)
+    todo = todo[[u not in lnd_rows for u in todo.tolist()]]
+    if todo.size:
+        lnd_rows.update(zip(todo.tolist(), _dm.ln_d_many(state, todo[:, None],
+                                                         (v * v)[None, :])))
+    lnd = np.array([lnd_rows[u] for u in u_sq.tolist()])  # (nu, nodes)
+    lnd_rows.update(zip(u_sq.tolist(), lnd))  # views of lnd: the solve's array is freed
     ln_v = np.log(v)
-    lnd = _dm.ln_d_many(state, u_sq[:, None], (v * v)[None, :])  # (nu, nodes)
     g_half = 0.5 * ln_v[None, :] + lnd
     g_full = ln_v[None, :] + lnd
     gmax_h = g_half.max(axis=1)
     gmax_f = g_full.max(axis=1)
 
+    env = np.empty_like(lnd)  # each N's envelope in turn, (nu, nodes)
     shared = r_rows.shape[0] < u_sq.size
     r_rows = np.broadcast_to(r_rows, (u_sq.size, r_rows.shape[1]))
     out = np.empty((len(n_list),) + r_rows.shape)
@@ -326,15 +354,16 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
         # a tensor grid needs every (u, r) pair; else each row takes only
         # the table rows of its own r values
         edges = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
-        tables = _bessel_tables(n_list, r_blk, v)
+        tables = _bessel_tables(n_list, r_blk, v, bessel_rows)
         for i_n, N in enumerate(n_list):
-            envelope = np.exp(N * (g_half - gmax_h[:, None])) * w  # (nu, nodes)
-            bes = next(tables)  # after the envelope: the last N's is freed by then
+            envelope = _envelope(g_half, gmax_h, N, w, env)
+            bes = next(tables)
             if shared:
                 integral = (envelope @ bes.T)[row, col]
             else:
                 integral = np.concatenate([bes[col[a:b]] @ envelope[row[a]]
                                            for a, b in zip(edges, edges[1:])])
+            del bes  # the next N's table is built without it
             if np.any(integral <= 0.0):
                 bad = int(np.argmax(integral <= 0.0))
                 raise QuadratureNonPositive(
@@ -347,7 +376,7 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w):
     for i_n, N in enumerate(n_list):
         if not at0.size:
             break
-        env0 = np.exp(N * (g_full - gmax_f[:, None])) * (w / v)
+        env0 = _envelope(g_full, gmax_f, N, w / v, env)
         integral0 = env0.sum(axis=1)[row0]
         if np.any(integral0 <= 0.0):
             raise QuadratureNonPositive(f"r = 0 integral vanished at N = {N}")
@@ -374,9 +403,22 @@ def _extrapolate(vals, n_list):
     return last, np.abs(last - step(2))
 
 
-def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh):
+def _kept(memo, kind, key):
+    """memo's rows dict of this kind for key, a new one replacing those of
+    any other key (a fresh dict without a memo).  Threads may share it: a
+    row is inserted whole, the same bits by any thread, and no dict is
+    iterated."""
+    if memo is None:
+        return {}
+    kept = memo.get(kind)
+    if kept is None or kept[0] != key:
+        kept = memo[kind] = (key, {})
+    return kept[1]
+
+
+def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh, memo=None):
     """Mesh for the points, its panels sized at n_mesh, then ln w for each
-    N of n_list -> (per_n, v_max, nodes)."""
+    N of n_list -> (per_n, v_max, nodes); memo as in wigner_grid."""
     r_max = float(r_rows.max()) if r_rows.size else 0.0
     # the callers refuse non-finite inputs: these overflowed on the way
     if not (np.all(np.isfinite(u_sq)) and math.isfinite(n_mesh * r_max)):
@@ -384,7 +426,10 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh):
     v_max = _auto_v_max(state, u_sq, _CUT_N)
     n_panels = _panel_count(v_max, n_mesh, r_max)
     v, w = _gl_mesh(v_max, n_panels)
-    per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w)
+    mesh = (v_max, n_panels)  # _gl_mesh's inputs: the key names its bits
+    per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w,
+                            _kept(memo, "ln_d", (state, mesh)),
+                            _kept(memo, "bessel", mesh))
     return per_n, v_max, n_panels * _GL_ORDER
 
 
@@ -398,11 +443,11 @@ def _point_per_n(state, u_sq, r_sq, n_list):
     return per_n[:, 0, 0]
 
 
-def _normalised(state, u_sq, r_rows, n_list):
+def _normalised(state, u_sq, r_rows, n_list, memo=None):
     """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
     per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, n_list,
-                                              n_list[-1])
+                                              n_list[-1], memo)
     value, spread = _extrapolate(per_n, n_list)
     top = float(value.max())
     return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
@@ -433,26 +478,32 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float):
     return value, spread
 
 
-def wigner_grid(state: ReducedState, u, r) -> WignerGrid:
+def wigner_grid(state: ReducedState, u, r, *, memo=None) -> WignerGrid:
     """Extrapolated ln w from N_LIST over the tensor grid u x r, normalized
     to max = 0.
 
     Convergence is reported per point in .spread rather than raised, so a
     caller can flag partial results; QuadratureNonPositive still raises.
+
+    memo, a dict the caller makes for one run of calls and then drops,
+    shares rows between the calls (and project_physical's): the Bessel
+    rows of the most recent mesh, keyed by (N, r), and the ln d rows of
+    the most recent (state, mesh), keyed by u^2, all compared exactly.
+    The values are the same with or without it.
     """
     u, r = _dm.grid_axes(u=u, r=r)
     if np.any(u < 0.0) or np.any(r < 0.0):
         raise ValueError("grid values must be >= 0")
     with np.errstate(over="ignore"):
         u_sq = u * u
-    return WignerGrid(u=u, r=r, **_normalised(state, u_sq, r[None, :], N_LIST))
+    return WignerGrid(u=u, r=r, **_normalised(state, u_sq, r[None, :], N_LIST, memo))
 
 
 def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
-                     phi, pi, n_list=N_LIST) -> ProjectionGrid:
+                     phi, pi, n_list=N_LIST, *, memo=None) -> ProjectionGrid:
     """ln w on a physical (phi, pi) grid (per-sqrt(N)-scaled coordinates),
     extrapolated from n_list: four strictly ascending even N >= 4, the
-    last of which also sets the mesh.
+    last of which also sets the mesh; memo as in wigner_grid.
 
     The map into the reduced (u, r) plane uses A = kappa*F and the actual
     correlator slope rho = R/F:
@@ -480,4 +531,4 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
         else:
             raise ValueError(f"unknown projection mode {mode!r}")
     return ProjectionGrid(phi=phi, pi=pi_arr, mode=mode,
-                          **_normalised(state, u_sq, np.sqrt(r_sq), n_list))
+                          **_normalised(state, u_sq, np.sqrt(r_sq), n_list, memo))

@@ -159,15 +159,46 @@ def test_meta_records_the_presets_own_n(tmp_path, argv, n_list):
     assert _read_meta(out)["n_list"] == n_list
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    args = ["fig6_contours", "--grid", "7x7"]
+@pytest.mark.parametrize("args, files", [
+    (["fig6_contours", "--grid", "7x7"], 4),
+    (["fig5_wigner", "--grid", "7x7", "--x", "0.5", "1"], 2),
+], ids=["fig6", "fig5"])
+def test_threads_do_not_change_bytes(tmp_path, args, files):
+    # with 8 threads the jobs share the run's memo concurrently
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--threads", "1", "--out", str(a)]) == 0
     assert cli.main(args + ["--threads", "8", "--out", str(b)]) == 0
     names = sorted(p.name for p in a.glob("*.csv"))
-    assert len(names) == 4
+    assert len(names) == files
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_a_run_builds_each_row_once_and_keeps_none(tmp_path, monkeypatch):
+    # the two x of a fig5 run share one mesh: the run builds each (order,
+    # r) Bessel row once, and the next run builds every row again
+    runs = []
+    bessel, ln_d = wigner._sf._bessel_rows, wigner._dm.ln_d_many
+
+    def spy_bessel(orders, argument):
+        runs[-1]["bessel"] += [(order, row.tobytes()) for order, row in zip(orders, argument)]
+        return bessel(orders, argument)
+
+    def spy_ln_d(state, u_sq, v_sq):
+        runs[-1]["ln_d"] += np.broadcast(u_sq, v_sq).size
+        return ln_d(state, u_sq, v_sq)
+
+    monkeypatch.setattr(wigner._sf, "_bessel_rows", spy_bessel)
+    monkeypatch.setattr(wigner._dm, "ln_d_many", spy_ln_d)
+    for out in ("a", "b"):
+        runs.append({"bessel": [], "ln_d": 0})
+        assert cli.main(["fig5_wigner", "--grid", "11x11", "--x", "0.5", "1",
+                         "--out", str(tmp_path / out)]) == 0
+    meta = _read_meta(tmp_path / "a")
+    assert meta["wigner_x0p5.quad_v_max"] == meta["wigner_x1.quad_v_max"]
+    first, second = runs
+    assert len(first["bessel"]) == len(set(first["bessel"])) == 4 * 10
+    assert second == first
 
 
 @pytest.mark.parametrize("argv", [

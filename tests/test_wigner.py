@@ -354,6 +354,80 @@ def test_bessel_blocks_match_one_table(monkeypatch):
                                rtol=0.0, atol=1e-12)
 
 
+def _spy_rows(monkeypatch):
+    """Record each Bessel row the engine builds, as (order, argument row),
+    and each u^2 whose ln d row an assembly solves: the assembly passes
+    v^2 as one row of the mesh, the envelope probe as a 1-D array."""
+    built = {"bessel": [], "ln_d": []}
+    bessel, ln_d = wg._sf._bessel_rows, wg._dm.ln_d_many
+
+    def spy_bessel(orders, argument):
+        built["bessel"] += [(order, row.tobytes()) for order, row in zip(orders, argument)]
+        return bessel(orders, argument)
+
+    def spy_ln_d(state, u_sq, v_sq):
+        if np.ndim(v_sq) == 2:
+            built["ln_d"] += np.ravel(u_sq).tolist()
+        return ln_d(state, u_sq, v_sq)
+
+    monkeypatch.setattr(wg._sf, "_bessel_rows", spy_bessel)
+    monkeypatch.setattr(wg._dm, "ln_d_many", spy_ln_d)
+    return built
+
+
+def _pair_projections(memo, phi=np.linspace(-1.0, 1.0, 9)):
+    """The para and perp projections of one untilted squeeze (rho = 0), so
+    both see the same state, u^2 rows and mesh."""
+    sq = wg.SqueezeParams(n=10.0, gamma=0.5, phi=0.0)
+    pi = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+    return [wg.project_physical(sq, 15.0, mode, phi, pi, (8, 12, 16, 20), memo=memo)
+            for mode in (wg.ProjectionMode.PARA, wg.ProjectionMode.PERP)]
+
+
+def test_memo_shares_rows_of_a_para_perp_pair(monkeypatch):
+    # the symmetric phi axis of 9 points has 5 distinct u^2: a projection
+    # solves 5 ln d rows, not 9, and a pair sharing a memo solves them
+    # once; a second pair finds every ln d and Bessel row in the memo
+    built = _spy_rows(monkeypatch)
+    alone = _pair_projections(None)
+    assert len(built["ln_d"]) == 2 * 5
+    del built["ln_d"][:], built["bessel"][:]
+    memo = {}
+    shared = _pair_projections(memo)
+    assert len(built["ln_d"]) == len(set(built["ln_d"])) == 5
+    assert len(built["bessel"]) == len(set(built["bessel"]))
+    once = {key: list(rows) for key, rows in built.items()}
+    again = _pair_projections(memo)
+    assert built == once
+    for a, b in zip(alone + alone, shared + again):
+        assert a.ln_w_norm.tobytes() == b.ln_w_norm.tobytes()
+        assert a.spread.tobytes() == b.spread.tobytes()
+        assert (a.ln_w_max, a.quad_points, a.v_max) == (b.ln_w_max, b.quad_points, b.v_max)
+
+
+def test_calls_without_a_memo_share_nothing(monkeypatch):
+    # each call builds its rows anew; a memo spares the second call all
+    # of them, and keeps the rows of the most recent state's mesh only
+    st = ReducedState.from_nx(10.0, 1.0)
+    u, r = np.linspace(0.0, 3.0, 4), np.linspace(0.0, 2.0, 5)
+    built = _spy_rows(monkeypatch)
+    first = wg.wigner_grid(st, u, r)
+    once = {key: list(rows) for key, rows in built.items()}
+    assert len(once["bessel"]) == 4 * 4 and len(once["ln_d"]) == 4
+    second = wg.wigner_grid(st, u, r)
+    assert built == {key: rows * 2 for key, rows in once.items()}
+    memo = {}
+    for _ in range(2):
+        shared = wg.wigner_grid(st, u, r, memo=memo)
+        assert shared.ln_w_norm.tobytes() == first.ln_w_norm.tobytes()
+    assert built == {key: rows * 3 for key, rows in once.items()}
+    assert second.ln_w_norm.tobytes() == first.ln_w_norm.tobytes()
+    assert sorted(memo) == ["bessel", "ln_d"]
+    assert memo["ln_d"][0] == (st, (first.v_max, first.quad_points // 16))
+    wg.wigner_grid(ReducedState.from_nx(10.0, 2.0), u, r, memo=memo)
+    assert memo["ln_d"][0][0] == ReducedState.from_nx(10.0, 2.0)
+
+
 def test_peak_and_widths_far_regime():
     # x >> n^2: the Wigner peak sits at the matrix-element ridge and the
     # widths match the Gaussian-fit predictions
