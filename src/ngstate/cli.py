@@ -32,21 +32,17 @@ builds its objects.  An axis maximum left unset takes the preset's
 default window, set here alone, in units of the ridge's u scale
 densmat.ridge_u.
 
-Worker threads (--threads, or NGSTATE_THREADS when the flag is absent)
-parallelize across artifacts only; each artifact's numbers are computed
-on a fixed mesh independent of the thread count, so data files are
-byte-identical for any --threads value.  The fig5 and fig6 planners make
-one memo per run, which their jobs share, on any thread, to build each
-Bessel row and ln d row once (wigner.wigner_grid); rows are keyed
-exactly, a row is the same whichever job builds it, and the memo is
-dropped with the jobs when the run ends.
+Artifacts are built one at a time, in order.  The fig5 and fig6 planners
+make one memo per run, which their jobs share, to build each Bessel row
+and ln d row once (wigner.wigner_grid); rows are keyed exactly, a row is
+the same whichever job builds it, and the memo is dropped with the jobs
+when the run ends.
 """
 
 import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -73,27 +69,26 @@ def _tags(flag, values):
     return tags
 
 
-def _number(convert, low=-math.inf, strict=False):
-    """argparse type: convert(text), refused unless finite and >= low
-    (> low when strict)."""
+def _number(low=-math.inf, strict=False):
+    """argparse type: float(text), refused unless finite and >= low (> low
+    when strict)."""
     bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
 
     def parse(text):
         try:
-            value = convert(text)
+            value = float(text)
         except ValueError:
             value = math.nan
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(
-                f"expected a finite {convert.__name__}{bound}, got {text!r}")
+                f"expected a finite float{bound}, got {text!r}")
         return value
     return parse
 
 
-_finite = _number(float)
-_nonneg = _number(float, 0.0)
-_positive = _number(float, 0.0, strict=True)
-_count = _number(int, 1)
+_finite = _number()
+_nonneg = _number(0.0)
+_positive = _number(0.0, strict=True)
 
 
 def _grid(shape):
@@ -276,50 +271,32 @@ _PLANNERS = {
 # ---------------------------------------------------------------------------
 # execution and output
 
-def _execute(jobs, threads, out_dir, fmt):
-    """Run each builder, which returns (header, table, diag), and write its
-    table: name -> (file, rows, diag), or the NgStateError of the build or
-    of the write (a table holding NaN or inf), or the OSError of the write."""
-    write = _io.write_csv if fmt == "csv" else _io.write_json_rows
-
-    def run(name, build):
-        try:
-            header, table, diag = build()
-            write(os.path.join(out_dir, f"{name}.{fmt}"), header, table)
-            return f"{name}.{fmt}", len(table), diag
-        except (NgStateError, OSError) as exc:
-            return exc
-
-    if threads == 1 or len(jobs) == 1:
-        return {name: run(name, build) for name, build in jobs.items()}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return dict(zip(jobs, pool.map(run, jobs, jobs.values())))
-
-
 def _cmd_figure(preset, args):
     try:
         jobs, meta = _PLANNERS[preset](args)
     except (ValueError, NgStateError) as exc:  # a library constructor refused it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out
+    out_dir, fmt = args.out, args.format
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # an existing file, or a path under one
         print(f"error: --out {out_dir!r}: {exc.strerror}", file=sys.stderr)
         return 2
-    results = _execute(jobs, args.threads, out_dir, args.format)
 
-    meta.update({"preset": preset, "version": __version__,
-                 "threads": args.threads, "format": args.format,
+    meta.update({"preset": preset, "version": __version__, "format": fmt,
                  "tol": _wig.SPREAD_TOL, "out": out_dir})
+    write = _io.write_csv if fmt == "csv" else _io.write_json_rows
     ok = True
-    for name, result in results.items():
-        if isinstance(result, Exception):
-            fields = {"converged": False, "error": str(result)}
-        else:
-            filename, n_rows, diag = result
-            fields = {"file": filename, "rows": n_rows, **diag}
+    for name, build in jobs.items():
+        # each builder returns (header, table, diag); the build, or the write
+        # (a table holding NaN or inf, an OSError), may fail the artifact alone
+        try:
+            header, table, diag = build()
+            write(os.path.join(out_dir, f"{name}.{fmt}"), header, table)
+            fields = {"file": f"{name}.{fmt}", "rows": len(table), **diag}
+        except (NgStateError, OSError) as exc:
+            fields = {"converged": False, "error": str(exc)}
         meta.update({f"{name}.{key}": value for key, value in fields.items()})
         ok = ok and fields.get("converged") is not False
     try:
@@ -348,10 +325,9 @@ def _add_common(p, preset):
                    help="output directory (default: %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="data file format (default: %(default)s)")
-    p.add_argument("--threads", type=_count,
-                   default=os.environ.get("NGSTATE_THREADS", "1"),
-                   help="worker threads across artifacts "
-                        "(default: NGSTATE_THREADS or 1)")
+    p.add_argument("--threads", type=int, choices=(1,), default=1,
+                   help="artifacts are built one at a time; the flag is kept "
+                        "for scripts that pass --threads 1")
 
 
 def _add_state(p, x_default, x_nargs="+"):

@@ -15,6 +15,9 @@ regime |beta_phi| * phi0 >> N/2 and refuses to run outside it.  Its
 oscillatory cosine factor cos(2i*beta_phi*phi0 - N*pi/4) mixes growth
 and oscillation; it is reported as a separate log-magnitude and is NOT
 folded into ln_magnitude.
+
+Every result is finite: where a square, |beta_phi| or an exponent leaves
+double range, the call raises PrecisionLoss instead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AsymptoticRegimeViolation
+from .errors import AsymptoticRegimeViolation, PrecisionLoss
 
 __all__ = [
     "CoherencePair",
@@ -92,6 +95,20 @@ class DisplacedOverlap:
     cosine_log_magnitude: float
 
 
+def _sq(a: float) -> float:
+    """a ** 2, or inf where float ** raises OverflowError."""
+    try:
+        return a ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise PrecisionLoss(f"{what} is {value} in double precision at these inputs")
+    return value
+
+
 def overlap_centered(pair: CoherencePair, widths: WignerWidths) -> float:
     """ln |<alpha| . |alpha'>| for the centered Gaussian Wigner function.
 
@@ -101,10 +118,11 @@ def overlap_centered(pair: CoherencePair, widths: WignerWidths) -> float:
     delta_pi_sq leaves the a_minus direction almost free.
     """
     wf, wp = widths.delta_phi_sq, widths.delta_pi_sq
-    return (-pair.a_plus ** 2 / (2.0 * (1.0 + 2.0 * wf))
-            - pair.b_plus ** 2 / (2.0 * (1.0 + 2.0 * wp))
-            - wp * pair.a_minus ** 2 / (1.0 + 2.0 * wp)
-            - wf * pair.b_minus ** 2 / (1.0 + 2.0 * wf))
+    exponent = (-_sq(pair.a_plus) / (2.0 * (1.0 + 2.0 * wf))
+                - _sq(pair.b_plus) / (2.0 * (1.0 + 2.0 * wp))
+                - wp * _sq(pair.a_minus) / (1.0 + 2.0 * wp)
+                - wf * _sq(pair.b_minus) / (1.0 + 2.0 * wf))
+    return _finite(exponent, "the exponent")
 
 
 def _ln_abs_cos_shifted(y: float, n_dof: int) -> float:
@@ -130,16 +148,18 @@ def overlap_displaced(pair: CoherencePair, widths: WignerWidths,
         raise ValueError(f"N must be even and >= 2, got {n_dof}")
     if not 0.0 < phi0 < math.inf:
         raise ValueError("phi0 must be finite and > 0")
-    beta_phi = math.sqrt(0.5 * (pair.a_plus ** 2 + pair.b_minus ** 2))
+    beta_phi = _finite(math.sqrt(0.5 * (_sq(pair.a_plus) + _sq(pair.b_minus))),
+                       "|beta_phi|")
     if beta_phi * phi0 < _MIN_RATIO * (n_dof / 2.0):
         raise AsymptoticRegimeViolation(
             f"|beta_phi|*phi0 = {beta_phi * phi0:.4g} is not >> N/2 = "
             f"{n_dof / 2.0:.4g} (need at least {_MIN_RATIO}x)")
     wf, wp = widths.delta_phi_sq, widths.delta_pi_sq
     ln_mag = (0.5 * n_dof * math.log(phi0 / beta_phi)
-              - pair.b_plus ** 2 / (2.0 * (1.0 + 2.0 * wp))
-              - wp * pair.a_minus ** 2 / (1.0 + 2.0 * wp)
-              - wf * pair.b_minus ** 2 / (1.0 + 2.0 * wf))
+              - _sq(pair.b_plus) / (2.0 * (1.0 + 2.0 * wp))
+              - wp * _sq(pair.a_minus) / (1.0 + 2.0 * wp)
+              - wf * _sq(pair.b_minus) / (1.0 + 2.0 * wf))
     return DisplacedOverlap(
-        ln_magnitude=ln_mag,
-        cosine_log_magnitude=_ln_abs_cos_shifted(2.0 * beta_phi * phi0, n_dof))
+        ln_magnitude=_finite(ln_mag, "the exponent"),
+        cosine_log_magnitude=_finite(
+            _ln_abs_cos_shifted(2.0 * beta_phi * phi0, n_dof), "the cosine factor"))

@@ -3,8 +3,8 @@
 A table is a 2-D float array; tensor_table lays one out from two axes and
 fields on their grid.  Numbers are rendered with nine significant digits
 ('%.9g') so repeated runs produce byte-identical files regardless of
-thread count or platform math-library quirks upstream of the rounding; a
-table holding NaN or inf is refused (NonFiniteValue) and not written.
+platform math-library quirks upstream of the rounding; a table holding
+NaN or inf is refused (NonFiniteValue) and not written.
 CSV files carry one header row, comma separators, and LF line endings.
 Metadata is one flat JSON object (sorted keys, two-space indent): every
 resolved configuration value of a run, enough to reproduce the data.

@@ -36,10 +36,10 @@ element depends on its own inputs alone, so a row is the same bits
 whichever call builds it.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
-N list), so results are bitwise reproducible however a caller
-distributes calls over workers.  A projection row's values do not depend
-on the other rows while the call's table fits one block; otherwise, and
-for tensor grids, other points can move a value in its last digits.
+N list), so results are bitwise reproducible.  A projection row's values
+do not depend on the other rows while the call's table fits one block;
+otherwise, and for tensor grids, other points can move a value in its
+last digits.
 """
 
 from __future__ import annotations
@@ -405,9 +405,7 @@ def _extrapolate(vals, n_list):
 
 def _kept(memo, kind, key):
     """memo's rows dict of this kind for key, a new one replacing those of
-    any other key (a fresh dict without a memo).  Threads may share it: a
-    row is inserted whole, the same bits by any thread, and no dict is
-    iterated."""
+    any other key (a fresh dict without a memo)."""
     if memo is None:
         return {}
     kept = memo.get(kind)

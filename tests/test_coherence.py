@@ -159,8 +159,9 @@ def test_cosine_log_magnitude():
         2.0 * beta * 500.0 - math.log(2.0), rel=1e-12)
 
 
-_LABEL = hst.floats(0.0, 1e3)
-_WIDTH = hst.floats(1e-6, 1e6)
+# wide enough that a square or an exponent leaves double range
+_LABEL = hst.floats(0.0, 1e200)
+_WIDTH = hst.floats(1e-6, 1e300)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -168,7 +169,10 @@ _WIDTH = hst.floats(1e-6, 1e6)
        widths=hst.builds(coh.WignerWidths, _WIDTH, _WIDTH),
        phi0=hst.floats(1e-3, 1e3), n_dof=hst.integers(1, 50).map(lambda k: 2 * k))
 def test_overlaps_finite_or_typed(pair, widths, phi0, n_dof):
-    assert math.isfinite(coh.overlap_centered(pair, widths))
+    try:
+        assert math.isfinite(coh.overlap_centered(pair, widths))
+    except NgStateError:
+        pass
     try:
         disp = coh.overlap_displaced(pair, widths, phi0, n_dof)
     except NgStateError:
