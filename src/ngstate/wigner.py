@@ -75,12 +75,11 @@ _GL_ORDER = 16
 _gl_rule = functools.cache(lambda: np.polynomial.legendre.leggauss(_GL_ORDER))
 _ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
 _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
-# First pass of the envelope probe: grid indices 0..95, v < 4.5 at the first
-# probe_hi = 48.  Past the peak Fv(s*) only rises, so g(v) - g_max <=
+# Step of the envelope probe's prefix: grid indices 0..95, v < 4.5 at the
+# first probe_hi = 48.  Past the peak Fv(s*) only rises, so g(v) - g_max <=
 # ln w - (w^2 - 1)/2 with w = v/v_peak, which reaches -45/4 at w ~ 5.18.
 # Where s* >= 0 at the peak, Fv >= 1 and v_peak <= 1/sqrt(2): the cut lies at
-# v <= 3.67 (index <= 80), so every such row settles in this pass; 96 = 3 x 32
-# hands over to the coarse points (every 32nd index) with no gap.
+# v <= 3.67 (index <= 80), so every such row settles in one solve.
 _PROBE_NEAR = 96
 # Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
 # every default preset (<= 188 r x 384 nodes)
@@ -219,49 +218,22 @@ def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
 
 def _settle(state, u_sq, ln_v, v_sq, n_min):
     """(peak, cut) of each row u_sq on the probe grid, the full scan's bit
-    for bit (1025 for no cut).  Each pass samples the rows not yet settled
-    (_peak_and_cut): the first _PROBE_NEAR indices, every 32nd, +-31
-    around the peak and the 63 below the cut, the whole row."""
-    cols = np.arange(1025)
-    peak_of, cut_of = np.empty((2, u_sq.size), dtype=int)
-    rows = np.arange(u_sq.size)  # not yet settled; peak, at: their peak, cut
-    g = np.full((u_sq.size, _PROBE_NEAR), np.nan)  # NaN: not sampled yet
-    for step in range(4):
-        if step == 1:
-            want = cols % 32 == 0
-        elif step == 2:
-            want = ((np.abs(cols - peak[:, None]) <= 31)
-                    | (np.abs(cols - at[:, None] + 32) <= 31))
-        else:
-            want = True
-        r, c = np.nonzero(want & np.isnan(g))
-        g[r, c] = ln_v[c] + _dm.ln_d_many(state, u_sq[rows[r]], v_sq[c])
-        peak, at, settled = _peak_and_cut(g, n_min)
-        peak_of[rows[settled]], cut_of[rows[settled]] = peak[settled], at[settled]
-        rows, g, peak, at = (a[~settled] for a in (rows, g, peak, at))
-        if not rows.size:
-            break
-        g = np.pad(g, ((0, 0), (0, 1025 - g.shape[1])), constant_values=np.nan)
-    return peak_of, cut_of
-
-
-def _peak_and_cut(g, n_min):
-    """Per row of g at the first g.shape[1] of the 1025 probe indices (NaN
-    where not sampled): the first index of the sampled maximum, the first
-    sampled index past it that dropped below the cut (or 1025), and whether
-    the row is settled: the peak's neighbours and the index below the cut
-    are sampled."""
-    g_max = np.fmax.reduce(g, axis=1)[:, None]
-    peak = np.argmax(g == g_max, axis=1)
-    dropped = ((np.arange(g.shape[1]) > peak[:, None])
-               & (n_min * (g - g_max) < -_ENVELOPE_DROP))
-    cut = np.where(dropped.any(axis=1), np.argmax(dropped, axis=1), 1025)
-    # column j + 1 of seen is index j; the grid's two ends count as seen
-    seen = np.pad(~np.isnan(g), ((0, 0), (1, 1026 - g.shape[1])))
-    seen[:, [0, -1]] = True
-    rows = np.arange(g.shape[0])
-    settled = seen[rows, peak] & seen[rows, peak + 2] & seen[rows, cut]
-    return peak, cut, settled
+    for bit (1025 for no cut): the first maximum of g on a prefix of the
+    grid, and the first index past it that dropped below the cut.  The
+    prefix grows by _PROBE_NEAR indices a solve until every row drops in
+    it.  g has a single peak, so a prefix that drops past its own maximum
+    holds the row's peak, and an element of g depends on its own point."""
+    g = np.empty((u_sq.size, 1025))
+    for lo in range(0, 1025, _PROBE_NEAR):
+        hi = min(lo + _PROBE_NEAR, 1025)
+        g[:, lo:hi] = ln_v[lo:hi] + _dm.ln_d_many(state, u_sq[:, None], v_sq[lo:hi])
+        seen = g[:, :hi]
+        g_max = seen.max(axis=1, keepdims=True)
+        peak = np.argmax(seen == g_max, axis=1)
+        dropped = (np.arange(hi) > peak[:, None]) & (n_min * (seen - g_max) < -_ENVELOPE_DROP)
+        cut = np.where(dropped.any(axis=1), np.argmax(dropped, axis=1), 1025)
+        if np.all(cut < 1025) or hi == 1025:
+            return peak, cut
 
 
 def _panel_count(v_max: float, n_max: int, r_max: float) -> int:

@@ -552,17 +552,17 @@ def test_envelope_cut_matches_dense_scan(n, x, u_sq, n_min):
        n_min=hst.sampled_from([4, 8, 20]))
 def test_envelope_cut_first_pass_settles_rows_with_s_nonnegative(n, x, u_sq,
                                                                 n_min):
-    # Fv(s*) >= 1 at a peak with s* >= 0 puts the cut at v <= 3.67, inside
-    # the first pass's 96 indices, whatever the rest of the row does
+    # Fv(s*) >= 1 at a peak with s* >= 0 puts the cut at v <= 3.67: such a
+    # row settles in its first solve of 96 indices, whatever the rest of
+    # the row does
     state = ReducedState.from_nx(n, x)
-    u_sq = np.asarray(u_sq)
     v = np.linspace(1e-3, 48.0, 1025)
-    near = v[:wg._PROBE_NEAR]
-    g = np.log(near) + dm.ln_d_many(state, u_sq[:, None], near * near)
-    peak, cut, settled = wg._peak_and_cut(g, n_min)
-    s_peak = sd.solve_saddle_uv_many(state, u_sq, v[peak] ** 2).s
-    assert np.all(settled[s_peak >= 0.0])
-    assert np.all(cut[s_peak >= 0.0] <= 80)
+    for u in u_sq:
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = _spy_ln_d(mp)
+            (peak,), (cut,) = wg._settle(state, np.array([u]), np.log(v), v * v, n_min)
+        if sd.solve_saddle_uv_many(state, u, v[peak] ** 2).s >= 0.0:
+            assert sizes == [wg._PROBE_NEAR] and cut <= 80
 
 
 def _spy_ln_d(monkeypatch, fake=None):
@@ -582,9 +582,8 @@ def _spy_ln_d(monkeypatch, fake=None):
 def test_envelope_cut_probe_budget(monkeypatch, x):
     # over the u range of the fig5 and fig7 states: only u = 0 is settled,
     # and every other u is checked at its peak and cut in one call of two
-    # per row.  Its first pass of 96 indices settles it up to x = 15; at
-    # x = 3000 it goes on to the 30 coarse points above it and the two
-    # windows (at most 126)
+    # per row.  Its first prefix of 96 indices settles it up to x = 15; at
+    # x = 3000 (peak 287, cut 440) the prefix grows 96 at a time to 480
     st = ReducedState.from_nx(10.0, x)
     u_sq = np.linspace(0.0, 1.5 * max(1.0, dm.ridge_u(st)), 101) ** 2
     sizes = _spy_ln_d(monkeypatch)
@@ -593,8 +592,7 @@ def test_envelope_cut_probe_budget(monkeypatch, x):
         assert sizes == [96, 200]
     else:
         settle = sizes[:-1]
-        assert sizes[-1] == 200 and len(settle) <= 3 and settle[0] == 96
-        assert sum(settle) <= 96 + 30 + 126 and settle[1] == 30
+        assert sizes[-1] == 200 and 1 < len(settle) <= 5 and set(settle) == {96}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -614,8 +612,8 @@ def test_dense_cut_is_non_increasing_in_u(n, x, u_sq, n_min):
 def test_envelope_cut_settles_rows_that_fail_the_check(monkeypatch):
     # on a fake ln d whose g = ln v - v^2 / (2 (1 + u^2)) peaks and cuts
     # later at larger u^2, the two samples of the u^2 = 0 row cannot bound
-    # the others: both are settled in one more run of the passes, and the
-    # cut is still the dense scan's
+    # the others: both are settled together, and the cut is still the
+    # dense scan's
     st = ReducedState.from_nx(10.0, 1.0)
     sizes = _spy_ln_d(monkeypatch, lambda state, u_sq, v_sq:
                       -0.5 * v_sq / (1.0 + u_sq))
@@ -625,8 +623,8 @@ def test_envelope_cut_settles_rows_that_fail_the_check(monkeypatch):
 
 
 def _spike(slope):
-    """ln d whose g = ln v + ln d is a spike of height 8 and width 0.1
-    midway between two coarse points, on a slope falling away from it."""
+    """ln d whose g = ln v + ln d is a spike of height 8 and width 0.1 at
+    index 336 of the first probe grid, on a slope falling away from it."""
     v0 = np.linspace(1e-3, 48.0, 1025)[336]
 
     def fake(state, u_sq, v_sq):
@@ -636,27 +634,25 @@ def _spike(slope):
     return fake
 
 
-def test_envelope_cut_scans_rows_the_windows_miss(monkeypatch):
-    # on a slope of 1: the first pass ends on the rise, the coarse maximum
-    # sits 8.75 below the true one, so the coarse drop lands ~9 past the
-    # cut, below the drop window; the row is then scanned whole, each point
-    # solved once, and still gives the dense cut
+def test_envelope_cut_grows_the_prefix_to_a_late_peak(monkeypatch):
+    # on a slope of 1: g rises to the spike at index 336 and drops 45/4
+    # below it at index 406, so the prefix grows in five solves of 96, each
+    # point solved once, and gives the dense cut
     st = ReducedState.from_nx(10.0, 1.0)
     sizes = _spy_ln_d(monkeypatch, _spike(1.0))
     got = wg._auto_v_max(st, [1.0], 4)
-    assert len(sizes) == 4 and sum(sizes) == 1025
+    assert sizes == [96] * 5
     assert got == _dense_v_max(st, [1.0], 4)
 
 
 def test_envelope_cut_waits_for_the_true_peak(monkeypatch):
-    # on a slope of 0.2, g(48) is 6.3 below the coarse maximum, short of
-    # the drop of 45/4, but 14.45 below the spike: the row must not settle
-    # while its peak's neighbours are unsampled, or the range would widen;
-    # the peak window finds the spike, and the cut lands at v ~ 32
+    # on a slope of 0.2, g(48) is 6.3 below the slope's top, short of the
+    # drop of 45/4, but 14.45 below the spike: the cut is measured from the
+    # spike, at index 683 (v ~ 32), so the prefix grows in eight solves
     st = ReducedState.from_nx(10.0, 1.0)
     sizes = _spy_ln_d(monkeypatch, _spike(0.2))
     got = wg._auto_v_max(st, [1.0], 4)
-    assert len(sizes) == 4 and sum(sizes) == 1025
+    assert sizes == [96] * 8
     assert got == _dense_v_max(st, [1.0], 4) < 48.0
 
 
