@@ -291,8 +291,9 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
 
     r_rows has one row per u, or one row for every u (a tensor grid).  The
     rows on the mesh v come from lnd_rows (u^2 -> ln d) and bessel_rows
-    (_bessel_tables), which get the rows they lack; tables cover the r
-    above r_tiny.  Only the points' own entries are checked and logged.
+    (_bessel_tables), which get the rows they lack; bessel_rows None gives
+    each block its own rows, freed with it.  Tables cover the r above
+    r_tiny.  Only the points' own entries are checked and logged.
     """
     todo = np.unique(u_sq)
     todo = todo[[u not in lnd_rows for u in todo.tolist()]]
@@ -326,7 +327,8 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
         # a tensor grid needs every (u, r) pair; else each row takes only
         # the table rows of its own r values
         edges = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
-        tables = _bessel_tables(n_list, r_blk, v, bessel_rows)
+        tables = _bessel_tables(n_list, r_blk, v,
+                                {} if bessel_rows is None else bessel_rows)
         for i_n, N in enumerate(n_list):
             envelope = _envelope(g_half, gmax_h, N, w, env)
             bes = next(tables)
@@ -399,7 +401,7 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh, memo=None):
     mesh = (v_max, n_panels)  # _gl_mesh's inputs: the key names its bits
     per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w,
                             _kept(memo, "ln_d", (state, mesh)),
-                            _kept(memo, "bessel", mesh))
+                            None if memo is None else _kept(memo, "bessel", mesh))
     return per_n, v_max, n_panels * _GL_ORDER
 
 

@@ -428,6 +428,30 @@ def test_calls_without_a_memo_share_nothing(monkeypatch):
     assert memo["ln_d"][0][0] == ReducedState.from_nx(10.0, 2.0)
 
 
+def test_without_a_memo_a_block_keeps_only_its_own_rows(monkeypatch):
+    # blocks of two r: without a memo each block's Bessel rows are held in
+    # a dict of their own, freed with the block, so a call's table memory
+    # stays one block's; a memo holds the rows of every block
+    held = []
+    real = wg._bessel_tables
+
+    def spy(n_list, r_blk, v, rows):
+        held.append(rows)
+        return real(n_list, r_blk, v, rows)
+
+    monkeypatch.setattr(wg, "_bessel_tables", spy)
+    monkeypatch.setattr(wg, "_TABLE_ELEMS", 2 * 384)
+    st = ReducedState.from_nx(10.0, 1.0)
+    u, r = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 2.0, 9)
+    alone = wg.wigner_grid(st, u, r)
+    assert alone.quad_points == 384
+    assert [len(rows) for rows in held] == [4 * 2] * 4
+    del held[:]
+    shared = wg.wigner_grid(st, u, r, memo={})
+    assert len({id(rows) for rows in held}) == 1 and len(held[0]) == 4 * 8
+    assert shared.ln_w_norm.tobytes() == alone.ln_w_norm.tobytes()
+
+
 def test_peak_and_widths_far_regime():
     # x >> n^2: the Wigner peak sits at the matrix-element ridge and the
     # widths match the Gaussian-fit predictions
