@@ -27,8 +27,9 @@ import numpy as np
 from . import observables as _obs
 from . import saddle as _saddle
 from . import specfun as _sf
+from .errors import PrecisionLoss
 from .statemap import (GaussianMoments, OperatorParams, ReducedState,
-                       moments_from_params, params_from_moments)
+                       _occupation_at, moments_from_params, params_from_moments)
 
 __all__ = [
     "CheckResult",
@@ -130,7 +131,10 @@ def c4_sum(state: ReducedState, n_max: int = 1_000_000) -> float:
 
 def _ln_z_raw(z0_sq: float, xi: float) -> float:
     """Per-dof ln Z of the operator with bare frequency z0_sq and quartic
-    coupling xi, via the trace gap equation -- no (n, x) shortcut."""
+    coupling xi, via the trace gap equation -- no (n, x) shortcut;
+    PrecisionLoss where z0_sq or xi overflowed or the occupation underflows."""
+    if not (math.isfinite(z0_sq) and math.isfinite(xi)):
+        raise PrecisionLoss(f"z0_sq = {z0_sq} or xi = {xi} overflows")
     if xi == 0.0:
         if z0_sq <= 0.0:
             raise ValueError("z0_sq must be > 0 when xi = 0")
@@ -138,7 +142,7 @@ def _ln_z_raw(z0_sq: float, xi: float) -> float:
     else:
         s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
     kappa = _sf.h_trace(s)
-    n = 1.0 / math.expm1(math.sqrt(s))
+    n = _occupation_at(s)
     return 0.5 * math.log(n * (n + 1.0)) + xi / (8.0 * kappa * kappa)
 
 

@@ -175,8 +175,11 @@ def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf) -> SaddleSolution:
     """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor)
     and a root below cap; z0_sq, xi, args and cap broadcast."""
     b, d = z0_sq - floor, c * xi
-    q = np.sqrt(b * b + 4.0 * d)  # positive root of e^2 - b e - d:
-    e = np.where(b >= 0.0, 0.5 * (b + q), d / (0.5 * q - 0.5 * b))  # 2d may overflow
+    # e: the positive root of e^2 - b e - d, from halved sums, with hypot's
+    # q where b^2 + 4d overflows (the sqrt's bits elsewhere)
+    q = np.sqrt(b * b + 4.0 * d)
+    q = np.where(q < np.inf, q, np.hypot(b, 2.0 * np.sqrt(d)))
+    e = np.where(b >= 0.0, 0.5 * b + 0.5 * q, d / (0.5 * q - 0.5 * b))
     # floor + e/2 can round onto the floor; the bracket check then refuses
     lo = np.maximum(floor + 0.5 * e, np.nextafter(floor, np.inf))
     s0 = np.maximum(z0_sq, 1.0)
@@ -205,8 +208,8 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     own equation gets alone.
     """
     z0_sq, xi = np.asarray(z0_sq, float), np.asarray(xi, float)
-    if not np.all(xi > 0):
-        raise ValueError(f"solve_trace_raw needs xi > 0, got min {np.min(xi)}")
+    if not (np.all(np.isfinite(z0_sq)) and np.all(xi > 0) and np.all(xi < np.inf)):
+        raise ValueError("solve_trace_raw needs finite z0_sq and finite xi > 0")
     # 1/kernel(s) <= 2/s + 1/3 (tanh y >= y/(1 + y^2/3)) caps the root at
     # the positive root of s^2 - b s - 2 xi; hypot and the halved sums keep
     # b^2 and q + |b| from overflowing near the largest double.  Where

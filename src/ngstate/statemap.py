@@ -152,6 +152,15 @@ def _gaussian_constants(n):
     return z, kappa, 1.0 + 2.0 * kappa * n * (n + 1.0)
 
 
+def _occupation_at(s: float) -> float:
+    """Occupation 1/(e^sqrt(s) - 1) of a Gaussian kernel of squared
+    frequency s > 0; PrecisionLoss where it underflows (s above ~5e5)."""
+    try:
+        return 1.0 / math.expm1(math.sqrt(s))
+    except OverflowError:
+        raise PrecisionLoss(f"the occupation underflows at s = {s:.6g}") from None
+
+
 def occupation(m: GaussianMoments) -> float:
     """Occupation number n = sqrt(F*K - R**2) - 1/2."""
     det, c = m.F * m.K - m.R * m.R, 1.0
@@ -197,9 +206,12 @@ def moments_from_params(p: OperatorParams):
     the operator's Gaussian kernel, reads off n and kappa there, and maps
     the coefficients back to moments.  Exact inverse of
     params_from_moments up to solver precision.  Raises PrecisionLoss
-    where eta > 0 but xi = 8 A**2 eta underflows to zero.
+    where eta > 0 but xi = 8 A**2 eta underflows to zero, where z0_sq or
+    xi overflows, or where the occupation underflows.
     """
     z0_sq, xi = p.z0_sq, p.xi
+    if not (math.isfinite(z0_sq) and math.isfinite(xi)):
+        raise PrecisionLoss(f"z0_sq or xi overflows at {p}")
     if p.eta == 0.0:
         if z0_sq <= 0:
             raise ValueError(
@@ -213,7 +225,7 @@ def moments_from_params(p: OperatorParams):
     else:
         s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
     kappa = _sf.h_trace(s)
-    n = 1.0 / math.expm1(math.sqrt(s))
+    n = _occupation_at(s)
     F = p.A / kappa
     K = (p.B + 2.0 * p.eta * F) / kappa
     R = -p.C / kappa

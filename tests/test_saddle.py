@@ -11,7 +11,9 @@ from ngstate import ReducedState, purity
 from ngstate import cli, saddle
 from ngstate import densmat as dm
 from ngstate import specfun as sf
-from ngstate.errors import BracketError
+from ngstate.errors import BracketError, PrecisionLoss
+from ngstate.oracle import purity_by_definition
+from ngstate.statemap import OperatorParams, moments_from_params
 
 
 def gap_residual(state, s, kernel):
@@ -123,11 +125,29 @@ def test_trace_bracket_ends(n, x, most):
 
 
 def test_solve_trace_raw_validation():
-    with pytest.raises(ValueError):
-        saddle.solve_trace_raw(0.5, 0.0)
+    for z0_sq, xi in [(0.5, 0.0), (math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            saddle.solve_trace_raw(z0_sq, xi)
     # the shared root-finder refuses ends without a sign change
     with pytest.raises(BracketError):
         saddle._find_root(lambda s: s - 2.0, np.array([3.0]), np.array([4.0]))
+
+
+@pytest.mark.parametrize("params", [None, (1e78, 1e78, 0.0, 1.0),
+                                    (1e200, 1e200, 0.0, 1.0), (1.0, 1.0, 0.0, 1e308)],
+                         ids=["raw-4e154", "params-1e78", "params-1e200", "eta-1e308"])
+def test_raw_parameters_solve_or_raise_typed(params):
+    # b^2 + 4 xi of the trace bracket overflowed past z0_sq ~ 1.3e154, and
+    # z0_sq or xi of an OperatorParams can overflow: each call solves or
+    # raises a typed error, with no warning on the way
+    if params is None:
+        sol = saddle.solve_trace_raw(4e154, 1.0)
+        assert sol.s == pytest.approx(4e154, rel=1e-15)
+        return
+    p = OperatorParams(*params)
+    for call in (moments_from_params, purity_by_definition):
+        with pytest.raises(PrecisionLoss):
+            call(p)
 
 
 def test_saddle_uv_center_point():
