@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line front end (in-process main())."""
 
 import argparse
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import ngstate
 from ngstate import cli, observables, wigner
@@ -302,6 +307,73 @@ def test_every_float_flag_refuses_non_finite(tmp_path, capsys, value):
         checked += 1
     assert checked >= 31
     capsys.readouterr()
+
+
+_FLAGS = {}  # preset -> [(flag, action)], the parser's own valued flags
+for _preset, _flag, _action in _preset_flags():
+    if _flag != "--out":
+        _FLAGS.setdefault(_preset, []).append((_flag, _action))
+
+# boundary, out-of-range, non-finite, huge and non-numeric values
+_EDGE = hst.sampled_from(["0", "-0.0", "5e-324", "1e-300", "1", "0.999999", "-1",
+                          "6.283185307179586", "3000", "nan", "inf", "-inf",
+                          "1e154", "1e200", "1e308", "abc"])
+
+
+def _flag_value(draw, action):
+    """One value for action: one in ten drawn off the usual range."""
+    edge = draw(hst.integers(0, 9)) == 0
+    if action.choices:
+        return draw(hst.sampled_from(["2", "bogus"] if edge else list(map(str, action.choices))))
+    if action.dest == "grid":  # at most 5 per axis: each run takes milliseconds
+        parts = action.default.count("x") + 1
+        sizes = hst.sampled_from(["0", "1", "-2", "", "5"] if edge else ["2", "3", "5"])
+        count = draw(hst.integers(1, 3)) if edge else parts
+        return "x".join(draw(hst.lists(sizes, min_size=count, max_size=count)))
+    if edge:
+        return draw(_EDGE)
+    return repr(draw(hst.one_of(hst.floats(0.0, 1.0), hst.floats(-1.0, 20.0))))
+
+
+@hst.composite
+def _argv(draw):
+    """A preset and some of its flags, each with 1-3 values where it takes
+    a list; --grid always, so no run takes a default (large) grid."""
+    preset = draw(hst.sampled_from(sorted(_FLAGS)))
+    argv = [preset]
+    for flag, action in _FLAGS[preset]:
+        if action.dest == "grid" or draw(hst.booleans()):
+            count = draw(hst.integers(1, 3)) if action.nargs == "+" else 1
+            argv += [flag, *(_flag_value(draw, action) for _ in range(count))]
+    return argv
+
+
+def _table_is_finite(path):
+    if path.suffix == ".csv":
+        return all(map(math.isfinite, np.ravel(_read_csv(path)[1])))
+    with open(path) as fh:
+        return all(map(math.isfinite, np.ravel(json.load(fh)["rows"])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_cli_contract_holds_for_drawn_argv(argv):
+    # exit 0, 1 or 2 for any argv; 2 with one error line and no file; no
+    # traceback; each written table finite unless meta.json flags it
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = pathlib.Path(tmp) / "out", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1
+            assert not out.exists()
+            return
+        meta = _read_meta(out)
+        for path in out.iterdir():
+            if path.name != "meta.json" and not _table_is_finite(path):
+                assert meta[f"{path.stem}.converged"] is False, path.name
 
 
 @pytest.mark.parametrize("argv", [
