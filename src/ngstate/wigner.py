@@ -30,10 +30,10 @@ distinct r, in blocks of _TABLE_ELEMS, from rows keyed exactly: ln d by
 u^2 on its (state, mesh), Bessel by (N, r) on its mesh (v_max, panel
 count).  A kernel call takes the missing rows of as many of a block's N
 as fit one Bessel chunk together, and of one N at least: a single point's
-four share one call.  A call's rows are its own unless the caller passes
-a memo (wigner_grid), which a run of calls shares and drops after it.  An
-element depends on its own inputs alone, so a row is the same bits
-whichever call builds it.
+four share one call.  Without a memo a block's Bessel rows are its own
+and go with it; a memo (wigner_grid), which a run of calls shares and
+drops after it, keeps every row.  An element depends on its own inputs
+alone, so a row is the same bits whichever call builds it.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
 N list), so results are bitwise reproducible.  A projection row's values
@@ -81,8 +81,9 @@ _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
 # Where s* >= 0 at the peak, Fv >= 1 and v_peak <= 1/sqrt(2): the cut lies at
 # v <= 3.67 (index <= 80), so every such row settles in one solve.
 _PROBE_NEAR = 96
-# Bessel table block in entries (distinct r x nodes), 768 KiB: one block for
-# every default preset (<= 188 r x 384 nodes)
+# Bessel table block in entries (distinct r x nodes) per N, 768 KiB: one
+# block for every default preset (<= 188 r x 384 nodes); without a memo a
+# call holds one block's rows, at most four tables, at a time
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
 # the four N that ln_w and wigner_grid extrapolate in 1/N; the last also
