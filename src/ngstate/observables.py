@@ -3,7 +3,9 @@
 These are the quantities that only depend on the state through (n, x) and
 never require a phase-space grid: everything here is a solved closed form
 plus, for the purity, one extra gap solve for the doubled-parameter
-frequency.  The log-partition function per degree of freedom is
+frequency.  The quartic ratio c4_half_ratio_nx and its two limits live
+in statemap, which owns C4 <-> x, and are re-exported here beside
+c4_ratio of a state.  The log-partition function per degree of freedom is
 
     ln_z = ln sqrt(n(n+1)) + (x/4) kappa (2n+1)**2
 
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import saddle as _saddle
 from . import specfun as _sf
-from .errors import PrecisionLoss
-from .statemap import N_SMALL, ReducedState, _gaussian_constants
+from .statemap import (ReducedState, c4_half_ratio_nx, c4_ratio_large_n,
+                       c4_ratio_small_n)
 
 __all__ = [
     "PurityReport",
@@ -52,59 +54,6 @@ def entropy_per_dof(n: float) -> float:
     if n == 0:
         return 0.0
     return (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
-
-
-def c4_ratio_large_n(x):
-    """Limit of the quartic ratio for n >> 1: -2x/(1+2x)."""
-    if not 0 <= x < math.inf:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    return -2.0 * x / (1.0 + 2.0 * x)
-
-
-def c4_ratio_small_n(x):
-    """Limit of the quartic ratio for n << 1: -x/(1 + x + sqrt(1+x))."""
-    if not 0 <= x < math.inf:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    return -x / (1.0 + x + math.sqrt(1.0 + x))
-
-
-def c4_half_ratio_nx(n: float, x: float) -> float:
-    """Quartic ratio C4/2F**2 as a function of (n, x); lies in [-1, 0].
-
-    Closed form with two protective dispatches: n below N_SMALL goes to
-    the small-n limit (kappa ~ ln(1/n) makes the general expression
-    ill-conditioned there, and the limit is uniform in x), and x < 1e-6
-    goes to the Taylor series through x**2 (the (2/x)[f(1) - f(sqrt(1+x))]
-    term is a removable 0/0 at x = 0); both sides of the cut are within
-    1e-9 relative of the exact value.  Raises PrecisionLoss where kappa
-    underflows (n above about 5e153) or zeta*x overflows (x near 1e308).
-    """
-    if not (0.0 <= n < math.inf and 0.0 <= x < math.inf):
-        raise ValueError(f"n and x must be finite and >= 0, got ({n}, {x})")
-    if x == 0.0:
-        return 0.0
-    if n < N_SMALL:
-        return c4_ratio_small_n(x)
-    z, _, zeta = _gaussian_constants(n)
-    q = 2.0 * n + 1.0
-    if x < 1e-6:
-        m = n * (n + 1.0)
-        b0 = (1.0 + 2.0 * m * (3.0 * zeta + 2.0)) / (2.0 * q)
-        b1 = -(1.5 * (2.0 * m + 1.0) + 3.0 * m * (zeta - 1.0)
-               + (2.0 * m + 1.0) * (zeta - 1.0) ** 2) / (4.0 * q) \
-            - 2.0 * m * (zeta * zeta + zeta + 1.0) / q
-        return -(x / q) * (b0 + b1 * x)
-
-    if not math.isfinite(zeta * x):
-        raise PrecisionLoss(f"zeta*x overflows at n = {n:.6g}, x = {x:.6g}")
-
-    def f(y):
-        return 1.0 / (2.0 * y * math.tanh(y * z))
-
-    bracket = (2.0 / x) * (f(1.0) - f(math.sqrt(1.0 + x))) + (
-        zeta * zeta / (1.0 + zeta * x) - 1.0 / (1.0 + x)
-    ) / z
-    return -(x / q) * bracket
 
 
 def c4_ratio(state: ReducedState) -> float:

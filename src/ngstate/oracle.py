@@ -10,11 +10,13 @@ operator expectation value.  run_validation bundles them into a
 PASS/FAIL report.
 
 The brute-force side of a check shares no code with the closed form it
-checks (the purity and entropy sides solve the raw gap equation with the
-package's root-finder and h_trace, not the (n, x) closed forms); the
-closed-form side is the production code itself, so trace_g_closed is
-specfun.h_trace and a faulty kernel fails its line.  Sums run in fixed
-chunk order, so results are bitwise reproducible.
+checks: the purity and entropy sides take ln Z from statemap's raw gap
+solve, which moments_from_params shares, against (n, x) closed forms
+that never call it, and moments-roundtrip runs that solve against the
+closed-form params_from_moments.  The closed-form side is the production
+code itself, so trace_g_closed is specfun.h_trace and a faulty kernel
+fails its line.  Sums run in fixed chunk order, so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables as _obs
-from . import saddle as _saddle
 from . import specfun as _sf
-from .errors import PrecisionLoss
-from .statemap import (GaussianMoments, OperatorParams, ReducedState,
-                       _occupation_at, moments_from_params, params_from_moments)
+from .statemap import (GaussianMoments, OperatorParams, ReducedState, _gap_root,
+                       c4_half_ratio_nx, moments_from_params, params_from_moments)
 
 __all__ = [
     "CheckResult",
@@ -129,20 +129,9 @@ def c4_sum(state: ReducedState, n_max: int = 1_000_000) -> float:
         pair_g_sum(a, b, n_max) + zero_mode)
 
 
-def _ln_z_raw(z0_sq: float, xi: float) -> float:
-    """Per-dof ln Z of the operator with bare frequency z0_sq and quartic
-    coupling xi, via the trace gap equation -- no (n, x) shortcut;
-    PrecisionLoss where z0_sq or xi overflowed or the occupation underflows."""
-    if not (math.isfinite(z0_sq) and math.isfinite(xi)):
-        raise PrecisionLoss(f"z0_sq = {z0_sq} or xi = {xi} overflows")
-    if xi == 0.0:
-        if z0_sq <= 0.0:
-            raise ValueError("z0_sq must be > 0 when xi = 0")
-        s = z0_sq
-    else:
-        s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
-    kappa = _sf.h_trace(s)
-    n = _occupation_at(s)
+def _ln_z_raw(z0_sq: float, xi: float, eta: float) -> float:
+    """Per-dof ln Z from the raw trace gap solve; no (n, x) shortcut."""
+    kappa, n = _gap_root(z0_sq, xi, eta)
     return 0.5 * math.log(n * (n + 1.0)) + xi / (8.0 * kappa * kappa)
 
 
@@ -154,8 +143,8 @@ def purity_by_definition(p: OperatorParams) -> float:
     partition functions are evaluated through the raw-parameter gap
     equation, independently of the closed-form purity path.
     """
-    return math.exp(_ln_z_raw(4.0 * p.z0_sq, 8.0 * p.xi)
-                    - 2.0 * _ln_z_raw(p.z0_sq, p.xi))
+    return math.exp(_ln_z_raw(4.0 * p.z0_sq, 8.0 * p.xi, 2.0 * p.eta)
+                    - 2.0 * _ln_z_raw(p.z0_sq, p.xi, p.eta))
 
 
 def _tilted_representative(state: ReducedState) -> GaussianMoments:
@@ -178,7 +167,7 @@ def entropy_by_definition(state: ReducedState,
     """
     m = moments if moments is not None else _tilted_representative(state)
     p = params_from_moments(m, state.x)
-    return (_ln_z_raw(p.z0_sq, p.xi)
+    return (_ln_z_raw(p.z0_sq, p.xi, p.eta)
             + p.A * m.K + p.B * m.F + 2.0 * p.C * m.R + p.eta * m.F * m.F)
 
 
@@ -246,7 +235,7 @@ def run_validation(quick: bool = False) -> list:
                    pair_g_closed(1.0, 2.0), 1e-8),
         _worst(_rel_check, "c4-mode-sum-vs-closed-form",
                [(c4_sum(ReducedState.from_nx(n, x), n_max),
-                 _obs.c4_half_ratio_nx(n, x))
+                 c4_half_ratio_nx(n, x))
                 for n, x in [(1.0, 1.0)] + [(n, x) for n in (0.1, 1.0, 10.0)
                                             for x in (0.5, 1.0, 5.0, 15.0)]],
                1e-8),

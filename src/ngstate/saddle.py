@@ -49,10 +49,10 @@ _XATOL = 2.0 * np.finfo(float).smallest_subnormal
 class SaddleSolution:
     """A solved squared frequency with bookkeeping.
 
-    residual is the equation's mismatch at s over scale = max(1, |lhs|):
-    at most 1e-12 + 2 spacing(s)/(xi scale), as s is within 2 eps |s| of
-    the root.  iterations counts the evaluations of the equation.  A
-    batched solve holds per-point arrays; a scalar one floats and an int.
+    residual is the equation's mismatch at s over max(1, |lhs|), or its
+    limit sign(lhs) where lhs overflows: at most 1e-12 + 2 spacing(s)/
+    max(xi, |s - z0_sq|), as s is within 2 eps |s| of the root.  iterations
+    counts evaluations.  Batched: per-point arrays; scalar: floats, an int.
     """
 
     s: float
@@ -188,7 +188,8 @@ def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf) -> SaddleSolution:
     hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
     s, g, nfev = _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a),
                             lo, hi, z0_sq, xi, *args, climb=True)
-    return _solution(s, g / np.maximum(1.0, np.abs((s - z0_sq) / xi)), nfev)
+    lhs = (s - z0_sq) / xi  # g/|lhs| tends to the sign of lhs where lhs overflows
+    return _solution(s, np.where(np.isinf(lhs), np.sign(lhs), g / np.maximum(1.0, abs(lhs))), nfev)
 
 
 def _solution(s, residual, nfev):

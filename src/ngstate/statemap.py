@@ -14,7 +14,10 @@ combinations that appear in all the formulas:
     xi      = 2*x*kappa*z_gauss**2 quartic coupling in solver units
 
 For x > 0 these satisfy z0_sq/xi = (1/kappa) * (1/(2x) - 1), which is a
-cheap consistency check used in the tests.
+cheap consistency check used in the tests.  Both directions of the
+C4 <-> x relation live here (c4_half_ratio_nx, its two limit forms, and
+x_from_c4), and so does the raw trace gap solve that moments_from_params
+and the oracle's brute-force ln Z share (_gap_root).
 """
 
 import math
@@ -32,6 +35,9 @@ __all__ = [
     "GaussianMoments",
     "OperatorParams",
     "ReducedState",
+    "c4_half_ratio_nx",
+    "c4_ratio_large_n",
+    "c4_ratio_small_n",
     "occupation",
     "params_from_moments",
     "moments_from_params",
@@ -152,15 +158,6 @@ def _gaussian_constants(n):
     return z, kappa, 1.0 + 2.0 * kappa * n * (n + 1.0)
 
 
-def _occupation_at(s: float) -> float:
-    """Occupation 1/(e^sqrt(s) - 1) of a Gaussian kernel of squared
-    frequency s > 0; PrecisionLoss where it underflows (s above ~5e5)."""
-    try:
-        return 1.0 / math.expm1(math.sqrt(s))
-    except OverflowError:
-        raise PrecisionLoss(f"the occupation underflows at s = {s:.6g}") from None
-
-
 def occupation(m: GaussianMoments) -> float:
     """Occupation number n = sqrt(F*K - R**2) - 1/2."""
     det, c = m.F * m.K - m.R * m.R, 1.0
@@ -199,41 +196,96 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
     )
 
 
+def _gap_root(z0_sq: float, xi: float, eta: float):
+    """(kappa, n) = (h_trace(s), 1/(e^sqrt(s) - 1)) at the root s of the
+    trace gap equation (s - z0_sq)/xi = 1/h_trace(s), or at s = z0_sq
+    where the quartic coefficient eta is 0.  PrecisionLoss where z0_sq or
+    xi overflowed, xi underflowed at eta > 0 or n underflows (s above
+    about 5e5); ValueError where eta = 0 and z0_sq <= 0.
+    """
+    if not (math.isfinite(z0_sq) and math.isfinite(xi)):
+        raise PrecisionLoss(f"z0_sq = {z0_sq:.6g} or xi = {xi:.6g} overflows")
+    if eta == 0.0:
+        if z0_sq <= 0:
+            raise ValueError("A*B - C**2 <= 0 with eta = 0: parameters do not "
+                             "define a normalizable Gaussian operator")
+        s = z0_sq
+    elif xi == 0.0:
+        raise PrecisionLoss(f"xi underflows at eta = {eta:.6g}")
+    else:
+        s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
+    try:  # expm1 overflows where n underflows
+        return _sf.h_trace(s), 1.0 / math.expm1(math.sqrt(s))
+    except OverflowError:
+        raise PrecisionLoss(f"the occupation underflows at s = {s:.6g}") from None
+
+
 def moments_from_params(p: OperatorParams):
     """Invert params_from_moments: recover (GaussianMoments, c4_half_ratio).
 
-    Solves the trace gap equation for the effective squared frequency of
-    the operator's Gaussian kernel, reads off n and kappa there, and maps
-    the coefficients back to moments.  Exact inverse of
-    params_from_moments up to solver precision.  Raises PrecisionLoss
-    where eta > 0 but xi = 8 A**2 eta underflows to zero, where z0_sq or
-    xi overflows, or where the occupation underflows.
+    Reads n and kappa off the root of the trace gap equation (_gap_root,
+    whose errors it raises) and maps the coefficients back to moments:
+    the exact inverse of params_from_moments up to solver precision.
     """
-    z0_sq, xi = p.z0_sq, p.xi
-    if not (math.isfinite(z0_sq) and math.isfinite(xi)):
-        raise PrecisionLoss(f"z0_sq or xi overflows at {p}")
-    if p.eta == 0.0:
-        if z0_sq <= 0:
-            raise ValueError(
-                "A*B - C**2 <= 0 with eta = 0: parameters do not define a "
-                "normalizable Gaussian operator"
-            )
-        s = z0_sq
-    elif xi == 0.0:
-        raise PrecisionLoss(f"xi = 8 A^2 eta underflows at A = {p.A:.6g}, "
-                            f"eta = {p.eta:.6g}")
-    else:
-        s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
-    kappa = _sf.h_trace(s)
-    n = _occupation_at(s)
+    kappa, n = _gap_root(p.z0_sq, p.xi, p.eta)
     F = p.A / kappa
     K = (p.B + 2.0 * p.eta * F) / kappa
     R = -p.C / kappa
     x = (p.eta / kappa) * (F / (n + 0.5)) ** 2
-    from . import observables as _obs  # deferred: observables imports us
+    return GaussianMoments(F=F, K=K, R=R), c4_half_ratio_nx(n, x)
 
-    c4 = _obs.c4_half_ratio_nx(n, x) if x > 0 else 0.0
-    return GaussianMoments(F=F, K=K, R=R), c4
+
+def c4_ratio_large_n(x):
+    """Limit of the quartic ratio for n >> 1: -2x/(1+2x)."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
+    return -2.0 * x / (1.0 + 2.0 * x)
+
+
+def c4_ratio_small_n(x):
+    """Limit of the quartic ratio for n << 1: -x/(1 + x + sqrt(1+x))."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
+    return -x / (1.0 + x + math.sqrt(1.0 + x))
+
+
+def c4_half_ratio_nx(n: float, x: float) -> float:
+    """Quartic ratio C4/2F**2 as a function of (n, x); lies in [-1, 0].
+
+    Closed form with two protective dispatches: n below N_SMALL goes to
+    the small-n limit (kappa ~ ln(1/n) makes the general expression
+    ill-conditioned there, and the limit is uniform in x), and x < 1e-6
+    goes to the Taylor series through x**2 (the (2/x)[f(1) - f(sqrt(1+x))]
+    term is a removable 0/0 at x = 0); both sides of the cut are within
+    1e-9 relative of the exact value.  Raises PrecisionLoss where kappa
+    underflows (n above about 5e153) or zeta*x overflows (x near 1e308).
+    """
+    if not (0.0 <= n < math.inf and 0.0 <= x < math.inf):
+        raise ValueError(f"n and x must be finite and >= 0, got ({n}, {x})")
+    if x == 0.0:
+        return 0.0
+    if n < N_SMALL:
+        return c4_ratio_small_n(x)
+    z, _, zeta = _gaussian_constants(n)
+    q = 2.0 * n + 1.0
+    if x < 1e-6:
+        m = n * (n + 1.0)
+        b0 = (1.0 + 2.0 * m * (3.0 * zeta + 2.0)) / (2.0 * q)
+        b1 = -(1.5 * (2.0 * m + 1.0) + 3.0 * m * (zeta - 1.0)
+               + (2.0 * m + 1.0) * (zeta - 1.0) ** 2) / (4.0 * q) \
+            - 2.0 * m * (zeta * zeta + zeta + 1.0) / q
+        return -(x / q) * (b0 + b1 * x)
+
+    if not math.isfinite(zeta * x):
+        raise PrecisionLoss(f"zeta*x overflows at n = {n:.6g}, x = {x:.6g}")
+
+    def f(y):
+        return 1.0 / (2.0 * y * math.tanh(y * z))
+
+    bracket = (2.0 / x) * (f(1.0) - f(math.sqrt(1.0 + x))) + (
+        zeta * zeta / (1.0 + zeta * x) - 1.0 / (1.0 + x)
+    ) / z
+    return -(x / q) * bracket
 
 
 def x_from_c4(n: float, c4_half_ratio: float) -> float:
@@ -247,17 +299,16 @@ def x_from_c4(n: float, c4_half_ratio: float) -> float:
         raise ValueError(f"need n >= 0, c4 ratio in [-1, 0], got ({n}, {c4_half_ratio})")
     if c4_half_ratio == 0.0:
         return 0.0
-    from . import observables as _obs  # deferred: observables imports us
 
     def g(y):  # solved in y = x/(1+x), on which the ratio is close to linear
         x = y.item() / (1.0 - y.item())
-        return np.full(y.shape, c4_half_ratio - _obs.c4_half_ratio_nx(n, x))
+        return np.full(y.shape, c4_half_ratio - c4_half_ratio_nx(n, x))
 
     try:
         y = _saddle._find_root(g, 0.0, _X_CAP / (1.0 + _X_CAP))[0]
     except BracketError:
         raise Unreachable(
             f"c4_half_ratio = {c4_half_ratio} is below the saturation floor for n = "
-            f"{n} (ratio at x = {_X_CAP:g} is {_obs.c4_half_ratio_nx(n, _X_CAP):.12f})"
+            f"{n} (ratio at x = {_X_CAP:g} is {c4_half_ratio_nx(n, _X_CAP):.12f})"
         ) from None
     return float(y / (1.0 - y))

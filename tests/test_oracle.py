@@ -8,6 +8,7 @@ import pytest
 from ngstate import observables as obs
 from ngstate import oracle as orc
 from ngstate import specfun as sf
+from ngstate.errors import PrecisionLoss
 from ngstate.statemap import (GaussianMoments, OperatorParams, ReducedState,
                               moments_from_params, occupation,
                               params_from_moments)
@@ -115,6 +116,29 @@ def test_large_occupation_keeps_digits(big_f):
                                rel=1e-12)
     want = obs.purity(ReducedState.from_nx(occupation(m), 1.0)).p
     assert orc.purity_by_definition(p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("params, error", [
+    ((1e-170, 1e170, 0.0, 1.0), PrecisionLoss),  # xi underflows at eta > 0
+    ((1e200, 1e200, 0.0, 1.0), PrecisionLoss),   # z0_sq overflows
+    ((1.0, 1.0, 0.0, 1e308), PrecisionLoss),     # xi overflows
+    ((1e78, 1e78, 0.0, 1.0), PrecisionLoss),     # the occupation underflows
+    ((0.5, 1e6, 0.0, 1e-3), PrecisionLoss),
+    ((1.0, -1.0, 0.0, 0.0), ValueError),         # no normalizable Gaussian
+    ((1.0, 1.0, 0.0, 0.0), None),
+])
+def test_raw_parameters_share_one_error_contract(params, error):
+    # the closed-form inverse and the brute-force ln Z solve one raw gap:
+    # the oracle once took the underflowed xi of the first case for a
+    # Gaussian operator and returned 0.7616
+    p = OperatorParams(*params)
+    for call in (moments_from_params, orc.purity_by_definition):
+        if error is None:
+            call(p)
+            continue
+        with pytest.raises(error) as info:
+            call(p)
+        assert type(info.value) is error, call
 
 
 def test_purity_definition_gaussian_point():

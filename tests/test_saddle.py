@@ -150,6 +150,20 @@ def test_raw_parameters_solve_or_raise_typed(params):
             call(p)
 
 
+@pytest.mark.parametrize("xi", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("z0_sq", [1e154, 4e154])
+def test_residual_is_finite_where_the_scaled_lhs_overflows(z0_sq, xi):
+    # one ulp of s over xi = 1e-300 overflows, and g/|lhs| was inf/inf =
+    # NaN; its limit, the sign of lhs, is what xi = 1 reports at that root
+    for kernel in (sf.h_trace, sf.h2):
+        sol = saddle.solve_trace_raw(z0_sq, xi, kernel)
+        bound = 1e-12 + 2.0 * np.spacing(sol.s) / max(xi, abs(sol.s - z0_sq))
+        assert math.isfinite(sol.residual) and abs(sol.residual) <= bound, kernel
+        if xi <= 1.0:
+            assert sol.s == pytest.approx(z0_sq, rel=1e-15)
+            assert sol.residual == 1.0
+
+
 def test_saddle_uv_center_point():
     st = ReducedState.from_nx(10.0, 15.0)
     sol = saddle.solve_saddle_uv_many(st, 0.0, 0.0)

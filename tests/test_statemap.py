@@ -229,6 +229,16 @@ def test_moments_params_refuse_underflow():
         params_from_moments(GaussianMoments(F=1e155, K=1e155), 0.5)
 
 
+def test_c4_relation_has_one_home():
+    # statemap owns both directions of C4 <-> x; the other names re-export
+    import ngstate
+    from ngstate import observables, statemap
+    for name in ("c4_half_ratio_nx", "c4_ratio_large_n", "c4_ratio_small_n"):
+        home = getattr(statemap, name)
+        assert home.__module__ == "ngstate.statemap"
+        assert getattr(observables, name) is home is getattr(ngstate, name)
+
+
 def test_x_from_c4_roundtrip_and_window():
     assert x_from_c4(10.0, 0.0) == 0.0
     target = -30.0 / 31.0
