@@ -188,8 +188,10 @@ def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf) -> SaddleSolution:
     hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
     s, g, nfev = _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a),
                             lo, hi, z0_sq, xi, *args, climb=True)
-    lhs = (s - z0_sq) / xi  # g/|lhs| tends to the sign of lhs where lhs overflows
-    return _solution(s, np.where(np.isinf(lhs), np.sign(lhs), g / np.maximum(1.0, abs(lhs))), nfev)
+    # where lhs overflows, g/|lhs| tends to sign(g); only the mask stays alive
+    over = np.isinf((s - z0_sq) / xi)
+    residual = g / np.maximum(1.0, np.abs((s - z0_sq) / xi))
+    return _solution(s, np.where(over, np.sign(g), residual) if over.any() else residual, nfev)
 
 
 def _solution(s, residual, nfev):

@@ -199,21 +199,16 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
 def _gap_root(z0_sq: float, xi: float, eta: float):
     """(kappa, n) = (h_trace(s), 1/(e^sqrt(s) - 1)) at the root s of the
     trace gap equation (s - z0_sq)/xi = 1/h_trace(s), or at s = z0_sq
-    where the quartic coefficient eta is 0.  PrecisionLoss where z0_sq or
-    xi overflowed, xi underflowed at eta > 0 or n underflows (s above
-    about 5e5); ValueError where eta = 0 and z0_sq <= 0.
+    where the quartic coefficient eta is 0; raises as moments_from_params.
     """
     if not (math.isfinite(z0_sq) and math.isfinite(xi)):
         raise PrecisionLoss(f"z0_sq = {z0_sq:.6g} or xi = {xi:.6g} overflows")
-    if eta == 0.0:
-        if z0_sq <= 0:
-            raise ValueError("A*B - C**2 <= 0 with eta = 0: parameters do not "
-                             "define a normalizable Gaussian operator")
-        s = z0_sq
-    elif xi == 0.0:
+    if eta == 0.0 and z0_sq <= 0:
+        raise ValueError("A*B - C**2 <= 0 with eta = 0: parameters do not "
+                         "define a normalizable Gaussian operator")
+    if eta > 0.0 and xi == 0.0:
         raise PrecisionLoss(f"xi underflows at eta = {eta:.6g}")
-    else:
-        s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s
+    s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s if eta > 0.0 else z0_sq
     try:  # expm1 overflows where n underflows
         return _sf.h_trace(s), 1.0 / math.expm1(math.sqrt(s))
     except OverflowError:
@@ -223,9 +218,11 @@ def _gap_root(z0_sq: float, xi: float, eta: float):
 def moments_from_params(p: OperatorParams):
     """Invert params_from_moments: recover (GaussianMoments, c4_half_ratio).
 
-    Reads n and kappa off the root of the trace gap equation (_gap_root,
-    whose errors it raises) and maps the coefficients back to moments:
-    the exact inverse of params_from_moments up to solver precision.
+    Reads n and kappa off the root of the trace gap equation and maps the
+    coefficients back to moments: the exact inverse of params_from_moments
+    up to solver precision.  PrecisionLoss where z0_sq or xi overflows, xi
+    underflows at eta > 0 or the occupation underflows (s above about
+    5e5); ValueError where eta = 0 and A*B - C**2 <= 0.
     """
     kappa, n = _gap_root(p.z0_sq, p.xi, p.eta)
     F = p.A / kappa

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import ngstate
 from ngstate import (
     GaussianMoments,
     OperatorParams,
@@ -16,6 +17,7 @@ from ngstate import (
     moments_from_params,
     x_from_c4,
 )
+from ngstate import observables, statemap
 from ngstate.coherence import CoherencePair, WignerWidths, overlap_displaced
 from ngstate.densmat import PhasePoint, ln_d, u_c_sq
 from ngstate.errors import HeisenbergViolation, NonPositiveA, PrecisionLoss, Unreachable
@@ -231,8 +233,6 @@ def test_moments_params_refuse_underflow():
 
 def test_c4_relation_has_one_home():
     # statemap owns both directions of C4 <-> x; the other names re-export
-    import ngstate
-    from ngstate import observables, statemap
     for name in ("c4_half_ratio_nx", "c4_ratio_large_n", "c4_ratio_small_n"):
         home = getattr(statemap, name)
         assert home.__module__ == "ngstate.statemap"
