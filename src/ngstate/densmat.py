@@ -48,6 +48,7 @@ __all__ = [
     "d_surface",
     "delta_u_sq_large_n",
     "ln_d",
+    "ln_d_many",
     "peak_fit",
     "peak_threshold_x",
     "ridge_u",

@@ -3,9 +3,10 @@
 These are the quantities that only depend on the state through (n, x) and
 never require a phase-space grid: everything here is a solved closed form
 plus, for the purity, one extra gap solve for the doubled-parameter
-frequency.  The quartic ratio c4_half_ratio_nx and its two limits live
-in statemap, which owns C4 <-> x, and are re-exported here beside
-c4_ratio of a state.  The log-partition function per degree of freedom is
+frequency.  The quartic ratio c4_half_ratio_nx and its two limits are
+statemap's, which owns C4 <-> x and lists them in its __all__; they are
+imported here, unlisted, beside c4_ratio of a state.  The log-partition
+function per degree of freedom is
 
     ln_z = ln sqrt(n(n+1)) + (x/4) kappa (2n+1)**2
 
@@ -27,10 +28,7 @@ __all__ = [
     "PurityReport",
     "ln_z_per_dof",
     "entropy_per_dof",
-    "c4_half_ratio_nx",
     "c4_ratio",
-    "c4_ratio_large_n",
-    "c4_ratio_small_n",
     "purity",
     "purity_limit_large_n",
     "purity_many",
@@ -48,12 +46,16 @@ def entropy_per_dof(n: float) -> float:
 
     Independent of x: the quartic contributions to -tr(D ln D) cancel
     against the shift in ln Z (the definitional oracle checks this).
+    Taken as ln(1+n) + n ln(1+1/n) for n >= 1, where the two terms above
+    cancel (every digit is gone by n = 1e16), and with log1p for n < 1.
     """
     if not 0 <= n < math.inf:
         raise ValueError(f"occupation must be finite and >= 0, got {n}")
     if n == 0:
         return 0.0
-    return (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
+    if n >= 1.0:
+        return math.log1p(n) + n * math.log1p(1.0 / n)
+    return (n + 1.0) * math.log1p(n) - n * math.log(n)
 
 
 def c4_ratio(state: ReducedState) -> float:

@@ -36,9 +36,11 @@ __all__ = [
     "c4_sum",
     "entropy_by_definition",
     "format_report",
+    "pair_g_closed",
     "pair_g_sum",
     "purity_by_definition",
     "run_validation",
+    "trace_g_closed",
     "trace_g_sum",
 ]
 

@@ -217,14 +217,17 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     # the positive root of s^2 - b s - 2 xi; hypot and the halved sums keep
     # b^2 and q + |b| from overflowing near the largest double.  Where
     # a = -z0_sq/xi > 0, 1/kernel(s) <= 2/s + 1/sqrt(s) (tanh y >= y/(1 + y))
-    # puts the root below 4 max(1/a, 1/a^2), far tighter when a is small
+    # puts the root below 4 max(1/a, 1/a^2), far tighter when a is small,
+    # and, as s - z0_sq <= 2 xi/sqrt(s) at s >= 4, below max(4, 2 z0_sq,
+    # (4 xi)^(2/3)), far tighter where xi >> max(z0_sq, 1)
     with np.errstate(over="ignore", divide="ignore"):  # b = inf, a = 0: uncapped
         b = z0_sq + xi / 3.0
         q = np.hypot(b, math.sqrt(8.0) * np.sqrt(xi))
         half = 0.5 * q + 0.5 * np.abs(b)
         a = -z0_sq / xi
         tight = np.where(a > 0.0, 4.0 * np.maximum(1.0 / a, 1.0 / (a * a)), np.inf)
-        cap = np.minimum(np.where(b >= 0.0, half, 2.0 * (xi / half)), tight)
+        steep = np.maximum(np.maximum(4.0, 2.0 * z0_sq), (np.cbrt(4.0) * np.cbrt(xi)) ** 2)
+        cap = np.minimum(np.where(b >= 0.0, half, 2.0 * (xi / half)), np.minimum(tight, steep))
     return _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0, cap=cap)
 
 

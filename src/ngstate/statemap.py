@@ -233,10 +233,11 @@ def moments_from_params(p: OperatorParams):
 
 
 def c4_ratio_large_n(x):
-    """Limit of the quartic ratio for n >> 1: -2x/(1+2x)."""
+    """Limit of the quartic ratio for n >> 1: -2x/(1+2x), taken as
+    -x/(1/2 + x), the same bits without 2x overflowing."""
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    return -2.0 * x / (1.0 + 2.0 * x)
+    return -x / (0.5 + x)
 
 
 def c4_ratio_small_n(x):

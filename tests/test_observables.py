@@ -33,6 +33,16 @@ def test_entropy_values():
         obs.entropy_per_dof(-0.1)
 
 
+@pytest.mark.parametrize("n", [1e-300, 1e-16, 1e-8, 0.5, 1.0, 1.5, 1e8, 1e15,
+                               1e16, 5e153, 1.7e308])
+def test_entropy_against_mpmath(n):
+    # (n+1) ln(n+1) - n ln n cancels at large n: 1e16 read 0.0, not 37.84
+    with mpmath.workdps(40):
+        m = mpmath.mpf(n)
+        ref = float(mpmath.log1p(m) + m * mpmath.log1p(1 / m))
+    assert obs.entropy_per_dof(n) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 C4_GOLDEN = [
     (10.0, 0.5, -0.49905564898593116),
     (10.0, 1.0, -0.665491742190107),
@@ -65,6 +75,13 @@ def test_c4_exact_points_and_limits():
         assert big == pytest.approx(obs.c4_ratio_large_n(x), rel=1e-3)
         small = obs.c4_half_ratio_nx(1e-6, float(x))
         assert small == pytest.approx(obs.c4_ratio_small_n(x), rel=1e-3)
+
+
+def test_c4_large_n_limit_past_2x_overflow():
+    # -2x/(1+2x) is NaN once 2x overflows; -x/(1/2+x) has its bits elsewhere
+    assert obs.c4_ratio_large_n(1e308) == obs.c4_ratio_large_n(1.7976931348623157e308) == -1.0
+    for x in np.logspace(-320, 307, 2000):
+        assert obs.c4_ratio_large_n(x) == -2.0 * x / (1.0 + 2.0 * x), x
 
 
 def test_c4_perturbative_dispatch_is_smooth():

@@ -124,6 +124,17 @@ def test_trace_bracket_ends(n, x, most):
     assert 0.0 < purity(st).p <= 1.0
 
 
+@pytest.mark.parametrize("z0_sq, xi, root", [
+    (1.0, 1e300, 1e200), (1e10, 1e300, 1e200), (1e154, 1e300, 1e200),
+    (1.0, 1e100, 4.641588833612779e66)])
+def test_trace_cap_where_xi_dominates(z0_sq, xi, root):
+    # the root ~xi^(2/3) lies far below the cap near xi/3, which alone took
+    # 85-340 evaluations; max(4, 2 z0_sq, (4 xi)^(2/3)) bounds it, same roots
+    for kernel in (sf.h_trace, sf.h2):
+        sol = saddle.solve_trace_raw(z0_sq, xi, kernel)
+        assert sol.iterations <= 16 and sol.s == root, kernel
+
+
 def test_solve_trace_raw_validation():
     for z0_sq, xi in [(0.5, 0.0), (math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0)]:
         with pytest.raises(ValueError):
