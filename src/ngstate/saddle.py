@@ -13,7 +13,9 @@ upper end (for the trace capped by closed-form bounds on the root),
 moved up a double at a time where it rounds onto or below the root.  The
 brackets are element-wise, so z0_sq, xi and the RHS arguments broadcast.
 _find_root solves all of them and x_from_c4, and each solve returns one
-SaddleSolution, residual included.  x = 0 pins s = z0_sq.
+SaddleSolution, residual included.  A solve of one point runs in float64
+scalars from start to finish, its equation included: an equation takes
+and returns float64 scalars there, arrays elsewhere.  x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -72,13 +74,29 @@ def _find_root(g, lo, hi, *args, climb=False):
     blocks of up to _BLOCK elements, which a point leaves once its bracket
     is below 2 eps relative, so its root and count (a climb step counts
     where the point climbs) depend on it alone.  A 0-d arg reaches g as it
-    is, never broadcast or compacted.  g returns arrays.  A point's count
-    is its evaluations before the loop plus the loop's steps so far.  A
-    block's last live point (or a one-point block) finishes in _tail, the
+    is, never broadcast or compacted.  A point's count is its evaluations
+    before the loop plus the loop's steps so far.  g maps a float64 scalar
+    s (with scalar args) to a float64 scalar, and arrays to arrays, with
+    the same bits at each point: a one-point input (any shape of size 1)
+    is solved in scalars from start to finish, its two end evaluations and
+    climb included, and a block's last live point finishes in _tail, the
     same steps in float64 scalars, which spares ~50 array calls a step.
-    Returns (root, g at root, nfev).
+    Returns (root, g at root, nfev), arrays of the broadcast shape.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *map(np.shape, args))
+    if math.prod(shape) == 1:  # one point: float64 scalars from start to finish
+        x1, x2 = np.ravel(lo)[0], np.ravel(hi)[0]
+        p = [np.ravel(a)[0] if np.ndim(a) else a for a in args]
+        f1, f2 = g(x1, *p), g(x2, *p)
+        evals = 2
+        while climb and f2 < 0.0:
+            x2 = np.nextafter(x2, np.inf)
+            f2 = g(x2, *p)
+            evals += 1
+        if not (f1 <= 0.0 and f2 >= 0.0):
+            raise BracketError("no sign change at 1 points")
+        xm, fm, steps = _tail(g, p, x1, x2, f1, f2, 0.5)
+        return np.full(shape, xm), np.full(shape, fm), np.full(shape, evals + steps)
     lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
     args = [np.broadcast_to(a, shape) if np.ndim(a) else a for a in args]
     root, g_at = np.empty(shape), np.empty(shape)
@@ -101,6 +119,7 @@ def _find_root(g, lo, hi, *args, climb=False):
         steps = 0
         while True:
             if x1.size == 1:  # the last live point: the same steps in scalars
+                p = [a[0] if np.ndim(a) else a for a in p]
                 xm, fm, more = _tail(g, p, x1[0], x2[0], f1[0], f2[0], np.ravel(t)[0])
                 root.flat[at[0]], g_at.flat[at[0]], nfev.flat[at[0]] = (
                     xm, fm, evals[0] + steps + more)
@@ -140,12 +159,12 @@ def _find_root(g, lo, hi, *args, climb=False):
 
 def _tail(g, p, x1, x2, f1, f2, t):
     """_find_root's loop for one point in float64 scalars, op for op, so it
-    ends on the same bits; g still gets a one-element array.  Returns
-    (root, g at root, steps)."""
+    ends on the same bits; g gets float64 scalars, and p holds the point's
+    scalar args.  Returns (root, g at root, steps)."""
     steps = 0
     while True:
         x = x1 + t * (x2 - x1)
-        f = g(np.array([x]), *p)[0]
+        f = g(x, *p)
         steps += 1
         # np.sign(f) == np.sign(f1): +-0 alike, NaN like nothing
         same = f == f and f1 == f1 and (f > 0.0) == (f1 > 0.0) and (f < 0.0) == (f1 < 0.0)

@@ -157,12 +157,22 @@ _SMALL_F = (_series(_SF0, _SFU, _SFV), _small_f_pos, _small_f_neg)
 
 
 def _eval(s, family, pole, name):
-    """The family's kernels at s, as a tuple.  A block within one branch
-    gets that branch's arrays; a mixed one is split by the branch masks
-    and scattered back.  A one-element block's value is both ends of its
-    range, without the two reductions."""
+    """The family's kernels at s, as a tuple.  A 0-d s goes to its branch
+    as one float64 scalar, through the same ufuncs as in an array, so the
+    bits are the same: a float64 s gets float64 scalars back (numpy's
+    IEEE semantics, as inside a solver's equation), any other 0-d s
+    Python floats.  A block within one branch gets that branch's arrays;
+    a mixed one is split by the branch masks and scattered back.  A
+    one-element block's value is both ends of its range, without the two
+    reductions."""
+    if np.ndim(s) == 0:
+        v = np.float64(s)
+        if not v > pole:
+            raise ValueError(f"{name}: argument must satisfy s > {pole:.6f} (pole), "
+                             f"got min {v}")
+        outs = family[0 if -SERIES_CUT < v < SERIES_CUT else 1 if v > 0.0 else 2](v)
+        return outs if type(s) is np.float64 else tuple(map(float, outs))
     arr = np.asarray(s, dtype=float)
-    scalar, arr = arr.ndim == 0, np.atleast_1d(arr)
     if arr.size == 1:
         lo = hi = arr.flat[0]
     else:
@@ -185,7 +195,7 @@ def _eval(s, family, pole, name):
                 outs = outs or tuple(np.empty_like(arr) for _ in values)
                 for out, value in zip(outs, values):
                     out[mask] = value
-    return tuple(float(out[0]) for out in outs) if scalar else outs
+    return outs
 
 
 def h_trace(s):

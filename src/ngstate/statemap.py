@@ -298,9 +298,10 @@ def x_from_c4(n: float, c4_half_ratio: float) -> float:
     if c4_half_ratio == 0.0:
         return 0.0
 
+    target = np.float64(c4_half_ratio)  # g's values stay float64 scalars
+
     def g(y):  # solved in y = x/(1+x), on which the ratio is close to linear
-        x = y.item() / (1.0 - y.item())
-        return np.full(y.shape, c4_half_ratio - c4_half_ratio_nx(n, x))
+        return target - c4_half_ratio_nx(n, y / (1.0 - y))
 
     try:
         y = _saddle._find_root(g, 0.0, _X_CAP / (1.0 + _X_CAP))[0]

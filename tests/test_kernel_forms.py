@@ -5,6 +5,8 @@ subexpressions, and returns a one-branch block without masking.  The
 reference below keeps one function per kernel and branch, a Horner
 polynomial started from zeros, and always splits the input by the branch
 masks; every value and every returned shape must agree to the last bit.
+A float64 scalar, which the solvers' one-point path hands the kernels,
+must give the bits of the same point inside an array.
 """
 
 import math
@@ -12,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from ngstate import saddle
 from ngstate import specfun as sf
+from ngstate.errors import BracketError
 
 _LN2 = math.log(2.0)
 _LN4PI = math.log(4.0 * math.pi)
@@ -139,7 +143,7 @@ def _points(pole):
              (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf))]
     near_pole = [np.nextafter(pole, math.inf), pole * (1.0 - 1e-12), pole + 1e-6,
                  *(v for v in np.nextafter(sf.POLE_HALF, [-math.inf, math.inf]) if v > pole)]
-    inside = [0.0, -0.0, 1e-300, -1e-300, 5e-3, -5e-3]
+    inside = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-310, -1e-310, 5e-3, -5e-3]
     outside = [0.3, 4.0, 60.0, 5e5, 1e300, -0.3, -2.0, 0.9 * pole]
     return np.array(seams + near_pole + inside + outside)
 
@@ -173,3 +177,31 @@ def test_one_element_at_or_below_the_pole_is_refused(name, shape):
         with pytest.raises(ValueError) as err:
             fn(np.full(shape, bad))
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE))
+def test_a_float64_scalar_gets_the_bits_of_its_point_in_an_array(name):
+    fn = _REFERENCE[name][0]
+    pole = sf.POLE_HALF if name == "h2" else sf.POLE_MAIN
+    pts = _points(pole)
+    block = fn(pts)  # every branch in one block
+    block = block if isinstance(block, tuple) else (block,)
+    for i, s in enumerate(pts):  # s is a float64 scalar
+        one, alone = fn(s), fn(float(s))
+        one, alone = ((v if isinstance(v, tuple) else (v,)) for v in (one, alone))
+        assert [type(v) for v in one] == [np.float64] * len(block), s
+        assert [type(v) for v in alone] == [float] * len(block), s
+        assert _bits(one) == _bits([b[i] for b in block]) == _bits(alone), s
+
+
+@pytest.mark.parametrize("kernel", [sf.h_trace, sf.h2])
+def test_one_point_trace_solve_from_a_subnormal_lower_end(kernel):
+    # lower end xi/|z0_sq|/2: 1/kernel overflows there, and at xi = 1e-323
+    # the lower end is 5e-324, where h_trace is 0; the kernels' float64
+    # values give numpy's inf there, never a ZeroDivisionError
+    one = saddle.solve_trace_raw(-1.0, 1e-308, kernel)
+    assert 0.0 < one.s < 2.2e-308 and abs(one.residual) <= 1e-12
+    assert saddle.solve_trace_raw([-1.0], [1e-308], kernel).s.tolist() == [one.s]
+    for shape in ((), (1,)):
+        with pytest.raises(BracketError):  # (lo - z0_sq)/xi overflows too
+            saddle.solve_trace_raw(np.full(shape, -1.0), np.full(shape, 1e-323), kernel)

@@ -1,9 +1,10 @@
-"""The root-finder's one-live-point finish against the all-array loop, bit for bit.
+"""The root-finder's scalar paths against the all-array loop, bit for bit.
 
-saddle._find_root finishes a block's last live point (and a one-point
-solve from its start) in float64 scalars.  The reference below is the
-loop that runs every point in arrays to the end; root, g at the root and
-the evaluation count must agree to the last bit, and so must every error.
+saddle._find_root solves a one-point input in float64 scalars from start
+to finish, g included, and finishes a block's last live point the same
+way.  The reference below is the loop that runs every point in arrays to
+the end; root, g at the root and the evaluation count must agree to the
+last bit, and so must every error.
 """
 
 import itertools
@@ -75,6 +76,12 @@ def _reference_find_root(g, lo, hi, *args, climb=False):
     return root, g_at, nfev
 
 
+def _reference_per_point(g, *args, **kwargs):
+    """The reference for a g that takes float64 scalars only (x_from_c4's):
+    its arrays reach g one point at a time."""
+    return _reference_find_root(lambda x: np.array([g(v) for v in x]), *args, **kwargs)
+
+
 def _run(finder, call):
     """call() with saddle._find_root swapped for finder: each solve's
     (root, g at root, nfev), then the result or the error raised."""
@@ -97,13 +104,13 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def _assert_same(monkeypatch, call, tails=1):
+def _assert_same(monkeypatch, call, tails=1, reference=_reference_find_root):
     """call() gives the reference's bits and result; where it returns, the
     scalar finish ran at least tails times.  Returns how often it ran."""
     finished, tail = [], saddle._tail
     monkeypatch.setattr(saddle, "_tail", lambda *a: finished.append(1) or tail(*a))
     got = _run(saddle._find_root, call)
-    want = _run(_reference_find_root, call)
+    want = _run(reference, call)
     monkeypatch.setattr(saddle, "_tail", tail)
     assert len(got[0]) == len(want[0])
     for g_solve, w_solve in zip(got[0], want[0]):
@@ -123,13 +130,21 @@ def _sweep(count, seed):
     return zip(n, x, u_sq, v_sq)
 
 
+def _one_point(*values):
+    """values as 0-d inputs (ln_d's form), then as one-element arrays
+    (purity_many's form for one state)."""
+    return values, tuple(np.full(1, v) for v in values)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_one_point_solves_match_the_array_loop(monkeypatch, seed):
     for n, x, u_sq, v_sq in _sweep(12, seed):
         st = ReducedState.from_nx(n, x)
-        _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq))
-        for kernel in (sf.h_trace, sf.h2):
-            _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(st.z0_sq, st.xi, kernel))
+        for u, v in _one_point(u_sq, v_sq):
+            _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u, v))
+        for (z0_sq, xi), kernel in itertools.product(_one_point(st.z0_sq, st.xi),
+                                                     (sf.h_trace, sf.h2)):
+            _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(z0_sq, xi, kernel))
 
 
 def _uv_state(root, xi, u_sq, v_sq):
@@ -156,9 +171,11 @@ def test_roots_in_the_series_window_and_next_to_the_pole(monkeypatch, root):
 def test_nearly_gaussian_states_whose_upper_end_climbs(monkeypatch, n):
     for x in 10.0 ** np.arange(-16, -7):
         st = ReducedState.from_nx(n, x)
-        for kernel in (sf.h_trace, sf.h2):
-            _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(st.z0_sq, st.xi, kernel))
-        _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, 1.0, 2.0))
+        for (z0_sq, xi), kernel in itertools.product(_one_point(st.z0_sq, st.xi),
+                                                     (sf.h_trace, sf.h2)):
+            _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(z0_sq, xi, kernel))
+        for u, v in _one_point(1.0, 2.0):
+            _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u, v))
 
 
 @pytest.mark.parametrize("n, x", [
@@ -173,8 +190,30 @@ def test_trace_overflow_cases(monkeypatch, n, x):
 
 @pytest.mark.parametrize("n", [1e-3, 0.2, 3.0, 400.0])
 def test_x_from_c4_near_zero_and_near_the_floor(monkeypatch, n):
+    # -1.0 is below the floor: Unreachable, from the one-point BracketError
     for ratio in (-1e-300, -1e-12, -1e-6, -0.5, -0.999, -0.9999999, -1.0):
-        _assert_same(monkeypatch, lambda: statemap.x_from_c4(n, ratio))
+        _assert_same(monkeypatch, lambda: statemap.x_from_c4(n, ratio),
+                     reference=_reference_per_point)
+
+
+@pytest.mark.parametrize("z0_sq, xi", [
+    (-1.0, 1e-308), (-1.0, 6e-309),  # lower end subnormal: 1/kernel overflows
+    (-1.0, 1e-323),  # lower end 5e-324: h_trace(lo) = 0, then no sign change
+])
+def test_raw_trace_solves_from_a_subnormal_lower_end(monkeypatch, z0_sq, xi):
+    for (z0, x), kernel in itertools.product(_one_point(z0_sq, xi), (sf.h_trace, sf.h2)):
+        _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(z0, x, kernel))
+
+
+@pytest.mark.parametrize("shape", [(), (1,)])
+@pytest.mark.parametrize("g, climb", [
+    (lambda s: s - 2.0, False),  # negative at both ends
+    (lambda s: s + 1.0, False),  # positive at both ends
+    (lambda s: np.float64(np.nan) * s, True),  # the climb stops on NaN
+])
+def test_one_point_without_a_sign_change(monkeypatch, shape, g, climb):
+    lo, hi = np.full(shape, 0.0), np.full(shape, 1.0)
+    _assert_same(monkeypatch, lambda: saddle._find_root(g, lo, hi, climb=climb))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
