@@ -28,6 +28,7 @@ import numpy as np
 
 from . import observables as _obs
 from . import specfun as _sf
+from .errors import PrecisionLoss
 from .statemap import (GaussianMoments, OperatorParams, ReducedState, _gap_root,
                        c4_half_ratio_nx, moments_from_params, params_from_moments)
 
@@ -133,8 +134,11 @@ def c4_sum(state: ReducedState, n_max: int = 1_000_000) -> float:
 
 def _ln_z_raw(z0_sq: float, xi: float, eta: float) -> float:
     """Per-dof ln Z from the raw trace gap solve; no (n, x) shortcut."""
-    kappa, n = _gap_root(z0_sq, xi, eta)
-    return 0.5 * math.log(n * (n + 1.0)) + xi / (8.0 * kappa * kappa)
+    kappa, n, _ = _gap_root(z0_sq, xi, eta)
+    k2 = 8.0 * kappa * kappa
+    if k2 < np.finfo(float).tiny:
+        raise PrecisionLoss(f"8 kappa^2 = {k2:.6g} is not a normal double")
+    return 0.5 * math.log(n * (n + 1.0)) + xi / k2
 
 
 def purity_by_definition(p: OperatorParams) -> float:
@@ -143,10 +147,16 @@ def purity_by_definition(p: OperatorParams) -> float:
 
     Doubling (A, B, C, eta) maps (z0_sq, xi) -> (4 z0_sq, 8 xi); both
     partition functions are evaluated through the raw-parameter gap
-    equation, independently of the closed-form purity path.
+    equation, independently of the closed-form purity path.  Raises as
+    moments_from_params, and PrecisionLoss where 8 kappa^2 is not a normal
+    double or the two ln Z are so large (~1/eta as eta -> 0 at A*B < C**2)
+    that their rounding could move ln P by more than 1e-6.
     """
-    return math.exp(_ln_z_raw(4.0 * p.z0_sq, 8.0 * p.xi, 2.0 * p.eta)
-                    - 2.0 * _ln_z_raw(p.z0_sq, p.xi, p.eta))
+    ln_z2 = _ln_z_raw(4.0 * p.z0_sq, 8.0 * p.xi, 2.0 * p.eta)
+    ln_z = _ln_z_raw(p.z0_sq, p.xi, p.eta)
+    if np.finfo(float).eps * (abs(ln_z2) + 2.0 * abs(ln_z)) > 1e-6:
+        raise PrecisionLoss(f"ln P cancels between ln Z = {ln_z:.6g} and its double")
+    return math.exp(ln_z2 - 2.0 * ln_z)
 
 
 def _tilted_representative(state: ReducedState) -> GaussianMoments:

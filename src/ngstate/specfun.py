@@ -24,6 +24,8 @@ coefficients below are exact rationals (generated once with a computer
 algebra system and frozen); with seven terms the truncation error at the
 cut is far below double precision.
 
+Three families, h2, big_f (F0, h_trace = 2 Fu, Fv) and small_f, evaluate
+a branch in one function each, through one dispatch for any input.
 The small-f kernels are 4 d/ds of the corresponding big-F kernels; the
 solvers rely on that pairing (stationarity of the saddle exponent), and a
 unit test pins it down by finite differences.
@@ -61,6 +63,7 @@ SERIES_CUT = 1e-2
 
 _LN2 = math.log(2.0)
 _LN4PI = math.log(4.0 * math.pi)
+_BIG = np.finfo(float).max
 
 # --- Taylor coefficients about s = 0 (exact rationals, ascending powers) ---
 
@@ -91,23 +94,12 @@ def _lnsinh(z):
     return z - _LN2 + np.log1p(-np.exp(-2.0 * z))
 
 
-# Each family evaluates a branch in one function of the branch's s that
-# returns all of its kernels: (series, s > 0, s < 0).  The positive-branch
-# fu/fv are written in terms of t = exp(-z) so they stay finite for
-# arbitrarily large z (sinh/cosh would overflow past z ~ 710).
+# Each family is its three branch functions (series, s > 0, s < 0).  The
+# positive-branch fu/fv are written in terms of t = exp(-z) so they stay
+# finite for arbitrarily large z (sinh/cosh would overflow past z ~ 710).
 
 def _series(*coeffs):
     return lambda s: tuple(_horner(s, c) for c in coeffs)
-
-
-def _h_trace_pos(s):
-    z = np.sqrt(s)
-    return (z * np.tanh(0.5 * z),)
-
-
-def _h_trace_neg(s):
-    y = np.sqrt(-s)
-    return (-y * np.tan(0.5 * y),)
 
 
 def _h2_pos(s):
@@ -120,10 +112,10 @@ def _h2_neg(s):
     return (-y * np.tan(y),)
 
 
-def _big_f_pos(s):  # (F0, h_trace, Fv)
+def _big_f_pos(s):  # (F0, h_trace, Fv); z capped in ln z, so F0(inf) = inf
     z = np.sqrt(s)
     half, th = 0.5 * z, np.tanh(0.5 * z)
-    return 0.5 * (_LN4PI + _lnsinh(z) - np.log(z)), z * th, half / th
+    return 0.5 * (_LN4PI + _lnsinh(z) - np.log(np.minimum(z, _BIG))), z * th, half / th
 
 
 def _big_f_neg(s):
@@ -150,31 +142,23 @@ def _small_f_neg(s):
             (1.0 - sinc) / (2.0 * s2 * s2))
 
 
-_H_TRACE_K = (_series(_H_TRACE), _h_trace_pos, _h_trace_neg)
 _H2_K = (_series(_H2), _h2_pos, _h2_neg)
 _BIG_F = (_series(_F0, _H_TRACE, _FV), _big_f_pos, _big_f_neg)
 _SMALL_F = (_series(_SF0, _SFU, _SFV), _small_f_pos, _small_f_neg)
 
 
 def _eval(s, family, pole, name):
-    """The family's kernels at s, as a tuple.  A 0-d s goes to its branch
-    as one float64 scalar, through the same ufuncs as in an array, so the
-    bits are the same: a float64 s gets float64 scalars back (numpy's
-    IEEE semantics, as inside a solver's equation), any other 0-d s
-    Python floats.  A block within one branch gets that branch's arrays;
-    a mixed one is split by the branch masks and scattered back.  A
-    one-element block's value is both ends of its range, without the two
-    reductions."""
-    if np.ndim(s) == 0:
-        v = np.float64(s)
-        if not v > pole:
-            raise ValueError(f"{name}: argument must satisfy s > {pole:.6f} (pole), "
-                             f"got min {v}")
-        outs = family[0 if -SERIES_CUT < v < SERIES_CUT else 1 if v > 0.0 else 2](v)
-        return outs if type(s) is np.float64 else tuple(map(float, outs))
-    arr = np.asarray(s, dtype=float)
-    if arr.size == 1:
-        lo = hi = arr.flat[0]
+    """The family's kernels at s, as a tuple, through one pole check and
+    one branch choice for every input; a single value is both ends of its
+    range, without the two reductions.  A 0-d s goes to its branch as one
+    float64 scalar, through the same ufuncs as in an array, so the bits
+    are the same: a float64 s gets float64 scalars back (numpy's IEEE
+    semantics, as inside a solver's equation), any other 0-d s Python
+    floats.  A block within one branch gets that branch's arrays; a mixed
+    one is split by the branch masks and scattered back."""
+    arr = s if type(s) is np.float64 else np.asarray(s, dtype=float)[()]
+    if arr.size == 1:  # [()] left a 0-d s one float64 scalar
+        lo = hi = arr if arr.ndim == 0 else arr.flat[0]
     else:
         lo, hi = (arr.min(), arr.max()) if arr.size else (math.inf, math.inf)
     if not lo > pole:
@@ -195,7 +179,8 @@ def _eval(s, family, pole, name):
                 outs = outs or tuple(np.empty_like(arr) for _ in values)
                 for out, value in zip(outs, values):
                     out[mask] = value
-    return outs
+    scalar = type(arr) is np.float64 and type(s) is not np.float64
+    return tuple(map(float, outs)) if scalar else outs
 
 
 def h_trace(s):
@@ -204,9 +189,9 @@ def h_trace(s):
     Continues to -y*tan(y/2) for s < 0 and to a Taylor polynomial near
     s = 0.  Defined on s > -pi**2.  Also satisfies
     h_trace(ln(1+1/n)**2) = ln(1+1/n)/(2n+1), the occupation identity
-    used throughout the state map.
+    used throughout the state map.  It is 2 Fu, big_f's middle kernel.
     """
-    return _eval(s, _H_TRACE_K, POLE_MAIN, "h_trace")[0]
+    return _eval(s, _BIG_F, POLE_MAIN, "h_trace")[1]
 
 
 def h2(s):

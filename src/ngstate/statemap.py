@@ -197,8 +197,8 @@ def params_from_moments(m: GaussianMoments, x: float) -> OperatorParams:
 
 
 def _gap_root(z0_sq: float, xi: float, eta: float):
-    """(kappa, n) = (h_trace(s), 1/(e^sqrt(s) - 1)) at the root s of the
-    trace gap equation (s - z0_sq)/xi = 1/h_trace(s), or at s = z0_sq
+    """(kappa, n, s) = (h_trace(s), 1/(e^sqrt(s) - 1), s) at the root s of
+    the trace gap equation (s - z0_sq)/xi = 1/h_trace(s), or at s = z0_sq
     where the quartic coefficient eta is 0; raises as moments_from_params.
     """
     if not (math.isfinite(z0_sq) and math.isfinite(xi)):
@@ -206,11 +206,11 @@ def _gap_root(z0_sq: float, xi: float, eta: float):
     if eta == 0.0 and z0_sq <= 0:
         raise ValueError("A*B - C**2 <= 0 with eta = 0: parameters do not "
                          "define a normalizable Gaussian operator")
-    if eta > 0.0 and xi == 0.0:
-        raise PrecisionLoss(f"xi underflows at eta = {eta:.6g}")
+    if eta > 0.0 and not (xi > 0.0 and -z0_sq / xi < math.inf):  # (lo - z0_sq)/xi
+        raise PrecisionLoss(f"xi underflows or -z0_sq/xi overflows at eta = {eta:.6g}")
     s = _saddle.solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace).s if eta > 0.0 else z0_sq
     try:  # expm1 overflows where n underflows
-        return _sf.h_trace(s), 1.0 / math.expm1(math.sqrt(s))
+        return _sf.h_trace(s), 1.0 / math.expm1(math.sqrt(s)), s
     except OverflowError:
         raise PrecisionLoss(f"the occupation underflows at s = {s:.6g}") from None
 
@@ -218,16 +218,20 @@ def _gap_root(z0_sq: float, xi: float, eta: float):
 def moments_from_params(p: OperatorParams):
     """Invert params_from_moments: recover (GaussianMoments, c4_half_ratio).
 
-    Reads n and kappa off the root of the trace gap equation and maps the
+    Reads n and kappa off the root s of the trace gap equation and maps the
     coefficients back to moments: the exact inverse of params_from_moments
-    up to solver precision.  PrecisionLoss where z0_sq or xi overflows, xi
-    underflows at eta > 0 or the occupation underflows (s above about
-    5e5); ValueError where eta = 0 and A*B - C**2 <= 0.
+    up to solver precision, with B + 2 eta F = (s/4 + C**2)/A, which cannot
+    cancel.  PrecisionLoss where z0_sq or xi overflows, xi underflows or
+    -z0_sq/xi overflows at eta > 0, the occupation underflows (s above
+    about 5e5) or F, K or R leaves double range; ValueError where eta = 0
+    and A*B - C**2 <= 0.
     """
-    kappa, n = _gap_root(p.z0_sq, p.xi, p.eta)
+    kappa, n, s = _gap_root(p.z0_sq, p.xi, p.eta)
     F = p.A / kappa
-    K = (p.B + 2.0 * p.eta * F) / kappa
+    K = (0.25 * s + p.C * p.C) / p.A / kappa
     R = -p.C / kappa
+    if not (0.0 < F < math.inf and 0.0 < K < math.inf and math.isfinite(R)):
+        raise PrecisionLoss(f"F = {F:.6g}, K = {K:.6g} or R = {R:.6g} leaves double range")
     x = (p.eta / kappa) * (F / (n + 0.5)) ** 2
     return GaussianMoments(F=F, K=K, R=R), c4_half_ratio_nx(n, x)
 

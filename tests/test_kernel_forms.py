@@ -6,10 +6,12 @@ reference below keeps one function per kernel and branch, a Horner
 polynomial started from zeros, and always splits the input by the branch
 masks; every value and every returned shape must agree to the last bit.
 A float64 scalar, which the solvers' one-point path hands the kernels,
-must give the bits of the same point inside an array.
+must give the bits of the same point inside an array, and so must every
+other single value: a Python float or int, a 0-d or a one-element array.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +157,7 @@ def test_fused_branches_match_per_kernel_forms(name):
     pts = _points(pole)
     for s in pts:  # scalar input: floats; one element: its value is both ends
         _assert_same(fn(float(s)), _reference(name, float(s)))
+        _assert_same(fn(np.array(s)), _reference(name, np.array(s)))
         for one in (np.full(1, s), np.full((1, 1), s)):
             _assert_same(fn(one), _reference(name, one))
     _assert_same(fn(pts), _reference(name, pts))  # every branch in one block
@@ -187,11 +190,27 @@ def test_a_float64_scalar_gets_the_bits_of_its_point_in_an_array(name):
     block = fn(pts)  # every branch in one block
     block = block if isinstance(block, tuple) else (block,)
     for i, s in enumerate(pts):  # s is a float64 scalar
-        one, alone = fn(s), fn(float(s))
-        one, alone = ((v if isinstance(v, tuple) else (v,)) for v in (one, alone))
+        others = [float(s), np.array(s)] + ([int(s)] if s == int(s) else [])
+        one, *alone = ((v if isinstance(v, tuple) else (v,))
+                       for v in [fn(s)] + [fn(o) for o in others])
         assert [type(v) for v in one] == [np.float64] * len(block), s
-        assert [type(v) for v in alone] == [float] * len(block), s
-        assert _bits(one) == _bits([b[i] for b in block]) == _bits(alone), s
+        assert _bits(one) == _bits([b[i] for b in block]), s
+        for other, got in zip(others, alone):  # any other 0-d input: floats
+            assert [type(v) for v in got] == [float] * len(block), (s, other)
+            assert _bits(got) == _bits(one), (s, other)
+
+
+@pytest.mark.parametrize("name", ["h_trace", "h2", "big_f"])
+def test_plus_infinity_is_infinite_in_every_kernel(name):
+    # F0's ln sinh z - ln z is inf - inf at z = inf unless ln z is capped
+    fn = _REFERENCE[name][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (math.inf, np.float64(math.inf), np.array(math.inf),
+                  np.full(1, math.inf), np.array([math.inf, 1.0])):
+            got = fn(s)
+            for value in got if isinstance(got, tuple) else (got,):
+                assert np.ravel(value)[0] == math.inf, (s, got)
 
 
 @pytest.mark.parametrize("kernel", [sf.h_trace, sf.h2])

@@ -2,7 +2,9 @@
 entropy identity, validation report)."""
 
 import math
+import sys
 
+import mpmath
 import pytest
 
 from ngstate import observables as obs
@@ -118,6 +120,59 @@ def test_large_occupation_keeps_digits(big_f):
     assert orc.purity_by_definition(p) == pytest.approx(want, rel=1e-12)
 
 
+def _mp_ln_z(z0_sq, xi):
+    """(ln Z, kappa, n, s) of the raw trace gap equation at the working
+    precision: s by bisection in ln s, or s = z0_sq where xi = 0."""
+    def h(s):
+        return mpmath.sqrt(s) * mpmath.tanh(mpmath.sqrt(s) / 2)
+    s = z0_sq
+    if xi > 0:
+        lo, hi = mpmath.mpf(10) ** -400, mpmath.mpf(1)
+        while (hi - z0_sq) / xi <= 1 / h(hi):
+            hi *= 2
+        while hi / lo - 1 > mpmath.mpf(10) ** (2 - mpmath.mp.dps):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if (mid - z0_sq) / xi < 1 / h(mid) else (lo, mid)
+        s = (lo + hi) / 2
+    kappa, n = h(s), 1 / mpmath.expm1(mpmath.sqrt(s))
+    return mpmath.log(n * (n + 1)) / 2 + xi / (8 * kappa ** 2), kappa, n, s
+
+
+def _assert_matches_mpmath(p, call):
+    # 40 digits past the cancellation of B + 2 eta F and of the two ln Z,
+    # each of size ~1/eta as eta -> 0 at A*B < C**2
+    extra = max(0, int(-math.log10(p.eta))) if p.eta > 0 else 0
+    with mpmath.workdps(40 + extra):
+        A, B, C, eta = map(mpmath.mpf, (p.A, p.B, p.C, p.eta))
+        z0_sq, xi = 4 * (A * B - C * C), 8 * A * A * eta
+        ln_z, kappa, n, _ = _mp_ln_z(z0_sq, xi)
+        if call is orc.purity_by_definition:
+            ln_z2 = _mp_ln_z(4 * z0_sq, 8 * xi)[0]
+            got, want = call(p), mpmath.exp(ln_z2 - 2 * ln_z)
+            # the definition's difference of two ln Z rounds at their size
+            tol = 8 * sys.float_info.epsilon * float(abs(ln_z2) + 2 * abs(ln_z))
+            assert abs(got / want - 1) <= tol + 1e-13, (got, want)
+            return
+        F = A / kappa
+        K, R = (B + 2 * eta * F) / kappa, -C / kappa
+        x = (eta / kappa) * (F / (n + mpmath.mpf(0.5))) ** 2
+        m, c4 = call(p)
+        for g, w in ((m.F, F), (m.K, K), (m.R, R)):
+            assert abs(g - w) <= 1e-13 * abs(w), (g, w)
+        assert c4 == pytest.approx(obs.c4_half_ratio_nx(float(n), float(x)), rel=1e-12)
+
+
+# A*B - C**2 = -1 with a vanishing quartic term: the edge of
+# normalizability, where B + 2 eta F cancelled in K (11 % off at 1e-15,
+# K <= 0 from 1e-16) and the oracle's ln Z overflowed (1e-156) or divided
+# by a zero 8 kappa^2 (1e-164); both solves raised BracketError from 1e-308.
+# From 1e-12 the oracle's two ln Z (~1/eta) leave ln P fewer than 6 digits
+_EDGE = ([(1e-8, None)]
+         + [(eta, (None, PrecisionLoss)) for eta in (1e-12, 1e-15, 1e-16, 1e-156,
+                                                     1e-164, 1e-300)]
+         + [(eta, PrecisionLoss) for eta in (1e-308, 1e-310, 5e-324)])
+
+
 @pytest.mark.parametrize("params, error", [
     ((1e-170, 1e170, 0.0, 1.0), PrecisionLoss),  # xi underflows at eta > 0
     ((1e200, 1e200, 0.0, 1.0), PrecisionLoss),   # z0_sq overflows
@@ -126,19 +181,23 @@ def test_large_occupation_keeps_digits(big_f):
     ((0.5, 1e6, 0.0, 1e-3), PrecisionLoss),
     ((1.0, -1.0, 0.0, 0.0), ValueError),         # no normalizable Gaussian
     ((1.0, 1.0, 0.0, 0.0), None),
+    *(((0.5, -2.0, 0.0, eta), error) for eta, error in _EDGE),
 ])
 def test_raw_parameters_share_one_error_contract(params, error):
     # the closed-form inverse and the brute-force ln Z solve one raw gap:
     # the oracle once took the underflowed xi of the first case for a
-    # Gaussian operator and returned 0.7616
+    # Gaussian operator and returned 0.7616.  Each call matches a solve of
+    # the same gap equation in mpmath or raises the error given for it (a
+    # pair: moments_from_params, then the oracle, whose two ln Z cancel)
     p = OperatorParams(*params)
-    for call in (moments_from_params, orc.purity_by_definition):
-        if error is None:
-            call(p)
+    calls = (moments_from_params, orc.purity_by_definition)
+    for call, want in zip(calls, error if isinstance(error, tuple) else (error,) * 2):
+        if want is None:
+            _assert_matches_mpmath(p, call)
             continue
-        with pytest.raises(error) as info:
+        with pytest.raises(want) as info:
             call(p)
-        assert type(info.value) is error, call
+        assert type(info.value) is want, call
 
 
 def test_purity_definition_gaussian_point():
