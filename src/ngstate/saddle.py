@@ -9,13 +9,14 @@ and diverges at the floor of its domain, so LHS - RHS has one sign change:
 The last column (for f0, the first term of 2 sum_k 1/(s + k^2 pi^2)) puts
 the root past the positive root of a quadratic, half of which is the lower
 bracket end; with s0 = max(z0_sq, 1), max(s0, z0_sq + xi*RHS(s0)) is the
-upper end (for the trace capped by closed-form bounds on the root),
-moved up a double at a time where it rounds onto or below the root.  The
-brackets are element-wise, so z0_sq, xi and the RHS arguments broadcast.
-_find_root solves all of them and x_from_c4, and each solve returns one
-SaddleSolution, residual included.  A solve of one point runs in float64
-scalars from start to finish, its equation included: an equation takes
-and returns float64 scalars there, arrays elsewhere.  x = 0 pins s = z0_sq.
+upper end (capped by the largest double, and for the trace by closed-form
+bounds on the root), moved up a double at a time where it rounds onto or
+below the root.  The brackets are element-wise, so z0_sq, xi and the RHS
+arguments broadcast.  _find_root solves all of them and x_from_c4, and
+each solve returns one SaddleSolution, residual included.  A solve of one
+point runs in float64 scalars from start to finish, its equation
+included: an equation takes and returns float64 scalars there, arrays
+elsewhere.  x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf) -> SaddleSolution:
     # floor + e/2 can round onto the floor; the bracket check then refuses
     lo = np.maximum(floor + 0.5 * e, np.nextafter(floor, np.inf))
     s0 = np.maximum(z0_sq, 1.0)
-    # a cap that underflowed onto or below lo would leave nothing to climb from
-    cap = np.where(cap > lo, cap, np.inf)
+    # a cap that underflowed onto or below lo would leave nothing to climb
+    # from; the largest double bounds the end, as rhs(inf) may be NaN
+    cap = np.minimum(np.where(cap > lo, cap, np.inf), np.finfo(float).max)
     hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
     s, g, nfev = _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a),
                             lo, hi, z0_sq, xi, *args, climb=True)

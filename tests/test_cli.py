@@ -464,9 +464,16 @@ def test_underflowing_state_exits_1_with_meta(tmp_path, capsys, preset, name):
     for argv, cause in ((["--n", "1e200", "--x", "0.5"], "underflows"),
                         (["--n", "10", "--x", "1e308"], "overflows")):
         out = tmp_path / cause
-        assert cli.main([preset, *argv, "--out", str(out)]) == 1
+        code = cli.main([preset, *argv, "--out", str(out)])
         capsys.readouterr()
         meta = _read_meta(out)
+        if preset == "fig1_c4" and cause == "overflows":
+            # C4/2F^2 has one closed form up to the largest double: near -1
+            assert code == 0 and f"{name}.error" not in meta
+            header, rows = _read_csv(out / "c4_ratio.csv")
+            assert [row[header.index("c4_ratio")] for row in rows] == [-1.0]
+            continue
+        assert code == 1
         assert meta[f"{name}.converged"] is False
         assert cause in meta[f"{name}.error"]
 

@@ -12,6 +12,7 @@ from ngstate import ReducedState
 from ngstate import densmat as dm
 from ngstate import observables as obs
 from ngstate.errors import PrecisionLoss
+from ngstate.statemap import x_from_c4
 
 
 def test_ln_z_values():
@@ -68,8 +69,11 @@ def test_c4_displayed_digits_of_standard_states():
 
 def test_c4_exact_points_and_limits():
     assert obs.c4_half_ratio_nx(5.0, 0.0) == 0.0
-    # deep dispatch to the small-n limit is exact
-    assert obs.c4_half_ratio_nx(1e-9, 3.0) == -0.5
+    # below n = 1e-18 the small-n limit is exact to the last bit; above it
+    # the closed form keeps the O(n) term (-0.5 - 8.75e-10 at n = 1e-9)
+    assert obs.c4_half_ratio_nx(0.0, 3.0) == obs.c4_half_ratio_nx(1e-19, 3.0) == -0.5
+    assert obs.c4_half_ratio_nx(1e-9, 3.0) == pytest.approx(
+        _c4_reference(1e-9, 3.0), rel=1e-15, abs=0.0)
     for x in np.linspace(0.05, 30.0, 40):
         big = obs.c4_half_ratio_nx(1e4, float(x))
         assert big == pytest.approx(obs.c4_ratio_large_n(x), rel=1e-3)
@@ -86,7 +90,7 @@ def test_c4_large_n_limit_past_2x_overflow():
 
 def test_c4_perturbative_dispatch_is_smooth():
     for n in (0.1, 1.0, 10.0):
-        # compare per-x slopes so the O(x) trend across the seam drops out
+        # compare per-x slopes so the O(x) trend across x = 1e-6 drops out
         lo = obs.c4_half_ratio_nx(n, 0.9999e-6) / 0.9999e-6
         hi = obs.c4_half_ratio_nx(n, 1.0001e-6) / 1.0001e-6
         assert lo == pytest.approx(hi, rel=1e-4)
@@ -98,10 +102,13 @@ def test_c4_perturbative_dispatch_is_smooth():
         assert slope == pytest.approx(pred, rel=1e-6)
 
 
-def _c4_reference(n, x):
-    """The closed form at 50 digits, where the 0/0 at small x costs nothing."""
-    with mpmath.workdps(50):
+def _c4_reference(n, x, dps=50):
+    """The closed form at dps digits, where the 0/0 at small x costs nothing
+    while log10(1/x) stays well below dps."""
+    with mpmath.workdps(dps):
         n, x = mpmath.mpf(n), mpmath.mpf(x)
+        if n == 0:
+            return float(-x / (1 + x + mpmath.sqrt(1 + x)))
         z = mpmath.log1p(1 / n)
         zeta = 1 + 2 * z / (2 * n + 1) * n * (n + 1)
 
@@ -115,7 +122,7 @@ def _c4_reference(n, x):
 
 @pytest.mark.parametrize("n", [0.01, 1.0, 10.0, 100.0])
 def test_c4_small_x_against_50_digits(n):
-    # both sides of the x = 1e-6 series/closed-form cut
+    # both sides of x = 1e-6
     xs = [*np.geomspace(1e-9, 1e-3, 25), 0.999e-6, 0.9999999e-6, 1e-6, 1.0000001e-6]
     for x in xs:
         ref = _c4_reference(n, float(x))
@@ -126,7 +133,7 @@ def test_c4_small_x_against_50_digits(n):
 @given(n=hst.floats(0.01, 100.0), log_x=hst.floats(-9.0, 3.0),
        step=hst.floats(0.0, 0.01))
 def test_c4_non_increasing_in_x(n, log_x, step):
-    # the second pair straddles the series/closed-form cut at x = 1e-6
+    # the second pair straddles x = 1e-6
     for lo, hi in ((10.0 ** log_x, 10.0 ** log_x * (1.0 + step)),
                    (1e-6 * (1.0 - step), 1e-6 * (1.0 + step))):
         c_lo, c_hi = obs.c4_half_ratio_nx(n, lo), obs.c4_half_ratio_nx(n, hi)
@@ -143,10 +150,30 @@ def test_c4_refuses_kappa_underflow():
 
 
 def test_c4_refuses_zeta_x_overflow():
-    # zeta*x = inf dropped a term: -0.0015 at x = 1e308 for a limit near -1
-    assert obs.c4_half_ratio_nx(10.0, 5e307) == pytest.approx(-1.0, rel=1e-12)
-    with pytest.raises(PrecisionLoss):
-        obs.c4_half_ratio_nx(10.0, 1e308)
+    # zeta*x overflows at x = 1e308, but zeta/(1 + zeta*x) = 0 then costs
+    # nothing: the ratio stays finite, near -1, up to the largest double
+    for x in (5e307, 1e308, 1.7976931348623157e308):
+        assert obs.c4_half_ratio_nx(10.0, x) == pytest.approx(
+            _c4_reference(10.0, x), rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(log_n=hst.one_of(hst.just(None), hst.floats(-323.3, 153.67)),
+       log_x=hst.floats(-200.0, 308.25))
+def test_c4_closed_form_against_260_digits(log_n, log_x):
+    # n = 0 or log-uniform n up to kappa's underflow, x up to the largest
+    # double; below x/(2n+1) = 1e-290 the product z x/(w+1) nears underflow
+    n, x = 0.0 if log_n is None else 10.0 ** log_n, min(10.0 ** log_x, 1.7976931348623157e308)
+    if x / (2.0 * n + 1.0) < 1e-290:
+        return
+    ref = _c4_reference(n, x, dps=260)
+    assert obs.c4_half_ratio_nx(n, x) == pytest.approx(ref, rel=1e-14, abs=0.0), (n, x)
+
+
+@pytest.mark.parametrize("n", [5e-9, 9.99e-9])
+def test_x_from_c4_roundtrip_below_1e_8(n):
+    # just below n = 1e-8 the small-n limit puts x 5e-8 off
+    assert x_from_c4(n, _c4_reference(n, 1.0)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_c4_global_bounds():

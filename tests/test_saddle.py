@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,28 @@ def test_residual_is_finite_where_the_scaled_lhs_overflows(z0_sq, xi):
         if xi <= 1.0:
             assert sol.s == pytest.approx(z0_sq, rel=1e-15)
             assert sol.residual == 1.0
+
+
+def test_saddle_upper_end_stays_below_the_largest_double():
+    # z0_sq + xi*rhs(s0) overflows to inf here, where small_f is NaN; the
+    # largest double bounds the end, and the root is a 30-digit bisection's
+    st = ReducedState.from_nx(10.0, 1e6)
+    sol = saddle.solve_saddle_uv_many(st, 1e308, 0.0)
+    with mpmath.workdps(30):
+        z0_sq, xi, u_sq = mpmath.mpf(st.z0_sq), mpmath.mpf(st.xi), mpmath.mpf(1e308)
+
+        def g(s):
+            z = mpmath.sqrt(s)
+            f0 = (z * mpmath.coth(z) - 1) / s
+            fu = (mpmath.sinh(z) / z + 1) / (2 * mpmath.cosh(z / 2) ** 2)
+            return (s - z0_sq) / xi - f0 - fu * u_sq
+        lo, hi = mpmath.mpf(1e200), mpmath.mpf(1e210)
+        for _ in range(120):  # in ln s: 23/2^120 relative at the end
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+        root = float(lo)
+    assert sol.s == pytest.approx(root, rel=1e-14)
+    assert abs(sol.residual) <= residual_bound(st, sol.s)
 
 
 def test_saddle_uv_center_point():
