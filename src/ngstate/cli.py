@@ -43,7 +43,7 @@ import argparse
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -347,6 +347,7 @@ def _add_axes(p, grid, shape, u_help):
     p.add_argument("--u-max", type=_positive, help=u_help)
 
 
+@cache  # one per process; each main call parses with it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ngstate",

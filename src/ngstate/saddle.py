@@ -13,10 +13,13 @@ upper end (capped by the largest double, and for the trace by closed-form
 bounds on the root), moved up a double at a time where it rounds onto or
 below the root.  The brackets are element-wise, so z0_sq, xi and the RHS
 arguments broadcast.  _find_root solves all of them and x_from_c4, and
-each solve returns one SaddleSolution, residual included.  A solve of one
-point runs in float64 scalars from start to finish, its equation
-included: an equation takes and returns float64 scalars there, arrays
-elsewhere.  x = 0 pins s = z0_sq.
+each solve returns one SaddleSolution, residual included.  A solve of many
+points keeps one live set of at most _BLOCK of them, refilled from the
+rest as points finish, so it drains once, at its end; the uv solve's lower
+end depends on the state alone, and its equation is evaluated there once
+per refill.  A solve of one point runs in float64 scalars from start to
+finish, its bracket, equation and residual included: an equation takes
+and returns float64 scalars there, arrays elsewhere.  x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ __all__ = [
     "solve_trace_raw",
 ]
 
-# elements solved together, then only the unfinished ones: bounds scratch
-# memory; 8192 left ~2 MiB of freed scratch, raising surface presets' RSS
+# most points in a solve's live set, refilled once it is half empty: bounds
+# scratch memory; 8192 left ~2 MiB of freed scratch, raising surface RSS
 _BLOCK = 4096
 _XRTOL = 2.0 * np.finfo(float).eps
 # ends a search whose bracket ends are adjacent doubles near 0; a floor
@@ -71,23 +74,26 @@ def _find_root(g, lo, hi, *args, climb=False):
 
     Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation where the last three points make
-    it safe, bisection otherwise.  lo, hi and args broadcast; g gets flat
-    blocks of up to _BLOCK elements, which a point leaves once its bracket
-    is below 2 eps relative, so its root and count (a climb step counts
-    where the point climbs) depend on it alone.  A 0-d arg reaches g as it
-    is, never broadcast or compacted.  A point's count is its evaluations
-    before the loop plus the loop's steps so far.  g maps a float64 scalar
-    s (with scalar args) to a float64 scalar, and arrays to arrays, with
-    the same bits at each point: a one-point input (any shape of size 1)
-    is solved in scalars from start to finish, its two end evaluations and
-    climb included, and a block's last live point finishes in _tail, the
-    same steps in float64 scalars, which spares ~50 array calls a step.
-    Returns (root, g at root, nfev), arrays of the broadcast shape.
+    it safe, bisection otherwise.  lo, hi and args broadcast.  The points
+    are solved in one live set of at most _BLOCK, which a point leaves once
+    its bracket is below 2 eps relative; where the set drops to _BLOCK // 2
+    or fewer, the next points are pulled in, with their end evaluations,
+    climb and bracket check.  So a point's root and count (a climb step
+    counts where the point climbs) depend on it alone: the count is its
+    evaluations before its first step plus its own steps.  A 0-d arg
+    reaches g as it is, never broadcast or compacted, and a 0-d lo reaches
+    g once per pull as a float64 scalar, beside the pulled points' args.
+    g maps a float64 scalar s (with scalar args) to a float64 scalar, and
+    arrays to arrays, with the same bits at each point: a one-point input
+    (any shape of size 1) is solved in scalars from start to finish, its
+    two end evaluations and climb included, and the solve's last live
+    point finishes in _tail, the same steps in float64 scalars, which
+    spares ~50 array calls a step.  Returns (root, g at root, nfev),
+    arrays of the broadcast shape.
     """
-    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *map(np.shape, args))
-    if math.prod(shape) == 1:  # one point: float64 scalars from start to finish
-        x1, x2 = np.ravel(lo)[0], np.ravel(hi)[0]
-        p = [np.ravel(a)[0] if np.ndim(a) else a for a in args]
+    if point := _one_point((lo, hi, *args)):  # float64 scalars from start to finish
+        (x1, x2, *p), shape = point
+        x1, x2 = np.float64(x1), np.float64(x2)
         f1, f2 = g(x1, *p), g(x2, *p)
         evals = 2
         while climb and f2 < 0.0:
@@ -97,18 +103,27 @@ def _find_root(g, lo, hi, *args, climb=False):
         if not (f1 <= 0.0 and f2 >= 0.0):
             raise BracketError("no sign change at 1 points")
         xm, fm, steps = _tail(g, p, x1, x2, f1, f2, 0.5)
-        return np.full(shape, xm), np.full(shape, fm), np.full(shape, evals + steps)
+        out = xm, fm, evals + steps
+        return tuple(np.full(shape, v) for v in out) if shape else out
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *map(np.shape, args))
+    lo0 = np.ravel(lo)[0] if np.ndim(lo) == 0 else None
     lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
     args = [np.broadcast_to(a, shape) if np.ndim(a) else a for a in args]
     root, g_at = np.empty(shape), np.empty(shape)
     nfev = np.empty(shape, dtype=int)
-    for start in range(0, lo.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        p = [a.flat[blk] if np.ndim(a) else a for a in args]
-        # x1: newest point; x2: bracket end opposite to it; x3: the one before
-        x1, x2 = lo.flat[blk], hi.flat[blk]
-        f1, f2 = g(x1, *p), g(x2, *p)
-        evals, t = np.full(x1.shape, 2), 0.5
+    if root.size == 0:
+        return root, g_at, nfev
+
+    def pull(start, stop):
+        """Points start:stop, climbed and checked: (x1, x2, f1, f2, evals,
+        output indices), p."""
+        p = [a.flat[start:stop] if np.ndim(a) else a for a in args]
+        x1, x2 = lo.flat[start:stop], hi.flat[start:stop]
+        f1 = g(x1, *p) if lo0 is None else g(lo0, *p)
+        if np.shape(f1) != x1.shape:  # no arg varies by point
+            f1 = np.broadcast_to(f1, x1.shape)
+        f2 = g(x2, *p)
+        evals = np.full(x1.shape, 2)
         while climb and np.any(low := f2 < 0.0):
             x2 = np.where(low, np.nextafter(x2, np.inf), x2)
             f2 = g(x2, *p)
@@ -116,45 +131,58 @@ def _find_root(g, lo, hi, *args, climb=False):
         ok = (f1 <= 0.0) & (f2 >= 0.0)
         if not np.all(ok):
             raise BracketError(f"no sign change at {np.size(ok) - np.count_nonzero(ok)} points")
-        at = np.arange(start, start + x1.size)  # each live point's output index
-        steps = 0
-        while True:
-            if x1.size == 1:  # the last live point: the same steps in scalars
-                p = [a[0] if np.ndim(a) else a for a in p]
-                xm, fm, more = _tail(g, p, x1[0], x2[0], f1[0], f2[0], np.ravel(t)[0])
-                root.flat[at[0]], g_at.flat[at[0]], nfev.flat[at[0]] = (
-                    xm, fm, evals[0] + steps + more)
+        return (x1, x2, f1, f2, evals, np.arange(start, start + x1.size)), p
+
+    # x1: newest point; x2: bracket end opposite to it; x3: the one before;
+    # at: each live point's output index
+    (x1, x2, f1, f2, evals, at), p = pull(0, _BLOCK)
+    pulled, t, steps = x1.size, 0.5, 0
+    while True:
+        if x1.size == 1 and pulled == root.size:  # the last live point: in scalars
+            p = [a[0] if np.ndim(a) else a for a in p]
+            xm, fm, more = _tail(g, p, x1[0], x2[0], f1[0], f2[0], np.ravel(t)[0])
+            root.flat[at[0]], g_at.flat[at[0]], nfev.flat[at[0]] = (
+                xm, fm, evals[0] + steps + more)
+            break
+        x = x1 + t * (x2 - x1)
+        f = g(x, *p)
+        steps += 1
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        best = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(best, x1, x2), np.where(best, f1, f2)
+        tol = _XRTOL * np.abs(xm) + _XATOL
+        dx = np.abs(x2 - x1)
+        done = (fm == 0.0) | (dx < tol)
+        if done.any():
+            root.flat[at[done]], g_at.flat[at[done]], nfev.flat[at[done]] = (
+                xm[done], fm[done], evals[done] + steps)
+            if done.all() and pulled == root.size:
                 break
-            x = x1 + t * (x2 - x1)
-            f = g(x, *p)
-            steps += 1
-            same = np.sign(f) == np.sign(f1)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = x, f
-            best = np.abs(f1) < np.abs(f2)
-            xm, fm = np.where(best, x1, x2), np.where(best, f1, f2)
-            tol = _XRTOL * np.abs(xm) + _XATOL
-            dx = np.abs(x2 - x1)
-            done = (fm == 0.0) | (dx < tol)
-            if done.any():
-                root.flat[at[done]], g_at.flat[at[done]], nfev.flat[at[done]] = (
-                    xm[done], fm[done], evals[done] + steps)
-                if done.all():
-                    break
-                live = ~done
-                x1, x2, x3, f1, f2, f3, tol, dx, evals, at = (
-                    a[live] for a in (x1, x2, x3, f1, f2, f3, tol, dx, evals, at))
-                p = [a[live] if np.ndim(a) else a for a in p]
-            xi = (x1 - x2) / (x3 - x2)
-            d12, d32 = f1 - f2, f3 - f2
-            phi = d12 / d32
-            alpha = (x3 - x1) / (x2 - x1)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            # f2 - f3 is -d32 exactly, so its term is added; where d32 = 0, iqi is false
-            t = np.where(iqi, f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32, 0.5)
-            edge = 0.5 * tol / dx
-            t = np.minimum(np.maximum(t, edge), 1.0 - edge)  # np.clip, at half the cost
+            live = ~done
+            x1, x2, x3, f1, f2, f3, tol, dx, evals, at = (
+                a[live] for a in (x1, x2, x3, f1, f2, f3, tol, dx, evals, at))
+            p = [a[live] if np.ndim(a) else a for a in p]
+        xi = (x1 - x2) / (x3 - x2)
+        d12, d32 = f1 - f2, f3 - f2
+        phi = d12 / d32
+        alpha = (x3 - x1) / (x2 - x1)
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        # f2 - f3 is -d32 exactly, so its term is added; where d32 = 0, iqi is false
+        t = np.where(iqi, f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32, 0.5)
+        edge = 0.5 * tol / dx
+        t = np.minimum(np.maximum(t, edge), 1.0 - edge)  # np.clip, at half the cost
+        if x1.size <= _BLOCK // 2 and pulled < root.size:  # refill the live set
+            stop = min(root.size, pulled + _BLOCK - x1.size)
+            (n1, n2, m1, m2, counts, indices), q = pull(pulled, stop)
+            # a pulled point's count runs from the loop's steps so far
+            x1, x2, f1, f2, evals, at, t = map(np.concatenate, (
+                (x1, n1), (x2, n2), (f1, m1), (f2, m2), (evals, counts - steps),
+                (at, indices), (t, np.full(stop - pulled, 0.5))))
+            p = [np.concatenate((a, b)) if np.ndim(a) else a for a, b in zip(p, q)]
+            pulled = stop
     return root, g_at, nfev
 
 
@@ -193,26 +221,53 @@ def _tail(g, p, x1, x2, f1, f2, t):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve(z0_sq, xi, rhs, floor, c, *args, cap=np.inf) -> SaddleSolution:
     """Roots of (s - z0_sq)/xi = rhs(s, *args) given rhs(s) >= c/(s - floor)
-    and a root below cap; z0_sq, xi, args and cap broadcast."""
+    and a root below cap; z0_sq, xi, args and cap broadcast.  One point is
+    set up in float64 scalars, as _find_root then solves it."""
+    if point := _one_point((z0_sq, xi, cap, *args)):
+        (z0_sq, xi, cap, *args), shape = point
+        z0_sq, xi, cap = np.float64(z0_sq), np.float64(xi), np.float64(cap)
+    where = _pick if point else np.where
     b, d = z0_sq - floor, c * xi
     # e: the positive root of e^2 - b e - d, from halved sums, with hypot's
     # q where b^2 + 4d overflows (the sqrt's bits elsewhere)
     q = np.sqrt(b * b + 4.0 * d)
-    q = np.where(q < np.inf, q, np.hypot(b, 2.0 * np.sqrt(d)))
-    e = np.where(b >= 0.0, 0.5 * b + 0.5 * q, d / (0.5 * q - 0.5 * b))
+    q = where(q < np.inf, q, np.hypot(b, 2.0 * np.sqrt(d)))
+    e = where(b >= 0.0, 0.5 * b + 0.5 * q, d / (0.5 * q - 0.5 * b))
     # floor + e/2 can round onto the floor; the bracket check then refuses
     lo = np.maximum(floor + 0.5 * e, np.nextafter(floor, np.inf))
     s0 = np.maximum(z0_sq, 1.0)
     # a cap that underflowed onto or below lo would leave nothing to climb
     # from; the largest double bounds the end, as rhs(inf) may be NaN
-    cap = np.minimum(np.where(cap > lo, cap, np.inf), np.finfo(float).max)
+    cap = np.minimum(where(cap > lo, cap, np.inf), np.finfo(float).max)
     hi = np.maximum(lo, np.minimum(cap, np.maximum(s0, z0_sq + xi * rhs(s0, *args))))
     s, g, nfev = _find_root(lambda s, z0, xi, *a: (s - z0) / xi - rhs(s, *a),
                             lo, hi, z0_sq, xi, *args, climb=True)
     # where lhs overflows, g/|lhs| tends to sign(g); only the mask stays alive
     over = np.isinf((s - z0_sq) / xi)
     residual = g / np.maximum(1.0, np.abs((s - z0_sq) / xi))
-    return _solution(s, np.where(over, np.sign(g), residual) if over.any() else residual, nfev)
+    residual = where(over, np.sign(g), residual) if over.any() else residual
+    if point and shape:
+        s, residual, nfev = (np.full(shape, a) for a in (s, residual, nfev))
+    return _solution(s, residual, nfev)
+
+
+def _one_point(values):
+    """(values, shape) where the values broadcast to one point, each array
+    then as its one element; None otherwise.  Cheaper than np.shape and
+    np.ravel on numbers."""
+    out, ndim = [], 0
+    for a in values:
+        if isinstance(a, np.ndarray):
+            if a.size != 1:
+                return None
+            ndim, a = max(ndim, a.ndim), a.flat[0]
+        out.append(a)
+    return out, (1,) * ndim
+
+
+def _pick(cond, a, b):
+    """np.where for one point in float64 scalars: a where cond, else b."""
+    return a if cond else b
 
 
 def _solution(s, residual, nfev):
@@ -241,14 +296,18 @@ def solve_trace_raw(z0_sq, xi, kernel=_sf.h_trace) -> SaddleSolution:
     # puts the root below 4 max(1/a, 1/a^2), far tighter when a is small,
     # and, as s - z0_sq <= 2 xi/sqrt(s) at s >= 4, below max(4, 2 z0_sq,
     # (4 xi)^(2/3)), far tighter where xi >> max(z0_sq, 1)
+    point = _one_point((z0_sq, xi))  # one point: the cap in float64 scalars
+    z, x = point[0] if point else (z0_sq, xi)
+    where = _pick if point else np.where
     with np.errstate(over="ignore", divide="ignore"):  # b = inf, a = 0: uncapped
-        b = z0_sq + xi / 3.0
-        q = np.hypot(b, math.sqrt(8.0) * np.sqrt(xi))
+        b = z + x / 3.0
+        q = np.hypot(b, math.sqrt(8.0) * np.sqrt(x))
         half = 0.5 * q + 0.5 * np.abs(b)
-        a = -z0_sq / xi
-        tight = np.where(a > 0.0, 4.0 * np.maximum(1.0 / a, 1.0 / (a * a)), np.inf)
-        steep = np.maximum(np.maximum(4.0, 2.0 * z0_sq), (np.cbrt(4.0) * np.cbrt(xi)) ** 2)
-        cap = np.minimum(np.where(b >= 0.0, half, 2.0 * (xi / half)), np.minimum(tight, steep))
+        a = -z / x
+        tight = where(a > 0.0, 4.0 * np.maximum(1.0 / a, 1.0 / (a * a)), np.inf)
+        root3 = np.cbrt(4.0) * np.cbrt(x)  # squared as np.square squares it
+        steep = np.maximum(np.maximum(4.0, 2.0 * z), root3 * root3)
+        cap = np.minimum(where(b >= 0.0, half, 2.0 * (x / half)), np.minimum(tight, steep))
     return _solve(z0_sq, xi, lambda s: 1.0 / kernel(s), 0.0, 1.0, cap=cap)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import csv
 import importlib.util
 import io
@@ -421,6 +422,40 @@ def test_meta_names_the_package_version(tmp_path):
     out = tmp_path / "ver"
     assert cli.main(["fig1_c4", "--x", "0", "--out", str(out)]) == 0
     assert _read_meta(out)["version"] == ngstate.__version__
+
+
+def _parser_defaults():
+    presets = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    return {(preset, a.dest): copy.deepcopy(a.default)
+            for preset, parser in presets.items() for a in parser._actions}
+
+
+def test_two_runs_in_one_process_write_the_same_bytes(tmp_path, capsys):
+    # one parser per process hands the same default lists to every run, so
+    # a planner that changed one in place would change the next run
+    assert cli.build_parser() is cli.build_parser()
+    defaults = _parser_defaults()
+    small = {"fig3_dsurface": ["--grid", "9x7"], "fig4_dslices": ["--grid", "9"],
+             "fig5_wigner": ["--grid", "5x5"], "fig6_contours": ["--grid", "5x5"],
+             "fig7_slice": ["--grid", "9"]}
+    for preset in ("fig1_c4", "fig2_purity", *small):
+        runs = [tmp_path / preset / str(k) for k in (1, 2)]
+        for out in runs:
+            assert cli.main([preset, *small.get(preset, []), "--out", str(out)]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir()) and len(names) > 1
+        for name in names:
+            first, second = ((out / name).read_bytes() for out in runs)
+            if name == "meta.json":
+                first, second = ({**json.loads(m), "out": None} for m in (first, second))
+            assert first == second, (preset, name)
+    reports = []
+    for _ in range(2):
+        assert cli.main(["validate", "--quick"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert _parser_defaults() == defaults
 
 
 def test_help_exits_0(capsys):

@@ -1,10 +1,11 @@
 """The root-finder's scalar paths against the all-array loop, bit for bit.
 
 saddle._find_root solves a one-point input in float64 scalars from start
-to finish, g included, and finishes a block's last live point the same
+to finish, g included, and finishes a solve's last live point the same
 way.  The reference below is the loop that runs every point in arrays to
-the end; root, g at the root and the evaluation count must agree to the
-last bit, and so must every error.
+the end, one block of _BLOCK points after another; root, g at the root
+and the evaluation count must agree to the last bit, and so must every
+error.
 """
 
 import itertools
@@ -234,13 +235,20 @@ def test_g_turning_nan_or_infinite_partway(monkeypatch, bad, width):
     assert finished >= 3
 
 
-def test_a_blocks_last_point_finishes_alone(monkeypatch):
-    # the points end after 8 to 13 evaluations, so most blocks end on one point
+@pytest.mark.parametrize("block", [2, 3, saddle._BLOCK])
+def test_a_solves_last_point_finishes_alone(monkeypatch, block):
+    # more than two blocks of points take at least three pulls into the live
+    # set, which drains once, at the end of the solve: its last point, if
+    # alone, finishes in scalars, and no other point does.  The points end
+    # after 8 to 13 evaluations, but u^2 = 1e30 takes 40, so the uv solve's
+    # last pulled point finishes last, and alone
+    monkeypatch.setattr(saddle, "_BLOCK", block)
     st = ReducedState.from_nx(2.5, 15.0)
-    u_sq, v_sq = np.linspace(0.0, 400.0, 12), np.linspace(40.0, 0.0, 12)
-    _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq))
-    _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(st.z0_sq, u_sq + 1.0), tails=0)
-    for block in (2, 3):  # and in blocks of 2 and of 3
-        monkeypatch.setattr(saddle, "_BLOCK", block)
-        _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq), tails=2)
-        _assert_same(monkeypatch, lambda: saddle.solve_trace_raw(st.z0_sq, u_sq + 1.0), tails=2)
+    count = max(12, 2 * block + 7)
+    assert count > 2 * saddle._BLOCK
+    u_sq, v_sq = np.linspace(0.0, 400.0, count), np.linspace(40.0, 0.0, count)
+    for solve in (lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq),
+                  lambda: saddle.solve_trace_raw(st.z0_sq, u_sq + 1.0)):
+        assert _assert_same(monkeypatch, solve, tails=0) <= 1
+    u_sq[-1] = 1e30
+    assert _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq)) == 1

@@ -145,6 +145,69 @@ def test_solve_trace_raw_validation():
         saddle._find_root(lambda s: s - 2.0, np.array([3.0]), np.array([4.0]))
 
 
+def _spy_on_equations(monkeypatch):
+    """Each call of a root-finder's equation, as (s, value), from here on."""
+    calls, find = [], saddle._find_root
+
+    def spying(g, *args, **kwargs):
+        def spy(s, *p):
+            calls.append((s, out := g(s, *p)))
+            return out
+        return find(spy, *args, **kwargs)
+    monkeypatch.setattr(saddle, "_find_root", spying)
+    return calls
+
+
+@pytest.mark.parametrize("block", [2, 3, saddle._BLOCK])
+def test_the_live_set_holds_at_most_a_block(monkeypatch, block):
+    # more than two blocks of points: at least three pulls into the live set
+    monkeypatch.setattr(saddle, "_BLOCK", block)
+    calls = _spy_on_equations(monkeypatch)
+    st = ReducedState.from_nx(10.0, 1.0)
+    u_sq, v_sq = np.random.default_rng(3).uniform(0.0, 100.0, (2, 2 * block + 7))
+    sol = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+    assert max(np.size(out) for _, out in calls) <= block
+    # the lower end depends on the state alone: one scalar s per pull, beside
+    # the pulled points' u^2 and v^2, and never inside an array of s
+    lo = calls[0][0]
+    pulls = [out.size for s, out in calls if np.ndim(s) == 0 and np.ndim(out)]
+    assert np.ndim(lo) == 0 and len(pulls) >= 3 and sum(pulls) == u_sq.size
+    assert not any(np.any(s == lo) for s, _ in calls if np.ndim(s))
+    assert sol.s.shape == u_sq.shape and np.all(sol.s > lo)
+    # refilled once half empty: until the last pull, each step (an array s
+    # not at the pulled points' upper ends, right after their lower end)
+    # holds more than half a block
+    pulled = [i for i, (s, out) in enumerate(calls) if np.ndim(s) == 0 and np.ndim(out)]
+    steps = [np.size(s) for i, (s, _) in enumerate(calls[:pulled[-1]])
+             if np.ndim(s) and i - 1 not in pulled]
+    assert steps and min(steps) > block // 2
+    calls.clear()
+    saddle.solve_trace_raw(st.z0_sq, u_sq + 1.0)
+    assert max(np.size(out) for _, out in calls) <= block
+
+
+def test_a_bracket_failure_in_a_later_pull_raises(monkeypatch):
+    # the first pull solves; a later one holds the points without a sign
+    # change, and the message counts them among the points it pulled
+    roots = np.linspace(0.05, 0.95, 2 * saddle._BLOCK + 5)
+    roots[-3:-1] = 2.0
+    with pytest.raises(BracketError, match="no sign change at 2 points"):
+        saddle._find_root(lambda s, r: s - r, 0.0, 1.0, roots)
+    monkeypatch.setattr(saddle, "_BLOCK", 4)
+    with pytest.raises(BracketError, match="no sign change at 2 points"):
+        saddle._find_root(lambda s, r: s - r, 0.0, 1.0, roots[-13:])
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0)])
+def test_empty_inputs_give_empty_solutions(shape):
+    st = ReducedState.from_nx(10.0, 1.0)
+    for sol in (saddle.solve_saddle_uv_many(st, np.zeros(shape), 1.0),
+                saddle.solve_trace_raw(np.zeros(shape), 1.0)):
+        assert sol.s.shape == sol.residual.shape == sol.iterations.shape == shape
+    for out in saddle._find_root(lambda s, r: s - r, 0.0, 1.0, np.zeros(shape)):
+        assert out.shape == shape
+
+
 @pytest.mark.parametrize("params", [None, (1e78, 1e78, 0.0, 1.0),
                                     (1e200, 1e200, 0.0, 1.0), (1.0, 1.0, 0.0, 1e308)],
                          ids=["raw-4e154", "params-1e78", "params-1e200", "eta-1e308"])
