@@ -19,7 +19,12 @@ rest as points finish, so it drains once, at its end; the uv solve's lower
 end depends on the state alone, and its equation is evaluated there once
 per refill.  A solve of one point runs in float64 scalars from start to
 finish, its bracket, equation and residual included: an equation takes
-and returns float64 scalars there, arrays elsewhere.  x = 0 pins s = z0_sq.
+and returns float64 scalars there, arrays elsewhere.  Once a larger solve
+has nothing left to pull and at most _TAILS live points, each finishes
+alone in scalars, the same steps: a point that creeps (its near bracket
+end stays put while the far end halves every second step, as where g
+steps by ~1e-13 within a few doubles of the root) no longer costs an
+array step per evaluation.  x = 0 pins s = z0_sq.
 """
 
 from __future__ import annotations
@@ -45,10 +50,16 @@ __all__ = [
 # most points in a solve's live set, refilled once it is half empty: bounds
 # scratch memory; 8192 left ~2 MiB of freed scratch, raising surface RSS
 _BLOCK = 4096
-_XRTOL = 2.0 * np.finfo(float).eps
+# most live points that finish one by one in _tail once nothing is left to
+# pull: at a few dozen points an array step costs about what 12 scalar steps
+# do (~65 against ~5 us), and a solve's last points are mostly its slow ones.
+# api_requests' requests took less time at 8 than at 4, and as long as at
+# 16 (seed 1, the values alternated request by request in one process)
+_TAILS = 8
+_XRTOL = 2.0 * math.ulp(1.0)
 # ends a search whose bracket ends are adjacent doubles near 0; a floor
 # above the subnormals would stop roots below the smallest normal early
-_XATOL = 2.0 * np.finfo(float).smallest_subnormal
+_XATOL = 2.0 * math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -86,10 +97,12 @@ def _find_root(g, lo, hi, *args, climb=False):
     g maps a float64 scalar s (with scalar args) to a float64 scalar, and
     arrays to arrays, with the same bits at each point: a one-point input
     (any shape of size 1) is solved in scalars from start to finish, its
-    two end evaluations and climb included, and the solve's last live
-    point finishes in _tail, the same steps in float64 scalars, which
-    spares ~50 array calls a step.  Returns (root, g at root, nfev),
-    arrays of the broadcast shape.
+    two end evaluations and climb included.  Once no points are left to
+    pull and at most _TAILS are live (at once, for a solve of that few),
+    each finishes alone in _tail, the same steps in float64 scalars, with
+    its own args, bracket, values and t; that spares ~50 array calls a
+    step where one slow point would hold the set.  Returns (root, g at
+    root, nfev), arrays of the broadcast shape.
     """
     if point := _one_point((lo, hi, *args)):  # float64 scalars from start to finish
         (x1, x2, *p), shape = point
@@ -138,11 +151,12 @@ def _find_root(g, lo, hi, *args, climb=False):
     (x1, x2, f1, f2, evals, at), p = pull(0, _BLOCK)
     pulled, t, steps = x1.size, 0.5, 0
     while True:
-        if x1.size == 1 and pulled == root.size:  # the last live point: in scalars
-            p = [a[0] if np.ndim(a) else a for a in p]
-            xm, fm, more = _tail(g, p, x1[0], x2[0], f1[0], f2[0], np.ravel(t)[0])
-            root.flat[at[0]], g_at.flat[at[0]], nfev.flat[at[0]] = (
-                xm, fm, evals[0] + steps + more)
+        if x1.size <= _TAILS and pulled == root.size:  # the last few points: in scalars
+            t = np.broadcast_to(t, x1.shape)
+            for i, k in enumerate(at):
+                q = [a[i] if np.ndim(a) else a for a in p]
+                xm, fm, more = _tail(g, q, x1[i], x2[i], f1[i], f2[i], t[i])
+                root.flat[k], g_at.flat[k], nfev.flat[k] = xm, fm, evals[i] + steps + more
             break
         x = x1 + t * (x2 - x1)
         f = g(x, *p)
@@ -187,13 +201,17 @@ def _find_root(g, lo, hi, *args, climb=False):
 
 
 def _tail(g, p, x1, x2, f1, f2, t):
-    """_find_root's loop for one point in float64 scalars, op for op, so it
-    ends on the same bits; g gets float64 scalars, and p holds the point's
-    scalar args.  Returns (root, g at root, steps)."""
+    """_find_root's loop for one point in scalars, op for op, so it ends on
+    the same bits; g gets float64 scalars, and p holds the point's scalar
+    args.  Its own arithmetic runs on Python floats: the same IEEE doubles,
+    at a third of a float64 scalar's cost per operation, which differ from
+    numpy's only where they divide by zero, and no divisor here is 0.
+    Returns (root, g at root, steps), the first two float64 scalars."""
+    x1, x2, f1, f2, t = float(x1), float(x2), float(f1), float(f2), float(t)
     steps = 0
     while True:
         x = x1 + t * (x2 - x1)
-        f = g(x, *p)
+        f = float(g(np.float64(x), *p))
         steps += 1
         # np.sign(f) == np.sign(f1): +-0 alike, NaN like nothing
         same = f == f and f1 == f1 and (f > 0.0) == (f1 > 0.0) and (f < 0.0) == (f1 < 0.0)
@@ -204,12 +222,15 @@ def _tail(g, p, x1, x2, f1, f2, t):
         tol = _XRTOL * abs(xm) + _XATOL
         dx = abs(x2 - x1)
         if fm == 0.0 or dx < tol:
-            return xm, fm, steps
+            return np.float64(xm), np.float64(fm), steps
+        # no divisor is 0: x3 and x2 are the ends before the step, f3 and
+        # f2 have unlike np.sign (where both are 0, fm is and the search has
+        # ended), dx >= tol > 0, and where iqi holds, phi is neither 0 nor 1
         xi = (x1 - x2) / (x3 - x2)
         d12, d32 = f1 - f2, f3 - f2
         phi = d12 / d32
         alpha = (x3 - x1) / (x2 - x1)
-        c = 1.0 - phi  # c * c, as np.square: a float64's ** 2 calls pow
+        c = 1.0 - phi  # c * c, as np.square: ** 2 calls pow
         iqi = phi * phi < xi and c * c < 1.0 - xi
         t = f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32 if iqi else 0.5
         edge = 0.5 * tol / dx

@@ -1,11 +1,11 @@
 """The root-finder's scalar paths against the all-array loop, bit for bit.
 
 saddle._find_root solves a one-point input in float64 scalars from start
-to finish, g included, and finishes a solve's last live point the same
-way.  The reference below is the loop that runs every point in arrays to
-the end, one block of _BLOCK points after another; root, g at the root
-and the evaluation count must agree to the last bit, and so must every
-error.
+to finish, g included, and finishes a solve's last live points (at most
+_TAILS of them, with none left to pull) the same way, one point at a time.
+The reference below is the loop that runs every point in arrays to the
+end, one block of _BLOCK points after another; root, g at the root and
+the evaluation count must agree to the last bit, and so must every error.
 """
 
 import itertools
@@ -220,28 +220,32 @@ def test_one_point_without_a_sign_change(monkeypatch, shape, g, climb):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("width", [1, 3])
 def test_g_turning_nan_or_infinite_partway(monkeypatch, bad, width):
-    # each point takes its own number of steps, so the last one ends alone
+    # g is bad on a band of distances from each point's root, one decade
+    # or half of one, which the iterates enter partway: a function of s and
+    # the point alone, whatever the order of g's calls.  Each point takes
+    # its own number of steps, so the last ones end in scalars
     roots, slopes = np.array([0.71, 0.3, 0.05][:width]), np.array([40.0, 4.0, 0.5][:width])
-    finished = 0
-    for k, run in itertools.product(range(2, 9), (1, 2)):
-        def solve():  # from g's k-th call on, run calls give bad at every point
-            calls = []
+    finished, met = 0, 0
+    for near, far in itertools.product(10.0 ** -np.arange(1, 13), (3.0, 10.0)):
+        seen = []
 
-            def g(s, r, c):
-                calls.append(1)
-                return np.where(0 <= len(calls) - k < run, bad, np.tanh(c * (s - r)))
-            return saddle._find_root(g, 0.0, 1.0, roots, slopes)
-        finished += _assert_same(monkeypatch, solve, tails=0)
-    assert finished >= 3
+        def g(s, r, c):
+            gap = np.abs(s - r)
+            seen.append(np.any(bands := (near <= gap) & (gap < far * near)))
+            return np.where(bands, bad, np.tanh(c * (s - r)))
+        finished += _assert_same(
+            monkeypatch, lambda: saddle._find_root(g, 0.0, 1.0, roots, slopes), tails=0)
+        met += any(seen)
+    assert finished >= 3 and met >= 8
 
 
 @pytest.mark.parametrize("block", [2, 3, saddle._BLOCK])
-def test_a_solves_last_point_finishes_alone(monkeypatch, block):
+def test_a_solves_last_points_finish_in_scalars(monkeypatch, block):
     # more than two blocks of points take at least three pulls into the live
-    # set, which drains once, at the end of the solve: its last point, if
-    # alone, finishes in scalars, and no other point does.  The points end
-    # after 8 to 13 evaluations, but u^2 = 1e30 takes 40, so the uv solve's
-    # last pulled point finishes last, and alone
+    # set, which drains once, at the end of the solve: at most _TAILS of its
+    # points finish in scalars.  The points end after 8 to 13 evaluations,
+    # but u^2 = 1e30 takes 40, so where the last five pulled have it, at
+    # least two finish in scalars (a block of 2 or 3 hands over all its own)
     monkeypatch.setattr(saddle, "_BLOCK", block)
     st = ReducedState.from_nx(2.5, 15.0)
     count = max(12, 2 * block + 7)
@@ -249,6 +253,47 @@ def test_a_solves_last_point_finishes_alone(monkeypatch, block):
     u_sq, v_sq = np.linspace(0.0, 400.0, count), np.linspace(40.0, 0.0, count)
     for solve in (lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq),
                   lambda: saddle.solve_trace_raw(st.z0_sq, u_sq + 1.0)):
-        assert _assert_same(monkeypatch, solve, tails=0) <= 1
-    u_sq[-1] = 1e30
-    assert _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq)) == 1
+        assert _assert_same(monkeypatch, solve, tails=0) <= saddle._TAILS
+    u_sq[-5:] = 1e30
+    finished = _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq))
+    assert 2 <= finished <= saddle._TAILS
+
+
+@pytest.mark.parametrize("shape", [(2,), (saddle._TAILS,), (2, saddle._TAILS // 2),
+                                   (saddle._TAILS + 1,)])
+def test_few_points_go_to_scalars_right_after_the_pull(monkeypatch, shape):
+    # up to _TAILS points: g sees arrays at the two bracket ends alone, then
+    # float64 scalars, one _tail per point; one point more takes array steps
+    roots = np.linspace(0.05, 0.95, math.prod(shape)).reshape(shape)
+    arrays = []
+
+    def g(s, r):
+        arrays.append(np.ndim(s) > 0 or np.ndim(r) > 0)
+        assert arrays[-1] or type(s) is type(r) is np.float64
+        return np.tanh(4.0 * (s - r))
+    finished = _assert_same(monkeypatch, lambda: saddle._find_root(g, 0.0, 1.0, roots))
+    arrays.clear()
+    saddle._find_root(g, 0.0, 1.0, roots)
+    if roots.size <= saddle._TAILS:
+        assert finished == roots.size and arrays[:2] == [True, True] and not any(arrays[2:])
+    else:
+        assert finished <= saddle._TAILS and arrays.index(False) > 2
+        assert not any(arrays[arrays.index(False):])
+    st = ReducedState.from_nx(2.5, 15.0)
+    _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, roots, 2.0 * roots))
+
+
+def test_a_creeping_uv_solve_finishes_in_scalars(monkeypatch):
+    # the root of the slowest point, -0.011276140211044141, lies just past
+    # -SERIES_CUT, on the closed-form branch below 0, where g jumps from
+    # -2e-15 to +1.4e-13 within a few doubles: the near bracket end stays
+    # put, the far end halves every second step, and the point takes 35
+    # evaluations where its neighbours take 14 to 29
+    st = ReducedState.from_nx(2.9969966028988964, 0.7919774816830588)
+    u_sq = np.append(3.935619276408427 * np.linspace(0.999, 1.001, 24), 3.935619276408427)
+    v_sq = np.full(u_sq.shape, 7.77520141142782)
+    out = saddle.solve_saddle_uv_many(st, u_sq, v_sq)
+    assert out.iterations[-1] == 35 and out.s[-1] == -0.011276140211044141
+    assert -1.5 * sf.SERIES_CUT < out.s[-1] < -sf.SERIES_CUT
+    finished = _assert_same(monkeypatch, lambda: saddle.solve_saddle_uv_many(st, u_sq, v_sq))
+    assert 2 <= finished <= saddle._TAILS
