@@ -73,8 +73,8 @@ def trace_g_sum(z_sq: float, n_max: int = 1_000_000) -> float:
     """Direct frequency sum of 1/(omega_k^2 + z^2) over all integer k.
 
     Modes |k| <= n_max are summed term by term and the rest by the
-    integral tail; the result converges to the closed form
-    1/(2 z tanh(z/2)), within 1e-8 relative by n_max = 1e6.
+    integral tail; at validate's four z^2 it meets 1/(2 z tanh(z/2)) within
+    2.2e-15 relative at n_max = 2e4 (--quick), 2.1e-16 at the default 1e6.
     """
     if not z_sq > 0.0:
         raise ValueError(f"z_sq must be > 0, got {z_sq}")

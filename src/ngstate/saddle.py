@@ -133,8 +133,6 @@ def _find_root(g, lo, hi, *args, climb=False):
         p = [a.flat[start:stop] if np.ndim(a) else a for a in args]
         x1, x2 = lo.flat[start:stop], hi.flat[start:stop]
         f1 = g(x1, *p) if lo0 is None else g(lo0, *p)
-        if np.shape(f1) != x1.shape:  # no arg varies by point
-            f1 = np.broadcast_to(f1, x1.shape)
         f2 = g(x2, *p)
         evals = np.full(x1.shape, 2)
         while climb and np.any(low := f2 < 0.0):

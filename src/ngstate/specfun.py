@@ -305,32 +305,35 @@ def _bessel_hankel(nu, x, orders):
 
 
 def _bessel_rows(orders, argument):
-    """J of order orders[i] (an int >= 0) at each element of argument[i]
-    (>= 0), in chunks of _BESSEL_CHUNK elements of the flattened argument,
+    """J of order orders[i] (an int >= 0) at each element of argument[i] (>= 0),
+    written over argument, which is returned, in chunks of _BESSEL_CHUNK elements,
     each range in one pass for all the chunk's orders (README design notes)."""
-    flat = argument.ravel()
-    out = np.zeros_like(flat)
+    if not (isinstance(argument, np.ndarray) and argument.dtype == float and argument.flags.carray):
+        raise ValueError("_bessel_rows overwrites its argument, a C-contiguous float64 array")
+    flat = argument.ravel()  # a view, as argument is C-contiguous
     width = flat.size // max(1, len(orders))
     for at in range(0, flat.size, _BESSEL_CHUNK):
-        x, dst = flat[at:at + _BESSEL_CHUNK], out[at:at + _BESSEL_CHUNK]
+        x = flat[at:at + _BESSEL_CHUNK]
         rows = orders[at // width:(at + x.size - 1) // width + 1]
         nu = np.array(rows)[np.arange(at, at + x.size) // width - at // width]
-        small, big = x < 2.0, x >= np.maximum(25.0, nu)
+        small, big, far = x < 2.0, x >= np.maximum(25.0, nu), x == math.inf
+        # the masks are disjoint, so each range reads only its own arguments
         for mask, kernel in ((small, _bessel_series),
                              (~small & ~big, _bessel_miller),
-                             (big & (x < math.inf), _bessel_hankel)):
+                             (big & ~far, _bessel_hankel)):
             if mask.any():
-                dst[mask] = kernel(nu[mask], x[mask], sorted(set(rows)))
-    return out.reshape(argument.shape)
+                x[mask] = kernel(nu[mask], x[mask], sorted(set(rows)))
+        x[far] = 0.0
+    return argument
 
 
 def bessel_j(order, argument):
     """Bessel J of non-negative integer order at non-negative argument, in
-    three ranges of the argument (README design notes)."""
+    three ranges of the argument, on a copy of it (README design notes)."""
     if np.ndim(order) or not (math.isfinite(order) and int(order) == order and order >= 0):
         raise ValueError(f"bessel_j: order must be a non-negative integer, got {order}")
-    arg = np.asarray(argument, dtype=float)
+    arg = np.array(argument, dtype=float, order="C")
     if not np.all(arg >= 0):
         raise ValueError("bessel_j: argument must be >= 0")
-    out = _bessel_rows([int(order)], arg.reshape(1, -1))
-    return float(out[0, 0]) if arg.ndim == 0 else out.reshape(arg.shape)
+    _bessel_rows([int(order)], arg.reshape(1, -1))
+    return float(arg) if arg.ndim == 0 else arg

@@ -28,10 +28,9 @@ Grids, projections and single points share one assembly, which solves
 ln d once per distinct u^2 and builds each N's Bessel table once per
 distinct r, in blocks of _TABLE_ELEMS, from rows keyed exactly: ln d by
 u^2 on its (state, mesh), Bessel by (N, r) on its mesh (v_max, panel
-count).  A kernel call takes the missing rows of as many of a block's N
-as fit one Bessel chunk together, and of one N at least: a single point's
-four share one call.  Without a memo a block's Bessel rows are its own
-and go with it; a memo (wigner_grid), which a run of calls shares and
+count).  One kernel call fills a block's missing rows of every N, each
+written over its argument.  Without a memo a block's Bessel rows are its
+own and go with it; a memo (wigner_grid), which a run of calls shares and
 drops after it, keeps every row.  An element depends on its own inputs
 alone, so a row is the same bits whichever call builds it.
 
@@ -82,8 +81,8 @@ _CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
 # v <= 3.67 (index <= 80), so every such row settles in one solve.
 _PROBE_NEAR = 96
 # Bessel table block in entries (distinct r x nodes) per N, 768 KiB: one
-# block for every default preset (<= 188 r x 384 nodes); without a memo a
-# call holds one block's rows, at most four tables, at a time
+# block for every default preset (<= 188 r x 384 nodes), filled in one
+# kernel call; without a memo a call holds one block's rows at a time
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
 # the four N that ln_w and wigner_grid extrapolate in 1/N; the last also
@@ -256,26 +255,17 @@ def _gl_mesh(v_max: float, n_panels: int):
     return v, w
 
 
-def _bessel_tables(n_list, r_blk, v, rows):
-    """Each N's Bessel table J_{N/2-1}(N r v), (r, node), in turn, from
-    rows: a dict (N, r) -> row on the mesh v, which gets the rows it lacks.
-    A kernel call, made when its first table is read, takes the missing
-    rows of as many N as fit one Bessel chunk together, and of one N at
-    least; an element depends on its own order and argument alone, so a
-    table is the same whichever call built its rows."""
-    r_key = r_blk.tolist()
-    per_call = max(1, _sf._BESSEL_CHUNK // (r_blk.size * v.size))
-    for at in range(0, len(n_list), per_call):
-        group = n_list[at:at + per_call]
-        todo = [(N, r) for N in group for r in r_key if (N, r) not in rows]
-        if todo:
-            n_of, r_of = np.array(todo).T
-            arg = np.outer(r_of, v)  # N * (r v), (row, node)
-            arg *= n_of[:, None]
-            rows.update(zip(todo, _sf._bessel_rows([N // 2 - 1 for N, _ in todo], arg)))
-            del arg  # only the rows stay
-        for N in group:
-            yield np.array([rows[N, r] for r in r_key])
+def _fill_bessel(n_list, r_key, v, rows):
+    """Add to rows, a dict (N, r) -> J_{N/2-1}(N r v) on the mesh v, the
+    rows it lacks for the r of r_key, from one kernel call that writes
+    each row over its argument N r v; an element depends on its own order
+    and argument alone, so a row is the same whichever call builds it."""
+    todo = [(N, r) for N in n_list for r in r_key if (N, r) not in rows]
+    if todo:
+        n_of, r_of = np.array(todo).T
+        arg = np.outer(r_of, v)  # N * (r v), (row, node)
+        arg *= n_of[:, None]
+        rows.update(zip(todo, _sf._bessel_rows([N // 2 - 1 for N, _ in todo], arg)))
 
 
 def _envelope(g, g_max, N, weight, out):
@@ -292,9 +282,10 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
 
     r_rows has one row per u, or one row for every u (a tensor grid).  The
     rows on the mesh v come from lnd_rows (u^2 -> ln d) and bessel_rows
-    (_bessel_tables), which get the rows they lack; bessel_rows None gives
-    each block its own rows, freed with it.  Tables cover the r above
-    r_tiny.  Only the points' own entries are checked and logged.
+    (_fill_bessel, once per block), which get the rows they lack;
+    bessel_rows None gives each block its own rows, freed with it.  Each
+    N's table is copied from its rows as it is contracted.  Tables cover
+    the r above r_tiny.  Only the points' own entries are checked and logged.
     """
     todo = np.unique(u_sq)
     todo = todo[[u not in lnd_rows for u in todo.tolist()]]
@@ -328,17 +319,17 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
         # a tensor grid needs every (u, r) pair; else each row takes only
         # the table rows of its own r values
         edges = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
-        tables = _bessel_tables(n_list, r_blk, v,
-                                {} if bessel_rows is None else bessel_rows)
+        r_key, rows = r_blk.tolist(), {} if bessel_rows is None else bessel_rows
+        _fill_bessel(n_list, r_key, v, rows)
         for i_n, N in enumerate(n_list):
             envelope = _envelope(g_half, gmax_h, N, w, env)
-            bes = next(tables)
+            bes = np.array([rows[N, r] for r in r_key])
             if shared:
                 integral = (envelope @ bes.T)[row, col]
             else:
                 integral = np.concatenate([bes[col[a:b]] @ envelope[row[a]]
                                            for a, b in zip(edges, edges[1:])])
-            del bes  # the next N's table is built without it
+            del bes  # the next N's table is copied without it
             if np.any(integral <= 0.0):
                 bad = int(np.argmax(integral <= 0.0))
                 raise QuadratureNonPositive(

@@ -1,12 +1,12 @@
 """The Bessel kernel against the one-order code, bit for bit.
 
 specfun._bessel_rows takes one order per index of the argument's leading
-axis.  Every 4096-element chunk, of one order or of several, passes each
-element's own order to the three argument ranges, and each range's pass
-is shared among the chunk's orders.  The reference below is the one-order
-kernel that runs each order on its own (series, Miller's recurrence,
-Hankel's series, chunk by chunk); every element must agree with it to the
-last bit, and the shape must be the argument's.
+axis and writes each row over its argument.  Every 4096-element chunk, of
+one order or of several, passes each element's own order to the three
+argument ranges, and each range's pass is shared among the chunk's orders.
+The reference below is the one-order kernel that runs each order on its
+own (series, Miller's recurrence, Hankel's series, chunk by chunk); every
+element must agree with it to the last bit, in the argument's own array.
 """
 
 import math
@@ -81,9 +81,10 @@ def _args(orders, size, seed):
 
 
 def _assert_packed_matches(orders, arg):
-    got = sf._bessel_rows(list(orders), arg)
+    # the reference first: the packed call writes the rows over arg
     want = np.array([_reference(o, row) for o, row in zip(orders, arg)]).reshape(arg.shape)
-    assert got.shape == arg.shape
+    got = sf._bessel_rows(list(orders), arg)
+    assert got is arg
     assert got.tobytes() == want.tobytes()
 
 
@@ -109,8 +110,33 @@ def test_packed_table_of_any_shape():
     assert sf._bessel_rows([5, 7], np.zeros((2, 0))).shape == (2, 0)
 
 
+def _read_only():
+    arg = np.zeros((2, 3))
+    arg.flags.writeable = False
+    return arg
+
+
+@pytest.mark.parametrize("argument", [
+    np.zeros((2, 3), dtype=np.float32),
+    np.zeros((2, 6))[:, ::2],
+    np.zeros((2, 3), order="F"),
+    _read_only(),
+    [[0.0, 1.0], [2.0, 3.0]],
+], ids=["float32", "strided", "fortran", "read-only", "list"])
+def test_packed_rows_refuse_an_argument_they_cannot_overwrite(argument):
+    with pytest.raises(ValueError, match="overwrites"):
+        sf._bessel_rows([0, 1], argument)
+
+
 @pytest.mark.parametrize("order", [*range(30), 39, 99, 150])
 def test_bessel_j_matches_one_order_kernel(order):
     x = _args((order,), 1000, seed=order)[0]
+    kept = x.copy()
     assert sf.bessel_j(order, x).tobytes() == _reference(order, x).tobytes()
     assert sf.bessel_j(order, x[:6].reshape(2, 3)).tobytes() == _reference(order, x[:6]).tobytes()
+    # bessel_j works on a copy: its caller's array, of any layout, stays
+    assert x.tobytes() == kept.tobytes()
+    fortran = np.asfortranarray(x[:6].reshape(2, 3))
+    assert sf.bessel_j(order, fortran).tobytes() == _reference(order, x[:6]).tobytes()
+    assert fortran.tobytes() == kept[:6].reshape(2, 3).tobytes()
+    assert sf.bessel_j(order, float(x[0])) == float(_reference(order, x[:1])[0])

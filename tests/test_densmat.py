@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
+from ngstate import observables as obs
 from ngstate import specfun as sf
 from ngstate import wigner as wg
 from ngstate.errors import NgStateError, PrecisionLoss, RegimeError
@@ -303,3 +304,47 @@ def test_peak_fit_finite_or_typed(n, x):
         return
     assert all(math.isfinite(c) for c in (fit.u0, fit.delta_u_sq, fit.delta_v_sq,
                                           fit.third_u, fit.cross_uv, fit.fourth_v))
+
+
+def _exponent(state, s, u_sq, v_sq):
+    """(Phi(s), scale): Phi = -(F0 + Fu u^2 + Fv v^2) + (s - z0_sq)^2/(8 xi)
+    - ln z, whose minimum over s > -pi^2 is ln d (dPhi/ds = g/4 and g
+    increases, saddle module docstring), and the sum of its terms' sizes."""
+    terms = [-f for f in sf.big_f(s)]
+    terms[1:] = terms[1] * u_sq, terms[2] * v_sq
+    terms += [(s - state.z0_sq) ** 2 / (8.0 * state.xi), -obs.ln_z_per_dof(state)]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+_UV = hst.tuples(hst.floats(0.01, 31.6), hst.floats(0.01, 31.6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(log_n=hst.floats(-1.0, 2.0), log_x=hst.floats(-3.0, 3.0), a=_UV, b=_UV,
+       t=hst.floats(0.0, 1.0), log_step=hst.floats(-8.0, -0.1), above=hst.booleans())
+def test_ln_d_is_the_minimum_of_a_convex_exponent(log_n, log_x, a, b, t, log_step, above):
+    # ln d = min_s Phi(s): every s bounds it from above, it is concave in
+    # (u^2, v^2) as a minimum of affine functions, and its gradient is
+    # (-Fu(s*), -Fv(s*)) (the envelope theorem).  A copy whose root moves
+    # by delta (1 + |s*|) fails the bound from delta = 1e-7 and the
+    # gradient from 1e-6, and stays concave up to 1e-1; one that moves by
+    # delta cos(997 u^2) (1 + |s*|) fails the gradient from 1e-8, the bound
+    # from 1e-7 and concavity from 1e-6
+    st = ReducedState.from_nx(10.0 ** log_n, 10.0 ** log_x)
+    at = dm.ln_d(st, dm.PhasePoint(*a))
+    s_star = at.saddle.s
+    step = 10.0 ** log_step
+    s = (s_star + step * (math.pi ** 2 + abs(s_star)) if above
+         else -math.pi ** 2 + (s_star + math.pi ** 2) * (1.0 - step))
+    phi, scale = _exponent(st, s, *a)
+    assert phi >= at.ln_d - 1e-14 * scale
+    ends = (1.0 - t) * at.ln_d + t * dm.ln_d(st, dm.PhasePoint(*b)).ln_d
+    mid = dm.ln_d(st, dm.PhasePoint(*(p + t * (q - p) for p, q in zip(a, b)))).ln_d
+    assert mid >= ends - 1e-14 * scale
+    for i, big in enumerate(sf.big_f(s_star)[1:]):
+        h = 1e-4 * a[i]
+        up, down = list(a), list(a)
+        up[i], down[i] = a[i] + h, a[i] - h
+        slope = (dm.ln_d(st, dm.PhasePoint(*up)).ln_d
+                 - dm.ln_d(st, dm.PhasePoint(*down)).ln_d) / (2.0 * h)
+        assert slope == pytest.approx(-big, rel=1e-7, abs=1e-7)

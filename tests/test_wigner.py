@@ -323,24 +323,51 @@ def test_only_the_extrapolated_n_are_assembled(monkeypatch):
     assert (value, spread) == tuple(map(float, wg._extrapolate(per_n, read)))
 
 
-def test_tables_above_one_chunk_take_one_call_per_n(monkeypatch):
-    # a fig5-sized table (100 positive r) is larger than a chunk for each N
+@pytest.mark.parametrize("nx, r_size, chunk", [
+    ((10.0, 15.0), 101, None),  # fig5-sized: 100 positive r, 4 x 38,400 entries
+    ((10.0, 1.0), 5, None),     # 4 r x 384 nodes: two such tables fit a chunk
+    ((10.0, 1.0), 5, 8),        # the kernel's chunk does not size the call
+], ids=["fig5", "5x5", "chunk8"])
+def test_a_block_fills_its_rows_in_one_kernel_call(monkeypatch, nx, r_size, chunk):
+    # every N's missing rows of a block go to one call, whatever its size;
+    # a kernel chunk of 8 elements changes neither the call nor a bit
+    st, u, r = ReducedState.from_nx(*nx), np.linspace(0.0, 3.0, 5), np.linspace(0.0, 2.0, r_size)
+    want = wg.wigner_grid(st, u, r)
     calls = _spy_bessel(monkeypatch)
-    grid = wg.wigner_grid(ReducedState.from_nx(10.0, 15.0), np.linspace(0.0, 3.0, 4),
-                          np.linspace(0.0, 2.0, 101))
-    assert 100 * grid.quad_points > wg._sf._BESSEL_CHUNK
-    assert calls == [[(N // 2 - 1, 100)] for N in wg.N_LIST]
+    if chunk:
+        monkeypatch.setattr(wg._sf, "_BESSEL_CHUNK", chunk)
+    grid = wg.wigner_grid(st, u, r)
+    assert r_size * grid.quad_points <= wg._TABLE_ELEMS  # one block
+    assert calls == [[(N // 2 - 1, r_size - 1) for N in wg.N_LIST]]
+    assert grid.ln_w_norm.tobytes() == want.ln_w_norm.tobytes()
+    assert grid.spread.tobytes() == want.spread.tobytes()
 
 
-def test_tables_between_sizes_share_calls_as_they_fit_a_chunk(monkeypatch):
-    # four tables of 4 positive r x 384 nodes: all four outgrow a chunk,
-    # two fit one, so the four N go two to a kernel call
-    calls = _spy_bessel(monkeypatch)
-    grid = wg.wigner_grid(ReducedState.from_nx(10.0, 1.0), np.linspace(0.0, 3.0, 5),
-                          np.linspace(0.0, 2.0, 5))
-    assert grid.quad_points == 384
-    assert 2 * 4 * 384 <= wg._sf._BESSEL_CHUNK < 3 * 4 * 384
-    assert calls == [[(13, 4), (15, 4)], [(17, 4), (19, 4)]]
+def _grouped_rows(n_list, r_key, v, per_call):
+    """The rows (N, r) -> J_{N/2-1}(N r v), per_call N to a kernel call,
+    each argument row built on its own: the reference for _fill_bessel."""
+    rows = {}
+    for at in range(0, len(n_list), per_call):
+        todo = [(N, r) for N in n_list[at:at + per_call] for r in r_key]
+        arg = np.array([N * (r * v) for N, r in todo])
+        rows.update(zip(todo, wg._sf._bessel_rows([N // 2 - 1 for N, _ in todo], arg)))
+    return rows
+
+
+def test_a_block_is_the_same_bits_from_any_call():
+    # one call for the block, one per N, two N a call, and an earlier
+    # call's memo with half the rows all give each row the same bits
+    v, _ = wg._gl_mesh(3.7, 24)
+    r_key = np.linspace(0.02, 2.0, 7).tolist()
+    one = {}
+    wg._fill_bessel(wg.N_LIST, r_key, v, one)
+    memo = _grouped_rows(wg.N_LIST[::2], r_key[::2], v, 4)
+    kept = dict(memo)
+    wg._fill_bessel(wg.N_LIST, r_key, v, memo)
+    assert all(memo[key] is row for key, row in kept.items())  # found, not rebuilt
+    for rows in (memo, *(_grouped_rows(wg.N_LIST, r_key, v, k) for k in (1, 2))):
+        assert sorted(rows) == sorted(one)
+        assert all(rows[key].tobytes() == one[key].tobytes() for key in one)
 
 
 def test_bessel_blocks_match_one_table(monkeypatch):
@@ -433,13 +460,13 @@ def test_without_a_memo_a_block_keeps_only_its_own_rows(monkeypatch):
     # a dict of their own, freed with the block, so a call's table memory
     # stays one block's; a memo holds the rows of every block
     held = []
-    real = wg._bessel_tables
+    real = wg._fill_bessel
 
-    def spy(n_list, r_blk, v, rows):
+    def spy(n_list, r_key, v, rows):
         held.append(rows)
-        return real(n_list, r_blk, v, rows)
+        return real(n_list, r_key, v, rows)
 
-    monkeypatch.setattr(wg, "_bessel_tables", spy)
+    monkeypatch.setattr(wg, "_fill_bessel", spy)
     monkeypatch.setattr(wg, "_TABLE_ELEMS", 2 * 384)
     st = ReducedState.from_nx(10.0, 1.0)
     u, r = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 2.0, 9)
