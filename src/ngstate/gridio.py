@@ -59,8 +59,7 @@ def _blocks(header, table):
     def block(i, j):  # a-rows i:i + per, b values j:j + _BLOCK_ROWS
         rows, a_part = b_rows[j:j + _BLOCK_ROWS], a[i:i + per]
         a_text = "%.9g\n" * a_part.size % tuple(a_part.tolist())
-        template = (a_text.replace("\n", rows[0]) if len(rows) == 1 else
-                    "".join([p + p.join(rows) for p in a_text.split()]))
+        template = "".join([p + p.join(rows) for p in a_text.split()])
         return template % tuple(fields[i:i + per, j:j + _BLOCK_ROWS].ravel().tolist())
     return (block(i, j) for i in range(0, a.size, per) for j in range(0, b.size, _BLOCK_ROWS))
 

@@ -19,7 +19,7 @@ exact small-argument limit, where the r-dependence cancels analytically:
 ln w per dof, (1/N) ln W_N, is computed for the four N of N_LIST and
 extrapolated to N -> infinity (Richardson in 1/N); project_physical takes
 its own four N, as fig6 needs lower ones for its wide window.  The
-envelope cut is sized at N = _CUT_N, the smallest N accepted.  At x = 0 the
+envelope cut is sized at N = 4, the smallest N accepted.  At x = 0 the
 integral is a Weber integral with the exact value ln w_N = ln w_inf -
 ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
 the oracle.
@@ -72,8 +72,9 @@ __all__ = [
 _GL_ORDER = 16
 # computed once, on first use: importing numpy.polynomial costs ~5 ms
 _gl_rule = functools.cache(lambda: np.polynomial.legendre.leggauss(_GL_ORDER))
-_ENVELOPE_DROP = 45.0  # e^-45 ~ 3e-20: envelope negligible past the cut
-_CUT_N = 4  # N of the envelope cut: the smallest N accepted, widest envelope
+# Envelope cut: g - g_max below this, exp(4 (g - g_max)) < e^-45 ~ 3e-20 at
+# N = 4, the smallest N accepted and the widest envelope
+_ENVELOPE_CUT = -45.0 / 4
 # Step of the envelope probe's prefix: grid indices 0..95, v < 4.5 at the
 # first probe_hi = 48.  Past the peak Fv(s*) only rises, so g(v) - g_max <=
 # ln w - (w^2 - 1)/2 with w = v/v_peak, which reaches -45/4 at w ~ 5.18.
@@ -183,14 +184,14 @@ def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
 # quadrature plumbing
 
 
-def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
+def _auto_v_max(state: ReducedState, u_sq) -> float:
     """Envelope cut: the first of 1025 v on [1e-3, probe_hi] past the peak of
-    g = ln v + ln d where the weakest exponent N_min*(g - g_max) < -45,
-    the largest over the rows u_sq.
+    g = ln v + ln d where g - g_max < _ENVELOPE_CUT, the largest over the
+    rows u_sq.
 
     The row of the smallest u^2 is settled (_settle), which gives its peak
     p and cut M.  Every other distinct u^2 is sampled at p and M only: a
-    row with N_min*(g(M) - g(p)) < -45 has g(M) < g(p), so by its single
+    row with g(M) - g(p) < _ENVELOPE_CUT has g(M) < g(p), so by its single
     peak M lies past that peak, and g(p) <= g_max makes the drop test hold
     at M; its cut is at most M.  A row that fails the check is settled
     too.  As the cut is non-increasing in u^2, the check passes but for
@@ -201,14 +202,13 @@ def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
     while True:
         v = np.linspace(1e-3, probe_hi, 1025)
         ln_v, v_sq = np.log(v), v * v
-        (p,), (cut,) = _settle(state, u_sq[:1], ln_v, v_sq, n_min)
+        (p,), (cut,) = _settle(state, u_sq[:1], ln_v, v_sq)
         if cut < 1025 and u_sq.size > 1:
             pair = np.array([p, cut])
             g = ln_v[pair] + _dm.ln_d_many(state, u_sq[1:, None], v_sq[pair])
-            open_ = ~(n_min * (g[:, 1] - g[:, 0]) < -_ENVELOPE_DROP)
+            open_ = ~(g[:, 1] - g[:, 0] < _ENVELOPE_CUT)
             if open_.any():
-                cut = max(cut, _settle(state, u_sq[1:][open_], ln_v, v_sq,
-                                       n_min)[1].max())
+                cut = max(cut, _settle(state, u_sq[1:][open_], ln_v, v_sq)[1].max())
         if cut < 1025:
             return float(v[cut])
         probe_hi *= 2.0
@@ -216,7 +216,7 @@ def _auto_v_max(state: ReducedState, u_sq, n_min: int) -> float:
             raise BracketError("envelope failed to decay below the quadrature cut")
 
 
-def _settle(state, u_sq, ln_v, v_sq, n_min):
+def _settle(state, u_sq, ln_v, v_sq):
     """(peak, cut) of each row u_sq on the probe grid, the full scan's bit
     for bit (1025 for no cut): the first maximum of g on a prefix of the
     grid, and the first index past it that dropped below the cut.  The
@@ -230,7 +230,7 @@ def _settle(state, u_sq, ln_v, v_sq, n_min):
         seen = g[:, :hi]
         g_max = seen.max(axis=1, keepdims=True)
         peak = np.argmax(seen == g_max, axis=1)
-        dropped = (np.arange(hi) > peak[:, None]) & (n_min * (seen - g_max) < -_ENVELOPE_DROP)
+        dropped = (np.arange(hi) > peak[:, None]) & (seen - g_max < _ENVELOPE_CUT)
         cut = np.where(dropped.any(axis=1), np.argmax(dropped, axis=1), 1025)
         if np.all(cut < 1025) or hi == 1025:
             return peak, cut
@@ -387,7 +387,7 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh, memo=None):
     # the callers refuse non-finite inputs: these overflowed on the way
     if not (np.all(np.isfinite(u_sq)) and math.isfinite(n_mesh * r_max)):
         raise PrecisionLoss("phase-space coordinates overflow")
-    v_max = _auto_v_max(state, u_sq, _CUT_N)
+    v_max = _auto_v_max(state, u_sq)
     n_panels = _panel_count(v_max, n_mesh, r_max)
     v, w = _gl_mesh(v_max, n_panels)
     mesh = (v_max, n_panels)  # _gl_mesh's inputs: the key names its bits

@@ -270,7 +270,7 @@ def test_envelope_cut_does_not_read_the_list():
     u, r = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 2.0, 3)
     default = wg.wigner_grid(st, u, r)
     window = wg._normalised(st, u * u, r[None, :], (12, 16, 20, 24))
-    assert window["v_max"] == default.v_max == wg._auto_v_max(st, u * u, 4)
+    assert window["v_max"] == default.v_max == wg._auto_v_max(st, u * u)
 
 
 def _spy_bessel(monkeypatch):
@@ -559,11 +559,12 @@ def test_envelope_cut_failure_is_typed(monkeypatch):
     monkeypatch.setattr(dm, "ln_d_many", lambda state, u_sq, v_sq:
                         np.zeros(np.broadcast_shapes(np.shape(u_sq), np.shape(v_sq))))
     with pytest.raises(BracketError):
-        wg._auto_v_max(ReducedState.from_nx(10.0, 1.0), 1.0, 4)
+        wg._auto_v_max(ReducedState.from_nx(10.0, 1.0), 1.0)
 
 
-def _dense_v_max(state, u_sq, n_min):
-    """Reference envelope cut: g = ln v + ln d on all 1025 probe points."""
+def _dense_v_max(state, u_sq):
+    """Reference envelope cut: g = ln v + ln d on all 1025 probe points,
+    cut where the N = 4 envelope exp(4 (g - g_max)) falls below e^-45."""
     u_sq = np.atleast_1d(np.asarray(u_sq, dtype=float))
     probe_hi = 48.0
     while True:
@@ -572,7 +573,7 @@ def _dense_v_max(state, u_sq, n_min):
                                               (v * v)[None, :])
         g_max = g.max(axis=1)
         past_peak = np.arange(v.size)[None, :] > np.argmax(g, axis=1)[:, None]
-        dropped = past_peak & (n_min * (g - g_max[:, None]) < -45.0)
+        dropped = past_peak & (4.0 * (g - g_max[:, None]) < -45.0)
         if np.all(dropped.any(axis=1)):
             return float(v[np.argmax(dropped, axis=1)].max())
         probe_hi *= 2.0
@@ -583,26 +584,22 @@ def _dense_v_max(state, u_sq, n_min):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=hst.floats(0.05, 1e4),
        x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
-       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=8),
-       n_min=hst.sampled_from([4, 8, 20]))
-@example(n=10.0, x=0.5, u_sq=[0.0, 2.0], n_min=4)      # monotone in u
-@example(n=10.0, x=15.0, u_sq=[0.0, 212.0], n_min=4)   # peaked, on the ridge
-@example(n=30.0, x=3e4, u_sq=[0.0], n_min=4)           # widens past 48
-@example(n=10.0, x=3000.0, u_sq=[0.0, 212.0], n_min=4)  # u^2 = 0 unsettled
-@example(n=30.0, x=3e4, u_sq=[400.0, 0.0], n_min=4)     # split, then widens
-def test_envelope_cut_matches_dense_scan(n, x, u_sq, n_min):
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=8))
+@example(n=10.0, x=0.5, u_sq=[0.0, 2.0])      # monotone in u
+@example(n=10.0, x=15.0, u_sq=[0.0, 212.0])   # peaked, on the ridge
+@example(n=30.0, x=3e4, u_sq=[0.0])           # widens past 48
+@example(n=10.0, x=3000.0, u_sq=[0.0, 212.0])  # u^2 = 0 unsettled
+@example(n=30.0, x=3e4, u_sq=[400.0, 0.0])     # split, then widens
+def test_envelope_cut_matches_dense_scan(n, x, u_sq):
     state = ReducedState.from_nx(n, x)
-    assert wg._auto_v_max(state, u_sq, n_min) == _dense_v_max(state, u_sq,
-                                                               n_min)
+    assert wg._auto_v_max(state, u_sq) == _dense_v_max(state, u_sq)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=hst.floats(0.05, 1e4),
        x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
-       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=4),
-       n_min=hst.sampled_from([4, 8, 20]))
-def test_envelope_cut_first_pass_settles_rows_with_s_nonnegative(n, x, u_sq,
-                                                                n_min):
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=1, max_size=4))
+def test_envelope_cut_first_pass_settles_rows_with_s_nonnegative(n, x, u_sq):
     # Fv(s*) >= 1 at a peak with s* >= 0 puts the cut at v <= 3.67: such a
     # row settles in its first solve of 96 indices, whatever the rest of
     # the row does
@@ -611,7 +608,7 @@ def test_envelope_cut_first_pass_settles_rows_with_s_nonnegative(n, x, u_sq,
     for u in u_sq:
         with pytest.MonkeyPatch.context() as mp:
             sizes = _spy_ln_d(mp)
-            (peak,), (cut,) = wg._settle(state, np.array([u]), np.log(v), v * v, n_min)
+            (peak,), (cut,) = wg._settle(state, np.array([u]), np.log(v), v * v)
         if sd.solve_saddle_uv_many(state, u, v[peak] ** 2).s >= 0.0:
             assert sizes == [wg._PROBE_NEAR] and cut <= 80
 
@@ -638,7 +635,7 @@ def test_envelope_cut_probe_budget(monkeypatch, x):
     st = ReducedState.from_nx(10.0, x)
     u_sq = np.linspace(0.0, 1.5 * max(1.0, dm.ridge_u(st)), 101) ** 2
     sizes = _spy_ln_d(monkeypatch)
-    wg._auto_v_max(st, u_sq, 4)
+    wg._auto_v_max(st, u_sq)
     if x <= 15.0:
         assert sizes == [96, 200]
     else:
@@ -649,28 +646,28 @@ def test_envelope_cut_probe_budget(monkeypatch, x):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=hst.floats(0.05, 1e4),
        x=hst.one_of(hst.just(0.0), hst.floats(1e-8, 1e4)),
-       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=2, max_size=6),
-       n_min=hst.sampled_from([4, 8, 20]))
-@example(n=10.0, x=3000.0, u_sq=[0.0, 1.0, 212.0], n_min=4)  # s* < 0 near u = 0
-def test_dense_cut_is_non_increasing_in_u(n, x, u_sq, n_min):
+       u_sq=hst.lists(hst.floats(0.0, 400.0), min_size=2, max_size=6))
+@example(n=10.0, x=3000.0, u_sq=[0.0, 1.0, 212.0])  # s* < 0 near u = 0
+def test_dense_cut_is_non_increasing_in_u(n, x, u_sq):
     # the premise of the probe's two-sample check: dg/dv = 1/v - 2v Fv(s*)
     # falls as u^2 raises s*, so a larger u^2 peaks and cuts no later
     state = ReducedState.from_nx(n, x)
-    cuts = [_dense_v_max(state, [u], n_min) for u in sorted(u_sq)]
+    cuts = [_dense_v_max(state, [u]) for u in sorted(u_sq)]
     assert all(b <= a for a, b in zip(cuts, cuts[1:]))
 
 
 def test_envelope_cut_settles_rows_that_fail_the_check(monkeypatch):
-    # on a fake ln d whose g = ln v - v^2 / (2 (1 + u^2)) peaks and cuts
-    # later at larger u^2, the two samples of the u^2 = 0 row cannot bound
-    # the others: both are settled together, and the cut is still the
-    # dense scan's
+    # on a fake ln d whose g = ln v - 2 v^2 / (1 + u^2) peaks at
+    # v = sqrt(1 + u^2) / 2 and cuts 5.18 times further out, later at
+    # larger u^2, the two samples of the u^2 = 0 row (cut at index 56)
+    # cannot bound the others: both are settled together, and the cut is
+    # still the dense scan's
     st = ReducedState.from_nx(10.0, 1.0)
     sizes = _spy_ln_d(monkeypatch, lambda state, u_sq, v_sq:
-                      -0.5 * v_sq / (1.0 + u_sq))
-    got = wg._auto_v_max(st, [4.0, 0.0, 1.0, 4.0], 20)
+                      -2.0 * v_sq / (1.0 + u_sq))
+    got = wg._auto_v_max(st, [4.0, 0.0, 1.0, 4.0])
     assert sizes[:3] == [96, 4, 2 * 96]
-    assert got == _dense_v_max(st, [0.0, 1.0, 4.0], 20) > _dense_v_max(st, [0.0], 20)
+    assert got == _dense_v_max(st, [0.0, 1.0, 4.0]) > _dense_v_max(st, [0.0])
 
 
 def _spike(slope):
@@ -691,9 +688,9 @@ def test_envelope_cut_grows_the_prefix_to_a_late_peak(monkeypatch):
     # point solved once, and gives the dense cut
     st = ReducedState.from_nx(10.0, 1.0)
     sizes = _spy_ln_d(monkeypatch, _spike(1.0))
-    got = wg._auto_v_max(st, [1.0], 4)
+    got = wg._auto_v_max(st, [1.0])
     assert sizes == [96] * 5
-    assert got == _dense_v_max(st, [1.0], 4)
+    assert got == _dense_v_max(st, [1.0])
 
 
 def test_envelope_cut_waits_for_the_true_peak(monkeypatch):
@@ -702,9 +699,9 @@ def test_envelope_cut_waits_for_the_true_peak(monkeypatch):
     # spike, at index 683 (v ~ 32), so the prefix grows in eight solves
     st = ReducedState.from_nx(10.0, 1.0)
     sizes = _spy_ln_d(monkeypatch, _spike(0.2))
-    got = wg._auto_v_max(st, [1.0], 4)
+    got = wg._auto_v_max(st, [1.0])
     assert sizes == [96] * 8
-    assert got == _dense_v_max(st, [1.0], 4) < 48.0
+    assert got == _dense_v_max(st, [1.0]) < 48.0
 
 
 # ---------------------------------------------------------------------------
