@@ -22,7 +22,9 @@ meta.json); 2 invalid configuration or an --out that cannot be made a
 directory, before any file is written.  A Wigner artifact extrapolates
 four N in 1/N (meta's n_list: wigner.N_LIST, or _FIG6_N_LIST for fig6's
 wider window), and converged when its max_spread is at most
-wigner.SPREAD_TOL (meta's tol).
+wigner.SPREAD_TOL (meta's tol).  A fig3 or fig4 artifact records as
+fallbacks the grid points that densmat.d_surface's kernel table sent to
+the root-finder (0 at every default grid).
 
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
@@ -177,7 +179,7 @@ def _plan_fig3(args):
         v = np.linspace(0.0, args.v_max, nv)
         surf = _dm.d_surface(state, u, v)
         return (("u", "v", "ln_d_norm"), _io.tensor_table(u, v, surf.ln_d_norm),
-                {"u_max": float(u[-1]), "v_max": float(v[-1])})
+                {"u_max": float(u[-1]), "v_max": float(v[-1]), "fallbacks": surf.fallbacks})
 
     jobs = {name: partial(build, state) for name, state in zip(names, states)}
     return jobs, {"n": args.n, "x": xs, "grid_w": nu, "grid_h": nv}
@@ -189,9 +191,10 @@ def _plan_fig4(args):
 
     def build():
         u = np.linspace(0.0, max(_u_max(args, state) for state in states), nu)
-        curves = [_dm.d_surface(state, u, [0.0]).ln_d_norm[:, 0] for state in states]
-        return (("x", "u", "ln_d_norm"), _io.tensor_table(xs, u, curves),
-                {"u_max": float(u[-1])})
+        surfs = [_dm.d_surface(state, u, [0.0]) for state in states]
+        return (("x", "u", "ln_d_norm"),
+                _io.tensor_table(xs, u, [surf.ln_d_norm[:, 0] for surf in surfs]),
+                {"u_max": float(u[-1]), "fallbacks": sum(surf.fallbacks for surf in surfs)})
 
     return {"dslices": build}, {"n": args.n, "x": xs, "grid_w": nu}
 

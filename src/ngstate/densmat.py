@@ -19,6 +19,18 @@ the shape of the surface: whether d is monotone in u or develops a ridge
 fit around the peak (peak_fit) used for width comparisons against the
 Wigner function.
 
+A grid at x > 0 (d_surface) needs no root per point.  At fixed s the
+saddle equation g(s) = (s - z0_sq)/xi - f0 - fu u^2 - fv v^2 = 0 is affine
+in (u^2, v^2), and ln d is the minimum over s of Phi(s), the form above
+at any s, convex with dPhi/ds = g/4: an error ds in the root moves ln d
+by only g^2/(8 dg/ds).
+One small_f table at _TABLE_NODES nodes between the roots of the grid's
+two extreme points serves every point: a bisection over node indices
+brackets its root, linear interpolation and one inverse quadratic step
+place s with two small_f evaluations, and a point whose g^2/(8 m), with m
+a lower bound on dg/ds between s and the root, exceeds
+_TABLE_TOL max(1, |ln d|) is solved by the root-finder instead.
+
 The amplitude normalization drops the overall A^{-N/2} prefactor: it
 carries no (u, v) dependence and cancels in every surface normalized to
 its maximum, which is the only way these numbers are consumed.
@@ -125,7 +137,34 @@ def ln_d(state: ReducedState, pt: PhasePoint, c_coeff: float = 0.0) -> MatrixEle
                               saddle=sol)
 
 
-_LN_D_CHUNK = 4096  # points per big_f pass, as specfun's Bessel chunks
+# points per big_f pass and per block of d_surface's table path, so the
+# temporaries do not grow with the grid: default fig3 peaks at 2.0 MiB
+# under tracemalloc, at 11.0 MiB with each 201 x 201 grid as one block
+_LN_D_CHUNK = 4096
+# nodes of d_surface's small_f table, 2^8 + 1 so each point's bracket takes
+# 8 halvings.  On fig3's default grids 65 to 1025 nodes all leave 0
+# fallbacks; over 400 random 23 x 19 grids (n and x from 1e-3 to 1e4, axis
+# ends from 1e-3 to 100) 129 nodes sent 4.5 % of the points to the
+# root-finder, 257 2.7 %, 1025 1.1 %, while fig3's three x > 0 grids took
+# 27-28 ms at 129 and 257 nodes and 30 ms at 1025
+_TABLE_NODES = 257
+# the second-order ln d error g^2/(8 slope) that d_surface accepts at a
+# table point, relative to max(1, |ln d|)
+_TABLE_TOL = 4.0 * np.finfo(float).eps
+
+
+def _phi(state, s, u_sq, v_sq):
+    """Phi(s) = -[F0 + Fu u^2 + Fv v^2 - (s - z0_sq)^2/(8 xi)] - ln z at
+    (u^2, v^2): ln d where s is the saddle, above it elsewhere (Phi is
+    convex, dPhi/ds = g/4); inf or NaN where a term overflows."""
+    big_f0, big_fu, big_fv = _sf.big_f(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = 0.0
+        if state.xi > 0.0:
+            diff = s - state.z0_sq
+            corr = diff * diff / (8.0 * state.xi)
+        return -(big_f0 + big_fu * u_sq + big_fv * v_sq - corr) \
+            - _obs.ln_z_per_dof(state)
 
 
 def _ln_d_at(state, s, u_sq, v_sq):
@@ -141,14 +180,7 @@ def _ln_d_at(state, s, u_sq, v_sq):
             part = slice(at, at + rows)
             out[part] = _ln_d_at(state, s[part], u_sq[part], v_sq[part])
         return out
-    big_f0, big_fu, big_fv = _sf.big_f(s)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        corr = 0.0
-        if state.xi > 0.0:
-            diff = s - state.z0_sq
-            corr = diff * diff / (8.0 * state.xi)
-        val = -(big_f0 + big_fu * u_sq + big_fv * v_sq - corr) \
-            - _obs.ln_z_per_dof(state)
+    val = _phi(state, s, u_sq, v_sq)
     if not np.isfinite(val).all():
         raise PrecisionLoss("phase-space coordinates overflow")
     return val
@@ -186,7 +218,9 @@ def u_c_sq(state: ReducedState, v_sq: float = 0.0):
             f"no ridge in the monotone regime (n={state.n}, x={state.x}; "
             f"threshold x >= {peak_threshold_x(state.n):.6g})")
     ratio = -state.z0_sq / state.xi
-    val = ratio - 1.0 / 3.0 - v_sq / 3.0
+    # the peaked regime puts the ridge at v = 0 at u_c^2 >= 0: a negative
+    # value there is the rounding of z0_sq and xi, not a ridge that ended
+    val = max(ratio - 1.0 / 3.0, 0.0) - v_sq / 3.0
     # exact ridge end given in floats lands within roundoff of zero; only
     # a clearly negative value means the ridge has ended
     if val < -1e-12 * (abs(ratio) + 1.0 + v_sq / 3.0):
@@ -238,12 +272,15 @@ def peak_fit(state: ReducedState) -> PeakFit:
 
 @dataclass(frozen=True)
 class DSurface:
-    """ln d over a rectangular (u, v) grid, shifted so the maximum is 0."""
+    """ln d over a rectangular (u, v) grid, shifted so the maximum is 0;
+    fallbacks counts the points d_surface's kernel table sent to the
+    root-finder."""
 
     u: np.ndarray
     v: np.ndarray
     ln_d_norm: np.ndarray  # shape (u.size, v.size)
     ln_d_max: float
+    fallbacks: int
 
 
 def ridge_u(state: ReducedState) -> float:
@@ -281,8 +318,92 @@ def grid_axes(**axes):
     return arrays
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _table_s(state, nodes, table, u_sq, v_sq):
+    """s at each point of the flat arrays (u_sq, v_sq) from the small_f
+    table (a, fu, fv) at the ascending nodes, a = (s - z0_sq)/xi - f0, and
+    g^2/(8 m) there, m a lower bound on dg/ds between s and the root, which
+    bounds Phi(s) - ln d.  Two small_f evaluations per point."""
+    a, fu, fv = table
+
+    def g_node(k):
+        return a[k] - fu[k] * u_sq - fv[k] * v_sq
+
+    def g(s):
+        f0_s, fu_s, fv_s = _sf.small_f(s)
+        return (s - state.z0_sq) / state.xi - (f0_s + fu_s * u_sq + fv_s * v_sq)
+
+    # lo: the last node before the end where g <= 0 (0 where there is
+    # none), by halving steps over node indices, as g rises in s
+    lo = np.zeros(u_sq.shape, dtype=np.intp)
+    step = (nodes.size - 1) >> 1
+    while step:
+        lo += step * (g_node(lo + step) <= 0.0)
+        step >>= 1
+    hi = lo + 1
+    s_lo, s_hi, g_lo, g_hi = nodes[lo], nodes[hi], g_node(lo), g_node(hi)
+    rise = g_hi - g_lo
+    # linear interpolation of g, evaluated, then one inverse quadratic step
+    # through it and both nodes (the secant step toward the node across the
+    # root where the curvature term is not finite), each clamped inside the
+    # bracket
+    t = np.minimum(np.maximum(-g_lo / rise, 0.0), 1.0)
+    s1 = s_lo + np.where(rise > 0.0, t, 0.0) * (s_hi - s_lo)
+    g1 = g(s1)
+    up = g1 > 0.0
+    s_far, g_far = np.where(up, s_lo, s_hi), np.where(up, g_lo, g_hi)
+    s_near, g_near = np.where(up, s_hi, s_lo), np.where(up, g_hi, g_lo)
+    d1 = (s_far - s1) / (g_far - g1)
+    d2 = ((s_near - s_far) / (g_near - g_far) - d1) / (g_near - g1)
+    t = (g1 * g_far * np.where(np.isfinite(d2), d2, 0.0) - g1 * d1) / (s_far - s1)
+    s2 = s1 + np.where(t > 0.0, np.minimum(t, 1.0), 0.0) * (s_far - s1)
+    g2 = g(s2)
+    # g is concave and rises at least as fast as (s - z0_sq)/xi, as f0, fu
+    # and fv fall and are convex: from s2 to a root below s_hi (g_hi > 0)
+    # its slope is at least the chord's from s_hi to the next node, and
+    # 1/xi anywhere
+    nxt = np.minimum(hi + 1, nodes.size - 1)
+    run = (nodes[nxt] - s_hi) / (g_node(nxt) - g_hi)
+    run = np.where((run > 0.0) & (g_hi > 0.0), np.minimum(run, state.xi), state.xi)
+    return s2, g2 * g2 * run / 8.0
+
+
+def _surface_table(state, u_sq, v_sq):
+    """(ln d, s, fallbacks) over the grid u_sq x v_sq (1-D axes) of a state
+    with x > 0 (module notes), in blocks of _LN_D_CHUNK points that may
+    split a row; fallbacks counts the points solve_saddle_uv_many solved.
+    The nodes span the roots of the grid's two extreme points, as the root
+    rises in u^2 and v^2 (fu, fv > 0).  PrecisionLoss where ln d overflows."""
+    ends = _saddle.solve_saddle_uv_many(state, [u_sq.min(), u_sq.max()],
+                                        [v_sq.min(), v_sq.max()]).s
+    nodes = np.linspace(ends[0], ends[1], _TABLE_NODES)
+    f0, fu, fv = _sf.small_f(nodes)
+    table = ((nodes - state.z0_sq) / state.xi - f0, fu, fv)
+    size = u_sq.size * v_sq.size
+    ln_d, s = np.empty(size), np.empty(size)
+    fallbacks = 0
+    for at in range(0, size, _LN_D_CHUNK):
+        rows, cols = np.divmod(np.arange(at, min(at + _LN_D_CHUNK, size)), v_sq.size)
+        uu, vv = u_sq[rows], v_sq[cols]
+        part, err = _table_s(state, nodes, table, uu, vv)
+        val = _phi(state, part, uu, vv)
+        bad = ~((err <= _TABLE_TOL * np.maximum(1.0, np.abs(val))) & np.isfinite(val))
+        if bad.any():
+            part[bad] = _saddle.solve_saddle_uv_many(state, uu[bad], vv[bad]).s
+            val[bad] = _phi(state, part[bad], uu[bad], vv[bad])
+            fallbacks += int(np.count_nonzero(bad))
+        s[at:at + part.size], ln_d[at:at + part.size] = part, val
+    if not np.isfinite(ln_d).all():
+        raise PrecisionLoss("phase-space coordinates overflow")
+    shape = (u_sq.size, v_sq.size)
+    return ln_d.reshape(shape), s.reshape(shape), fallbacks
+
+
 def d_surface(state: ReducedState, u, v) -> DSurface:
-    """Vectorized ln d over the tensor grid u x v, normalized to its max."""
+    """Vectorized ln d over the tensor grid u x v, normalized to its max.
+
+    At x > 0 from one kernel table per state (module notes), within
+    _TABLE_TOL max(1, |ln d|) of ln_d_many plus the rounding of either."""
     u, v = grid_axes(u=u, v=v)
     if np.any(u < 0.0) or np.any(v < 0.0):
         raise ValueError("grid values must be >= 0")
@@ -290,6 +411,9 @@ def d_surface(state: ReducedState, u, v) -> DSurface:
         u_sq, v_sq = u * u, v * v
     if not (np.all(np.isfinite(u_sq)) and np.all(np.isfinite(v_sq))):
         raise PrecisionLoss("phase-space coordinates overflow")
-    grid = ln_d_many(state, u_sq[:, None], v_sq[None, :])
+    if state.x == 0.0:
+        grid, fallbacks = ln_d_many(state, u_sq[:, None], v_sq[None, :]), 0
+    else:
+        grid, _, fallbacks = _surface_table(state, u_sq, v_sq)
     top = float(np.max(grid))
-    return DSurface(u=u, v=v, ln_d_norm=grid - top, ln_d_max=top)
+    return DSurface(u=u, v=v, ln_d_norm=grid - top, ln_d_max=top, fallbacks=fallbacks)

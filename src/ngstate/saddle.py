@@ -24,7 +24,10 @@ has nothing left to pull and at most _TAILS live points, each finishes
 alone in scalars, the same steps: a point that creeps (its near bracket
 end stays put while the far end halves every second step, as where g
 steps by ~1e-13 within a few doubles of the root) no longer costs an
-array step per evaluation.  x = 0 pins s = z0_sq.
+array step per evaluation.  x = 0 pins s = z0_sq.  A d_surface grid
+at x > 0 comes here only for its two extreme points and the points its
+kernel table leaves (densmat); ln_d, ln_d_many and the Wigner path solve
+every point here.
 """
 
 from __future__ import annotations

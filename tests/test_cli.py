@@ -234,6 +234,35 @@ def test_default_u_max(tmp_path, x, tag, u_max):
     assert meta[f"dsurface_x{tag}.v_max"] == 4.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig3_dsurface", "--grid", "5x5"],
+    ["fig4_dslices", "--grid", "5"],
+    ["fig5_wigner", "--grid", "5x5"],
+    ["fig6_contours", "--phi", "0", "--mode", "para", "--grid", "5x5"],
+    ["fig7_slice", "--grid", "9"],
+], ids=["fig3", "fig4", "fig5", "fig6", "fig7"])
+def test_ridge_threshold_state_exits_0(tmp_path, argv):
+    # x on the ridge threshold: the default windows' ridge scale is u = 0
+    # there (densmat.ridge_u raised a bare TypeError, exit 1, no meta.json)
+    out = tmp_path / "edge"
+    assert cli.main([*argv, "--n", "112.88378916846884", "--x", "0.5000064822423872",
+                     "--out", str(out)]) == 0
+    assert not [k for k in _read_meta(out) if k.endswith(".error")]
+
+
+@pytest.mark.parametrize("preset, keys", [
+    ("fig3_dsurface", ["dsurface_x0", "dsurface_x0p5", "dsurface_x1", "dsurface_x15"]),
+    ("fig4_dslices", ["dslices"]),
+], ids=["fig3", "fig4"])
+def test_default_surfaces_need_no_root_solve(tmp_path, preset, keys):
+    # every point of the default grids comes from the kernel table
+    out = tmp_path / "fb"
+    assert cli.main([preset, "--out", str(out)]) == 0
+    meta = _read_meta(out)
+    assert sorted(k for k in meta if k.endswith(".fallbacks")) == [f"{k}.fallbacks" for k in keys]
+    assert all(meta[f"{k}.fallbacks"] == 0 for k in keys)
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "js"
     assert cli.main(["fig1_c4", "--x", "0", "1", "--format", "json",

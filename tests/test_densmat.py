@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ngstate import densmat as dm
 from ngstate import observables as obs
+from ngstate import saddle as sd
 from ngstate import specfun as sf
 from ngstate import wigner as wg
 from ngstate.errors import NgStateError, PrecisionLoss, RegimeError
@@ -95,6 +97,24 @@ def test_u_c_sq_regime_error():
         dm.u_c_sq(ReducedState.from_nx(10.0, 0.1), 0.0)
     with pytest.raises(RegimeError):
         dm.u_c_sq(ReducedState.from_nx(0.01, 50.0), 0.0)
+
+
+def test_ridge_at_the_threshold_state():
+    # at x on the ridge threshold classify_regime says PEAKED while
+    # -z0_sq/xi - 1/3 rounds to -1.9e-12: the ridge sits at u = 0 there,
+    # not past its end, so ridge_u is 0 where it raised TypeError on
+    # math.sqrt(None); so for every threshold state from n = 1e-3 to 1e4
+    st = ReducedState.from_nx(112.88378916846884, 0.5000064822423872)
+    assert dm.classify_regime(st) is dm.Regime.PEAKED
+    assert dm.u_c_sq(st, 0.0) == 0.0 and dm.ridge_u(st) == 0.0
+    with pytest.raises(RegimeError, match="degenerates"):
+        dm.peak_fit(st)
+    for n in np.geomspace(1e-3, 1e4, 1200):
+        x = dm.peak_threshold_x(n)
+        if x < math.inf:
+            st = ReducedState.from_nx(n, x)
+            assert dm.classify_regime(st) is dm.Regime.PEAKED
+            assert dm.ridge_u(st) >= 0.0
 
 
 def test_saddle_vanishes_on_ridge():
@@ -310,10 +330,15 @@ def _exponent(state, s, u_sq, v_sq):
     """(Phi(s), scale): Phi = -(F0 + Fu u^2 + Fv v^2) + (s - z0_sq)^2/(8 xi)
     - ln z, whose minimum over s > -pi^2 is ln d (dPhi/ds = g/4 and g
     increases, saddle module docstring), and the sum of its terms' sizes."""
-    terms = [-f for f in sf.big_f(s)]
-    terms[1:] = terms[1] * u_sq, terms[2] * v_sq
-    terms += [(s - state.z0_sq) ** 2 / (8.0 * state.xi), -obs.ln_z_per_dof(state)]
+    terms = _exponent_terms(state, s, u_sq, v_sq)
     return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def _exponent_terms(state, s, u_sq, v_sq):
+    """Phi's five terms at s (numbers or arrays)."""
+    big_f0, big_fu, big_fv = sf.big_f(s)
+    return [-big_f0, -big_fu * u_sq, -big_fv * v_sq,
+            (s - state.z0_sq) ** 2 / (8.0 * state.xi), -obs.ln_z_per_dof(state)]
 
 
 _UV = hst.tuples(hst.floats(0.01, 31.6), hst.floats(0.01, 31.6))
@@ -348,3 +373,104 @@ def test_ln_d_is_the_minimum_of_a_convex_exponent(log_n, log_x, a, b, t, log_ste
         slope = (dm.ln_d(st, dm.PhasePoint(*up)).ln_d
                  - dm.ln_d(st, dm.PhasePoint(*down)).ln_d) / (2.0 * h)
         assert slope == pytest.approx(-big, rel=1e-7, abs=1e-7)
+
+
+def _axis(top, size):
+    """size values from 0 to top, or top alone."""
+    return np.linspace(0.0, top, size) if size > 1 else np.array([top])
+
+
+def _check_table(state, u, v):
+    """d_surface's table path against per-point ln_d_many: at the table's s,
+    Phi(s) lies within the stated bound 4 eps max(1, |ln d|) above ln d
+    (and not below it: ln d is Phi's minimum), up to 4 eps of the terms'
+    sizes for the rounding of either; returns the fallbacks."""
+    u_sq, v_sq = (u * u)[:, None], (v * v)[None, :]
+    ref = dm.ln_d_many(state, u_sq, v_sq)
+    got, s, fallbacks = dm._surface_table(state, u * u, v * v)
+    terms = _exponent_terms(state, s, u_sq, v_sq)
+    phi, scale = sum(terms), sum(np.abs(t) for t in terms)
+    terms_ref = _exponent_terms(state, sd.solve_saddle_uv_many(state, u_sq, v_sq).s,
+                                u_sq, v_sq)
+    scale_ref = sum(np.abs(t) for t in terms_ref)
+    eps = np.finfo(float).eps
+    slack = 4.0 * eps * np.maximum(scale, scale_ref)
+    assert np.all(np.abs(got - phi) <= slack)
+    assert np.all(phi >= ref - slack)
+    assert np.all(phi <= ref + 4.0 * eps * np.maximum(1.0, np.abs(ref)) + slack)
+    surf = dm.d_surface(state, u, v)
+    assert surf.fallbacks == fallbacks
+    assert surf.ln_d_norm.tobytes() == (got - np.max(got)).tobytes()
+    return fallbacks
+
+
+_POWER = hst.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)
+_WINDOW = hst.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=_POWER, x=_POWER, u_max=_WINDOW, v_max=_WINDOW,
+       nu=hst.integers(1, 24), nv=hst.integers(1, 24))
+# test_d_surface_finite_or_typed's grid where an unclamped secant step
+# left (-pi^2, inf)
+@example(n=0.5, x=10.0, u_max=0.5, v_max=91.0, nu=5, nv=4)
+# roots from 0.02 to 1.7 above the pole, where the low node brackets curve
+# strongly: 7 of 100 points fall back, and a bound 1e6 times looser shows
+@example(n=10.0, x=1000.0, u_max=2.0, v_max=3.0, nu=10, nv=10)
+# u^2 to 1.9e169 at x = 2e-64: the bracket's own chord, 4e17 times g's
+# slope at its upper node, accepted ln d = 6.9e191 for -1.9e180
+@example(n=151069.8078327193, x=2.046919550504046e-64, u_max=4.324815978739248e84,
+         v_max=2.0757517714121313e78, nu=3, nv=2)
+@example(n=10.0, x=15.0, u_max=20.0, v_max=4.0, nu=1, nv=100_000)  # one row
+@example(n=10.0, x=15.0, u_max=20.0, v_max=4.0, nu=100_000, nv=1)  # one column
+@example(n=10.0, x=15.0, u_max=20.0, v_max=4.0, nu=1, nv=1)  # axes of one value
+@example(n=2.0, x=1.0, u_max=3.0, v_max=0.0, nu=1, nv=1)
+def test_d_surface_table_within_its_bound(n, x, u_max, v_max, nu, nv):
+    st = ReducedState.from_nx(n, x)
+    u, v = _axis(u_max, nu), _axis(v_max, nv)
+    try:
+        dm.ln_d_many(st, (u * u)[:, None], (v * v)[None, :])
+    except NgStateError:
+        with pytest.raises(NgStateError):
+            dm.d_surface(st, u, v)
+        return
+    _check_table(st, u, v)
+
+
+def test_d_surface_table_falls_back_over_a_huge_span():
+    # u^2 from 0 to 1e300 at a nearly Gaussian state, where ln d stays
+    # finite: the roots span 0.009 to 4e10, too far for one node bracket
+    # each, so points go to the root-finder, with no numpy warning
+    st = ReducedState.from_nx(10.0, 1e-280)
+    assert _check_table(st, np.linspace(0.0, 1e150, 7), np.array([0.0, 1.0])) > 0
+
+
+@pytest.mark.parametrize("shape", [(1, 100_000), (100_000, 1)], ids=["row", "column"])
+def test_d_surface_table_blocks_split_rows(monkeypatch, shape):
+    # blocks of _LN_D_CHUNK points, a single row split too: the same bits
+    # as one block, and temporaries of a block, not of the grid
+    st = ReducedState.from_nx(10.0, 15.0)
+    u, v = _axis(20.0, shape[0]), _axis(4.0, shape[1])
+    tracemalloc.start()
+    blocked = dm.d_surface(st, u, v).ln_d_norm
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    monkeypatch.setattr(dm, "_LN_D_CHUNK", 10 ** 9)
+    assert dm.d_surface(st, u, v).ln_d_norm.tobytes() == blocked.tobytes()
+
+
+def test_small_f_kernels_are_positive_falling_and_convex():
+    # fu, fv > 0 on the whole domain: the root rises in u^2 and v^2, so the
+    # roots of a grid's two extreme points bracket every other one.  f0, fu
+    # and fv fall and are convex, so g is concave with slope >= 1/xi: the
+    # lower slope that d_surface's table error bound takes
+    s = np.concatenate([-math.pi ** 2 + np.geomspace(1e-12, math.pi ** 2, 4000),
+                        -np.geomspace(1e-300, 1.0, 400), [0.0],
+                        np.geomspace(1e-300, 1.7e308, 4000)])
+    _, fu, fv = sf.small_f(s)
+    assert np.all(fu > 0.0) and np.all(fv > 0.0)
+    s = -math.pi ** 2 + np.geomspace(1e-4, 1e8, 1500)
+    for f in sf.small_f(s):
+        slope = np.diff(f) / np.diff(s)
+        assert np.all(slope < 0.0) and np.all(np.diff(slope) > 0.0)
