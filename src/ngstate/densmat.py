@@ -369,7 +369,7 @@ def _table_s(state, nodes, table, u_sq, v_sq):
 
 
 def _surface_table(state, u_sq, v_sq):
-    """(ln d, s, fallbacks) over the grid u_sq x v_sq (1-D axes) of a state
+    """(ln d, fallbacks) over the grid u_sq x v_sq (1-D axes) of a state
     with x > 0 (module notes), in blocks of _LN_D_CHUNK points that may
     split a row; fallbacks counts the points solve_saddle_uv_many solved.
     The nodes span the roots of the grid's two extreme points, as the root
@@ -380,7 +380,7 @@ def _surface_table(state, u_sq, v_sq):
     f0, fu, fv = _sf.small_f(nodes)
     table = ((nodes - state.z0_sq) / state.xi - f0, fu, fv)
     size = u_sq.size * v_sq.size
-    ln_d, s = np.empty(size), np.empty(size)
+    ln_d = np.empty(size)
     fallbacks = 0
     for at in range(0, size, _LN_D_CHUNK):
         rows, cols = np.divmod(np.arange(at, min(at + _LN_D_CHUNK, size)), v_sq.size)
@@ -389,14 +389,13 @@ def _surface_table(state, u_sq, v_sq):
         val = _phi(state, part, uu, vv)
         bad = ~((err <= _TABLE_TOL * np.maximum(1.0, np.abs(val))) & np.isfinite(val))
         if bad.any():
-            part[bad] = _saddle.solve_saddle_uv_many(state, uu[bad], vv[bad]).s
-            val[bad] = _phi(state, part[bad], uu[bad], vv[bad])
+            root = _saddle.solve_saddle_uv_many(state, uu[bad], vv[bad]).s
+            val[bad] = _phi(state, root, uu[bad], vv[bad])
             fallbacks += int(np.count_nonzero(bad))
-        s[at:at + part.size], ln_d[at:at + part.size] = part, val
+        ln_d[at:at + val.size] = val
     if not np.isfinite(ln_d).all():
         raise PrecisionLoss("phase-space coordinates overflow")
-    shape = (u_sq.size, v_sq.size)
-    return ln_d.reshape(shape), s.reshape(shape), fallbacks
+    return ln_d.reshape(u_sq.size, v_sq.size), fallbacks
 
 
 def d_surface(state: ReducedState, u, v) -> DSurface:
@@ -414,6 +413,6 @@ def d_surface(state: ReducedState, u, v) -> DSurface:
     if state.x == 0.0:
         grid, fallbacks = ln_d_many(state, u_sq[:, None], v_sq[None, :]), 0
     else:
-        grid, _, fallbacks = _surface_table(state, u_sq, v_sq)
+        grid, fallbacks = _surface_table(state, u_sq, v_sq)
     top = float(np.max(grid))
     return DSurface(u=u, v=v, ln_d_norm=grid - top, ln_d_max=top, fallbacks=fallbacks)

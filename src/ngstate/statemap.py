@@ -222,8 +222,9 @@ def moments_from_params(p: OperatorParams):
     up to solver precision, with B + 2 eta F = (s/4 + C**2)/A, which cannot
     cancel.  PrecisionLoss where z0_sq or xi overflows, xi underflows or
     -z0_sq/xi overflows at eta > 0, the occupation underflows (s above
-    about 5e5) or F, K or R leaves double range; ValueError where eta = 0
-    and A*B - C**2 <= 0.
+    about 5e5), F, K or R leaves double range or (F/(n + 1/2))**2 does (n
+    above about 1e144 where s is tiny); ValueError where eta = 0 and
+    A*B - C**2 <= 0.
     """
     kappa, n, s = _gap_root(p.z0_sq, p.xi, p.eta)
     F = p.A / kappa
@@ -231,7 +232,11 @@ def moments_from_params(p: OperatorParams):
     R = -p.C / kappa
     if not (0.0 < F < math.inf and 0.0 < K < math.inf and math.isfinite(R)):
         raise PrecisionLoss(f"F = {F:.6g}, K = {K:.6g} or R = {R:.6g} leaves double range")
-    x = (p.eta / kappa) * (F / (n + 0.5)) ** 2
+    try:
+        x = (p.eta / kappa) * (F / (n + 0.5)) ** 2
+    except OverflowError:  # float ** raises where the square overflows
+        raise PrecisionLoss(f"(F/(n + 1/2))**2 leaves double range at F = {F:.6g}, "
+                            f"n = {n:.6g}") from None
     return GaussianMoments(F=F, K=K, R=R), c4_half_ratio_nx(n, x)
 
 

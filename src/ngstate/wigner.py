@@ -18,11 +18,13 @@ exact small-argument limit, where the r-dependence cancels analytically:
 
 ln w per dof, (1/N) ln W_N, is computed for the four N of N_LIST and
 extrapolated to N -> infinity (Richardson in 1/N); project_physical takes
-its own four N, as fig6 needs lower ones for its wide window.  The
-envelope cut is sized at N = 4, the smallest N accepted.  At x = 0 the
-integral is a Weber integral with the exact value ln w_N = ln w_inf -
-ln(2)/N, so the extrapolation is exact there, and ln_w_gaussian_exact is
-the oracle.
+its own four N, as fig6 needs lower ones for its wide window.  The last N
+of a list sizes the mesh's panels and the r = 0 cut.  A finite-N value is
+an intermediate of the quadrature, not a result: the paper works at
+leading order in 1/N.  The envelope cut is sized at N = 4, the smallest N
+accepted.  At x = 0 the integral is a Weber integral with the exact value
+ln w_N = ln w_inf - ln(2)/N, so the extrapolation is exact there, and
+ln_w_gaussian_exact is the oracle.
 
 Grids, projections and single points share one assembly, which solves
 ln d once per distinct u^2 and builds each N's Bessel table once per
@@ -63,7 +65,6 @@ __all__ = [
     "SqueezeParams",
     "WignerGrid",
     "ln_w",
-    "ln_w_at_N",
     "ln_w_gaussian_exact",
     "project_physical",
     "wigner_grid",
@@ -87,7 +88,7 @@ _PROBE_NEAR = 96
 _TABLE_ELEMS = 3 << 15
 SPREAD_TOL = 1e-3  # ln_w refuses an extrapolation spread above this
 # the four N that ln_w and wigner_grid extrapolate in 1/N; the last also
-# sets the mesh of every single point, ln_w_at_N's included
+# sizes their mesh, as the last of project_physical's n_list sizes its own
 N_LIST = (28, 32, 36, 40)
 
 
@@ -169,15 +170,20 @@ def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
 
     Follows from the Weber integral; the finite-N value is exactly this
     minus ln(2)/N, which makes it the pipeline oracle at x = 0.
+    PrecisionLoss where a term overflows.
     """
     u_sq, r_sq = np.asarray(u_sq, dtype=float), np.asarray(r_sq, dtype=float)
     if not (np.all(0.0 <= u_sq) and np.all(u_sq < math.inf)
             and np.all(0.0 <= r_sq) and np.all(r_sq < math.inf)):
         raise ValueError("u_sq and r_sq must be finite and >= 0")
     n, z = state.n, state.z_gauss
-    return (math.log(2.0 / (2.0 * n + 1.0))
-            - 0.5 * state.kappa * u_sq
-            - r_sq / (2.0 * z * (2.0 * n + 1.0)))
+    with np.errstate(over="ignore"):
+        ln_w = (math.log(2.0 / (2.0 * n + 1.0))
+                - 0.5 * state.kappa * u_sq
+                - r_sq / (2.0 * z * (2.0 * n + 1.0)))
+    if not np.all(np.isfinite(ln_w)):
+        raise PrecisionLoss("phase-space coordinates overflow")
+    return ln_w
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +386,16 @@ def _kept(memo, kind, key):
     return kept[1]
 
 
-def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh, memo=None):
-    """Mesh for the points, its panels sized at n_mesh, then ln w for each
-    N of n_list -> (per_n, v_max, nodes); memo as in wigner_grid."""
+def _mesh_and_assemble(state, u_sq, r_rows, n_list, memo=None):
+    """Mesh for the points, its panels sized at the last N of n_list, then
+    ln w for each N of n_list -> (per_n, v_max, nodes); memo as in
+    wigner_grid."""
     r_max = float(r_rows.max()) if r_rows.size else 0.0
     # the callers refuse non-finite inputs: these overflowed on the way
-    if not (np.all(np.isfinite(u_sq)) and math.isfinite(n_mesh * r_max)):
+    if not (np.all(np.isfinite(u_sq)) and math.isfinite(n_list[-1] * r_max)):
         raise PrecisionLoss("phase-space coordinates overflow")
     v_max = _auto_v_max(state, u_sq)
-    n_panels = _panel_count(v_max, n_mesh, r_max)
+    n_panels = _panel_count(v_max, n_list[-1], r_max)
     v, w = _gl_mesh(v_max, n_panels)
     mesh = (v_max, n_panels)  # _gl_mesh's inputs: the key names its bits
     per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w,
@@ -397,21 +404,10 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, n_mesh, memo=None):
     return per_n, v_max, n_panels * _GL_ORDER
 
 
-def _point_per_n(state, u_sq, r_sq, n_list):
-    """ln w for each N of n_list at one point, on the N_LIST mesh: (nN,)."""
-    if not (0.0 <= u_sq < math.inf and 0.0 <= r_sq < math.inf):
-        raise ValueError(f"u_sq and r_sq must be finite and >= 0, got ({u_sq}, {r_sq})")
-    per_n, _, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
-                                     np.array([[math.sqrt(r_sq)]]), n_list,
-                                     N_LIST[-1])
-    return per_n[:, 0, 0]
-
-
 def _normalised(state, u_sq, r_rows, n_list, memo=None):
     """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
-    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, n_list,
-                                              n_list[-1], memo)
+    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, n_list, memo)
     value, spread = _extrapolate(per_n, n_list)
     top = float(value.max())
     return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
@@ -422,18 +418,16 @@ def _normalised(state, u_sq, r_rows, n_list, memo=None):
 # public surface
 
 
-def ln_w_at_N(state: ReducedState, u_sq: float, r_sq: float, N: int) -> float:
-    """Per-dof log Wigner value at one finite even N (no extrapolation)."""
-    return float(_point_per_n(state, u_sq, r_sq, (_even_n(N),))[0])
-
-
 def ln_w(state: ReducedState, u_sq: float, r_sq: float):
     """Extrapolated per-dof log Wigner value from N_LIST -> (value, spread).
 
     Raises NotConverged when the spread exceeds SPREAD_TOL.
     """
-    per_n = _point_per_n(state, u_sq, r_sq, N_LIST)
-    value, spread = map(float, _extrapolate(per_n, N_LIST))
+    if not (0.0 <= u_sq < math.inf and 0.0 <= r_sq < math.inf):
+        raise ValueError(f"u_sq and r_sq must be finite and >= 0, got ({u_sq}, {r_sq})")
+    per_n, _, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
+                                     np.array([[math.sqrt(r_sq)]]), N_LIST)
+    value, spread = map(float, _extrapolate(per_n[:, 0, 0], N_LIST))
     if spread > SPREAD_TOL:
         raise NotConverged(
             f"ln w spread {spread:.3e} above tolerance {SPREAD_TOL:.3e} "

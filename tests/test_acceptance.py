@@ -183,16 +183,17 @@ def test_criterion_08_wigner_pipeline(capsys):
         plateau = wg._normalised(st, u101 * u101, r101[None, :], (12, 16, 20, 24))
         assert float(np.max(plateau["spread"])) < 1e-3
         # shape (normalized) steps between successive N are also plateaued
+        # (each point on ln_w's mesh: the list ends in N_LIST[-1])
         probes = [(0.0, 0.0), (4.0, 1.0), (16.0, 2.25), (49.0, 0.25)]
         base = (0.25, 1.0)
-        prev = None
-        for n_dof in (12, 16, 20, 24):
-            vals = np.array([wg.ln_w_at_N(st, us, rs, n_dof)
-                             for us, rs in probes])
-            vals -= wg.ln_w_at_N(st, base[0], base[1], n_dof)
-            if prev is not None:
-                assert float(np.max(np.abs(vals - prev))) < 1e-3
-            prev = vals
+        n_list = (12, 16, 20, 24, wg.N_LIST[-1])
+
+        def per_n(us, rs):
+            return wg._mesh_and_assemble(st, np.array([us]), np.array([[math.sqrt(rs)]]),
+                                         n_list)[0][:-1, 0, 0]
+
+        vals = np.array([per_n(us, rs) for us, rs in probes]) - per_n(*base)
+        assert float(np.max(np.abs(np.diff(vals, axis=1)))) < 1e-3
 
         # x >> n^2: radial width 2 and physical angular width F/(12 n^2)
         st3k = ReducedState.from_nx(10.0, 3000.0)

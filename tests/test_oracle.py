@@ -182,6 +182,9 @@ _EDGE = ([(1e-8, None)]
     ((1.0, -1.0, 0.0, 0.0), ValueError),         # no normalizable Gaussian
     ((1.0, 1.0, 0.0, 0.0), None),
     *(((0.5, -2.0, 0.0, eta), error) for eta, error in _EDGE),
+    # eta = 0 at s = z0_sq = 6e-290, where n = 4e144: (F/(n + 1/2))^2
+    # overflowed a float ** with a bare OverflowError
+    ((30873234496.26705, 5e-301, 0.0, 0.0), PrecisionLoss),
 ])
 def test_raw_parameters_share_one_error_contract(params, error):
     # the closed-form inverse and the brute-force ln Z solve one raw gap:

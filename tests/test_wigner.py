@@ -17,7 +17,7 @@ from ngstate import densmat as dm
 from ngstate import saddle as sd
 from ngstate import wigner as wg
 from ngstate.errors import (BracketError, NgStateError, NotConverged,
-                            QuadratureNonPositive)
+                            PrecisionLoss, QuadratureNonPositive)
 from ngstate.statemap import ReducedState, x_from_c4
 
 
@@ -38,6 +38,15 @@ def _project_with(n_list):
     return wg.project_physical(_SQ, 15.0, _PARA, [0.5], [0.0], n_list)
 
 
+def _per_n(state, u_sq, r_sq, ns):
+    """ln w at each N of ns at one point, each on ln_w's mesh: the list
+    assembled ends in N_LIST[-1], which sizes the panels and the r = 0 cut."""
+    n_list = tuple(ns) if ns[-1] == wg.N_LIST[-1] else (*ns, wg.N_LIST[-1])
+    per_n, _, _ = wg._mesh_and_assemble(state, np.array([u_sq]),
+                                        np.array([[math.sqrt(r_sq)]]), n_list)
+    return per_n[:len(ns), 0, 0]
+
+
 def test_settings_validation():
     # project_physical's n_list is the one settable N list
     for bad in [(4, 8, 12),              # three entries
@@ -52,19 +61,16 @@ def test_settings_validation():
 
 @pytest.mark.parametrize("bad", [4.5, 28.7, math.nan, math.inf])
 def test_non_integer_n_refused(bad):
-    # one check for N lists and single-N calls: a fractional N was
-    # truncated to the even integer below it
+    # a fractional N was truncated to the even integer below it
     with pytest.raises(ValueError, match="even integer"):
         _project_with((bad, 32, 36, 40))
-    with pytest.raises(ValueError, match="even integer"):
-        wg.ln_w_at_N(_ST, 1.0, 1.0, bad)
 
 
 @pytest.mark.parametrize("call", [
     lambda: wg.ln_w(_ST, 1.0, math.nan),
     lambda: wg.ln_w(_ST, 1.0, math.inf),
     lambda: wg.ln_w(_ST, math.nan, 1.0),
-    lambda: wg.ln_w_at_N(_ST, math.inf, 1.0, 8),
+    lambda: wg.ln_w(_ST, math.inf, 1.0),
     lambda: wg.wigner_grid(_ST, [0.0, 1.0], [0.0, math.nan]),
     lambda: wg.wigner_grid(_ST, [math.inf], [0.0]),
     lambda: wg.project_physical(_SQ, 15.0, _PARA, [0.5], [0.0, math.nan]),
@@ -72,7 +78,7 @@ def test_non_integer_n_refused(bad):
     lambda: dm.PhasePoint(math.nan, 1.0),
     lambda: dm.PhasePoint(1.0, math.inf),
     lambda: dm.PhasePoint(1.0, 1.0, math.nan),
-], ids=["ln_w-r-nan", "ln_w-r-inf", "ln_w-u-nan", "ln_w_at_N-u-inf",
+], ids=["ln_w-r-nan", "ln_w-r-inf", "ln_w-u-nan", "ln_w-u-inf",
         "grid-r-nan", "grid-u-inf", "project-pi-nan", "project-phi-nan",
         "point-u-nan", "point-v-inf", "point-w-nan"])
 def test_non_finite_inputs_refused(call):
@@ -117,8 +123,7 @@ def test_finite_n_matches_weber_shift():
     st = gaussian_state(10.0)
     for u_sq, r_sq in [(0.0, 0.0), (1.3, 0.0), (0.0, 2.1), (2.0, 3.5)]:
         ana = float(wg.ln_w_gaussian_exact(st, u_sq, r_sq))
-        for N in (4, 12, 40):
-            got = wg.ln_w_at_N(st, u_sq, r_sq, N)
+        for N, got in zip((4, 12, 40), _per_n(st, u_sq, r_sq, (4, 12, 40))):
             assert got == pytest.approx(ana - math.log(2.0) / N, abs=5e-11)
 
 
@@ -126,8 +131,7 @@ def test_finite_n_matches_weber_shift_small_n():
     st = gaussian_state(0.5)
     for u_sq, r_sq in [(0.4, 0.0), (0.8, 1.5)]:
         ana = float(wg.ln_w_gaussian_exact(st, u_sq, r_sq))
-        for N in (6, 20):
-            got = wg.ln_w_at_N(st, u_sq, r_sq, N)
+        for N, got in zip((6, 20), _per_n(st, u_sq, r_sq, (6, 20))):
             assert got == pytest.approx(ana - math.log(2.0) / N, abs=1e-10)
 
 
@@ -155,11 +159,7 @@ def test_extrapolated_grid_matches_gaussian():
 def test_invalid_point_arguments():
     st = gaussian_state()
     with pytest.raises(ValueError):
-        wg.ln_w_at_N(st, -0.1, 0.0, 8)
-    with pytest.raises(ValueError):
-        wg.ln_w_at_N(st, 0.0, 0.0, 7)
-    with pytest.raises(ValueError):
-        wg.ln_w_at_N(st, 0.0, 0.0, 2)
+        wg.ln_w(st, -0.1, 0.0)
     with pytest.raises(ValueError):
         wg.ln_w(st, 0.0, -1.0)
     with pytest.raises(ValueError):
@@ -180,6 +180,16 @@ def test_gaussian_oracle_refuses_bad_coordinates(u_sq, r_sq):
         wg.ln_w_gaussian_exact(gaussian_state(), u_sq, r_sq)
 
 
+def test_gaussian_oracle_refuses_an_overflow():
+    # kappa u^2 / 2 past the largest double (kappa = 13.8 at n = 1e-6): a
+    # typed refusal, where the closed form warned and read -inf
+    st = ReducedState.from_nx(1e-6, 0.0)
+    with pytest.raises(PrecisionLoss):
+        wg.ln_w_gaussian_exact(st, 1e308, 0.0)
+    with pytest.raises(PrecisionLoss):
+        wg.ln_w_gaussian_exact(st, np.array([0.0, 1e308]), np.array([[0.0], [1.0]]))
+
+
 def test_gaussian_oracle_keeps_its_types():
     st = gaussian_state()
     top = wg.ln_w_gaussian_exact(st, 0.0, 0.0)
@@ -197,10 +207,9 @@ def test_gaussian_oracle_keeps_its_types():
 def test_r_zero_path_is_continuous():
     # the exact r = 0 branch must join the Bessel branch smoothly
     st = ReducedState.from_nx(10.0, 15.0)
-    for N in (8, 24):
-        at_zero = wg.ln_w_at_N(st, 3.0, 0.0, N)
-        near_zero = wg.ln_w_at_N(st, 3.0, 1e-8, N)
-        assert near_zero == pytest.approx(at_zero, abs=1e-6)
+    at_zero = _per_n(st, 3.0, 0.0, (8, 24))
+    near_zero = _per_n(st, 3.0, 1e-8, (8, 24))
+    np.testing.assert_allclose(near_zero, at_zero, rtol=0.0, atol=1e-6)
 
 
 def test_plateau_in_window():
@@ -214,8 +223,8 @@ def test_plateau_in_window():
         assert window["spread"][0, 0] < 1e-3
     # and the raw finite-N steps are dominated by a point-independent
     # 1/N term: normalized differences settle to ~1e-7
-    seq_pt = np.array([wg.ln_w_at_N(st, u0_sq, 1.0, N) for N in (12, 16, 20, 24)])
-    seq_rf = np.array([wg.ln_w_at_N(st, 0.0, 0.0, N) for N in (12, 16, 20, 24)])
+    seq_pt = _per_n(st, u0_sq, 1.0, (12, 16, 20, 24))
+    seq_rf = _per_n(st, 0.0, 0.0, (12, 16, 20, 24))
     rel = seq_pt - seq_rf
     assert np.abs(np.diff(rel)).max() < 1e-5
 
@@ -227,8 +236,7 @@ def test_scheme_agreement_on_normalized_grid():
     u = np.linspace(0.0, 1.5 * math.sqrt(dm.u_c_sq(st)), 21)
     r = np.linspace(0.0, 2.0, 21)
     rich = wg.wigner_grid(st, u, r)
-    per_n, _, _ = wg._mesh_and_assemble(st, u * u, r[None, :], wg.N_LIST,
-                                        wg.N_LIST[-1])
+    per_n, _, _ = wg._mesh_and_assemble(st, u * u, r[None, :], wg.N_LIST)
     last = per_n[-1] - per_n[-1].max()
     assert np.abs(rich.ln_w_norm - last).max() < 5e-3
 
@@ -319,7 +327,7 @@ def test_only_the_extrapolated_n_are_assembled(monkeypatch):
     assert sorted({order for call in calls for order, _ in call}) == [N // 2 - 1 for N in read]
     # the four one-row tables fit one chunk, so one kernel call holds them all
     assert calls == [[(N // 2 - 1, 1) for N in read]]
-    per_n = np.array([wg.ln_w_at_N(st, 1.0, 2.0, N) for N in read])
+    per_n = np.array([_per_n(st, 1.0, 2.0, (N,))[0] for N in read])
     assert (value, spread) == tuple(map(float, wg._extrapolate(per_n, read)))
 
 
@@ -501,8 +509,8 @@ def test_quadrature_positivity_raises():
     # far tail at large N: the oscillatory integral dips below the
     # machine noise floor and the engine must refuse, not fabricate
     st = ReducedState.from_nx(10.0, 15.0)
-    with pytest.raises(QuadratureNonPositive):
-        wg.ln_w_at_N(st, 0.0, 16.0, 16)
+    with pytest.raises(QuadratureNonPositive, match="at N = 16,"):
+        _per_n(st, 0.0, 16.0, (16,))
 
 
 def test_not_converged_raises(monkeypatch):
