@@ -24,7 +24,9 @@ four N in 1/N (meta's n_list: wigner.N_LIST, or _FIG6_N_LIST for fig6's
 wider window), and converged when its max_spread is at most
 wigner.SPREAD_TOL (meta's tol).  A fig3 or fig4 artifact records as
 fallbacks the grid points that densmat.d_surface's kernel table sent to
-the root-finder (0 at every default grid).
+the root-finder (0 at every default grid), a fig5-fig7 artifact the
+mesh points that its u^2 rows' tables sent there (0 at the fig5 and fig6
+defaults), the same alone as in its run.
 
 Each flag's default and valid range are set once, in build_parser()
 (`ngstate <preset> --help` shows the defaults): its argparse type refuses
@@ -112,7 +114,8 @@ def _quad_diag(result, **extra):
     fields of a WignerGrid or ProjectionGrid, judged as ln_w judges them."""
     spread_max = float(np.max(result.spread))
     return {**extra, "max_spread": spread_max, "converged": spread_max <= _wig.SPREAD_TOL,
-            "quad_v_max": result.v_max, "quad_points": result.quad_points}
+            "quad_v_max": result.v_max, "quad_points": result.quad_points,
+            "fallbacks": result.fallbacks}
 
 
 # ---------------------------------------------------------------------------

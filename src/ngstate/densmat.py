@@ -19,16 +19,17 @@ the shape of the surface: whether d is monotone in u or develops a ridge
 fit around the peak (peak_fit) used for width comparisons against the
 Wigner function.
 
-A grid at x > 0 (d_surface) needs no root per point.  At fixed s the
-saddle equation g(s) = (s - z0_sq)/xi - f0 - fu u^2 - fv v^2 = 0 is affine
-in (u^2, v^2), and ln d is the minimum over s of Phi(s), the form above
-at any s, convex with dPhi/ds = g/4: an error ds in the root moves ln d
-by only g^2/(8 dg/ds).
-One small_f table at _TABLE_NODES nodes between the roots of the grid's
-two extreme points serves every point: a bisection over node indices
-brackets its root, linear interpolation and one inverse quadratic step
-place s with two small_f evaluations, and a point whose g^2/(8 m), with m
-a lower bound on dg/ds between s and the root, exceeds
+A grid at x > 0 needs no root per point.  At fixed s the saddle equation
+g(s) = (s - z0_sq)/xi - f0 - fu u^2 - fv v^2 = 0 is affine in (u^2, v^2),
+and ln d is the minimum over s of Phi(s), the form above at any s, convex
+with dPhi/ds = g/4: an error ds in the root moves ln d by only
+g^2/(8 dg/ds).  One small_f table at _TABLE_NODES nodes between the roots
+of the grid's two extreme points serves every point of a d_surface grid,
+one between a row's two end roots every point of a Wigner mesh row (whose
+bits then depend on its u^2 alone): a bisection over node indices
+brackets a point's root, linear interpolation and one inverse quadratic
+step place s with two small_f evaluations, and a point whose g^2/(8 m),
+with m a lower bound on dg/ds between s and the root, exceeds
 _TABLE_TOL max(1, |ln d|) is solved by the root-finder instead.
 
 The amplitude normalization drops the overall A^{-N/2} prefactor: it
@@ -137,19 +138,19 @@ def ln_d(state: ReducedState, pt: PhasePoint, c_coeff: float = 0.0) -> MatrixEle
                               saddle=sol)
 
 
-# points per big_f pass and per block of d_surface's table path, so the
+# points per big_f pass and per block of the kernel-table path, so the
 # temporaries do not grow with the grid: default fig3 peaks at 2.0 MiB
 # under tracemalloc, at 11.0 MiB with each 201 x 201 grid as one block
 _LN_D_CHUNK = 4096
-# nodes of d_surface's small_f table, 2^8 + 1 so each point's bracket takes
+# nodes of each small_f table, 2^8 + 1 so each point's bracket takes
 # 8 halvings.  On fig3's default grids 65 to 1025 nodes all leave 0
 # fallbacks; over 400 random 23 x 19 grids (n and x from 1e-3 to 1e4, axis
 # ends from 1e-3 to 100) 129 nodes sent 4.5 % of the points to the
 # root-finder, 257 2.7 %, 1025 1.1 %, while fig3's three x > 0 grids took
 # 27-28 ms at 129 and 257 nodes and 30 ms at 1025
 _TABLE_NODES = 257
-# the second-order ln d error g^2/(8 slope) that d_surface accepts at a
-# table point, relative to max(1, |ln d|)
+# the second-order ln d error g^2/(8 slope) accepted at a table point,
+# relative to max(1, |ln d|)
 _TABLE_TOL = 4.0 * np.finfo(float).eps
 
 
@@ -294,9 +295,9 @@ def ridge_u(state: ReducedState) -> float:
 def ln_d_many(state: ReducedState, u_sq, v_sq):
     """Vectorized per-dof log amplitude over broadcastable (u^2, v^2) arrays.
 
-    Same quantity as ln_d(...).ln_d (phase excluded); the workhorse behind
-    d_surface and the Wigner quadrature loops.  PrecisionLoss where Fu u^2
-    or Fv v^2 overflows.
+    Same quantity as ln_d(...).ln_d (phase excluded), each point's root
+    solved: the x = 0 grids and the Wigner envelope probe take it.
+    PrecisionLoss where Fu u^2 or Fv v^2 overflows.
     """
     u_sq = np.asarray(u_sq, dtype=float)
     v_sq = np.asarray(v_sq, dtype=float)
@@ -319,11 +320,12 @@ def grid_axes(**axes):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _table_s(state, nodes, table, u_sq, v_sq):
+def _table_s(state, nodes, table, base, u_sq, v_sq):
     """s at each point of the flat arrays (u_sq, v_sq) from the small_f
-    table (a, fu, fv) at the ascending nodes, a = (s - z0_sq)/xi - f0, and
-    g^2/(8 m) there, m a lower bound on dg/ds between s and the root, which
-    bounds Phi(s) - ln d.  Two small_f evaluations per point."""
+    table (a, fu, fv) at the nodes, a = (s - z0_sq)/xi - f0, all flat with
+    _TABLE_NODES ascending nodes from each point's base index, and g^2/(8 m)
+    there, m a lower bound on dg/ds between s and the root, which bounds
+    Phi(s) - ln d.  Two small_f evaluations per point."""
     a, fu, fv = table
 
     def g_node(k):
@@ -333,10 +335,11 @@ def _table_s(state, nodes, table, u_sq, v_sq):
         f0_s, fu_s, fv_s = _sf.small_f(s)
         return (s - state.z0_sq) / state.xi - (f0_s + fu_s * u_sq + fv_s * v_sq)
 
-    # lo: the last node before the end where g <= 0 (0 where there is
-    # none), by halving steps over node indices, as g rises in s
-    lo = np.zeros(u_sq.shape, dtype=np.intp)
-    step = (nodes.size - 1) >> 1
+    # lo: the last node of the row before its end where g <= 0 (its first
+    # where there is none), by halving steps over node indices, as g rises
+    # in s
+    lo = np.full(u_sq.shape, base, dtype=np.intp)
+    step = (_TABLE_NODES - 1) >> 1
     while step:
         lo += step * (g_node(lo + step) <= 0.0)
         step >>= 1
@@ -362,36 +365,52 @@ def _table_s(state, nodes, table, u_sq, v_sq):
     # and fv fall and are convex: from s2 to a root below s_hi (g_hi > 0)
     # its slope is at least the chord's from s_hi to the next node, and
     # 1/xi anywhere
-    nxt = np.minimum(hi + 1, nodes.size - 1)
+    nxt = np.minimum(hi + 1, base + (_TABLE_NODES - 1))
     run = (nodes[nxt] - s_hi) / (g_node(nxt) - g_hi)
     run = np.where((run > 0.0) & (g_hi > 0.0), np.minimum(run, state.xi), state.xi)
     return s2, g2 * g2 * run / 8.0
 
 
-def _surface_table(state, u_sq, v_sq):
-    """(ln d, fallbacks) over the grid u_sq x v_sq (1-D axes) of a state
-    with x > 0 (module notes), in blocks of _LN_D_CHUNK points that may
-    split a row; fallbacks counts the points solve_saddle_uv_many solved.
-    The nodes span the roots of the grid's two extreme points, as the root
-    rises in u^2 and v^2 (fu, fv > 0).  PrecisionLoss where ln d overflows."""
-    ends = _saddle.solve_saddle_uv_many(state, [u_sq.min(), u_sq.max()],
-                                        [v_sq.min(), v_sq.max()]).s
-    nodes = np.linspace(ends[0], ends[1], _TABLE_NODES)
-    f0, fu, fv = _sf.small_f(nodes)
-    table = ((nodes - state.z0_sq) / state.xi - f0, fu, fv)
+def _surface_table(state, u_sq, v_sq, per_row=False):
+    """(ln d, fallbacks) over the grid u_sq x v_sq (1-D axes); fallbacks[i]
+    counts the points of row i that solve_saddle_uv_many solved.  At x > 0
+    from small_f tables (module notes): one for the grid, in blocks of
+    _LN_D_CHUNK points that may split a row, or with per_row one per u^2
+    row, in blocks of whole rows of about as many points.  At x = 0
+    ln_d_many solves every point.  PrecisionLoss where ln d overflows."""
+    fallbacks = np.zeros(u_sq.size, dtype=int)
+    if state.x == 0.0:
+        return ln_d_many(state, u_sq[:, None], v_sq[None, :]), fallbacks
+    # each table's nodes span the roots at its rows' (min u^2, min v^2) and
+    # (max u^2, max v^2), as the root rises in u^2 and v^2 (fu, fv > 0)
+    ends_u = [u_sq, u_sq] if per_row else [[u_sq.min()], [u_sq.max()]]
+    tables = u_sq.size if per_row else 1
+    ends = _saddle.solve_saddle_uv_many(state, np.concatenate(ends_u), np.repeat(
+        [v_sq.min(), v_sq.max()], tables)).s.reshape(2, tables)
     size = u_sq.size * v_sq.size
     ln_d = np.empty(size)
-    fallbacks = 0
-    for at in range(0, size, _LN_D_CHUNK):
-        rows, cols = np.divmod(np.arange(at, min(at + _LN_D_CHUNK, size)), v_sq.size)
+    block = max(1, _LN_D_CHUNK // v_sq.size) * v_sq.size if per_row else _LN_D_CHUNK
+    span = None
+    for at in range(0, size, block):
+        rows, cols = np.divmod(np.arange(at, min(at + block, size)), v_sq.size)
+        first, last = (rows[0], rows[-1] + 1) if per_row else (0, 1)
+        if span != (first, last):  # each block's rows; the one table once
+            span = first, last
+            lo, hi = ends[:, first:last, None]
+            nodes = np.arange(_TABLE_NODES, dtype=float) * ((hi - lo) / (_TABLE_NODES - 1)) + lo
+            nodes[:, -1] = hi[:, 0]
+            f0, fu, fv = _sf.small_f(nodes)
+            table = [t.ravel() for t in ((nodes - state.z0_sq) / state.xi - f0, fu, fv)]
+            nodes = nodes.ravel()
         uu, vv = u_sq[rows], v_sq[cols]
-        part, err = _table_s(state, nodes, table, uu, vv)
+        base = (rows - first) * _TABLE_NODES if per_row else 0
+        part, err = _table_s(state, nodes, table, base, uu, vv)
         val = _phi(state, part, uu, vv)
         bad = ~((err <= _TABLE_TOL * np.maximum(1.0, np.abs(val))) & np.isfinite(val))
         if bad.any():
             root = _saddle.solve_saddle_uv_many(state, uu[bad], vv[bad]).s
             val[bad] = _phi(state, root, uu[bad], vv[bad])
-            fallbacks += int(np.count_nonzero(bad))
+            fallbacks += np.bincount(rows[bad], minlength=u_sq.size)
         ln_d[at:at + val.size] = val
     if not np.isfinite(ln_d).all():
         raise PrecisionLoss("phase-space coordinates overflow")
@@ -410,9 +429,6 @@ def d_surface(state: ReducedState, u, v) -> DSurface:
         u_sq, v_sq = u * u, v * v
     if not (np.all(np.isfinite(u_sq)) and np.all(np.isfinite(v_sq))):
         raise PrecisionLoss("phase-space coordinates overflow")
-    if state.x == 0.0:
-        grid, fallbacks = ln_d_many(state, u_sq[:, None], v_sq[None, :]), 0
-    else:
-        grid, fallbacks = _surface_table(state, u_sq, v_sq)
+    grid, fallbacks = _surface_table(state, u_sq, v_sq)
     top = float(np.max(grid))
-    return DSurface(u=u, v=v, ln_d_norm=grid - top, ln_d_max=top, fallbacks=fallbacks)
+    return DSurface(u=u, v=v, ln_d_norm=grid - top, ln_d_max=top, fallbacks=int(fallbacks.sum()))

@@ -26,15 +26,18 @@ accepted.  At x = 0 the integral is a Weber integral with the exact value
 ln w_N = ln w_inf - ln(2)/N, so the extrapolation is exact there, and
 ln_w_gaussian_exact is the oracle.
 
-Grids, projections and single points share one assembly, which solves
+Grids, projections and single points share one assembly, which takes
 ln d once per distinct u^2 and builds each N's Bessel table once per
 distinct r, in blocks of _TABLE_ELEMS, from rows keyed exactly: ln d by
 u^2 on its (state, mesh), Bessel by (N, r) on its mesh (v_max, panel
-count).  One kernel call fills a block's missing rows of every N, each
-written over its argument.  Without a memo a block's Bessel rows are its
-own and go with it; a memo (wigner_grid), which a run of calls shares and
-drops after it, keeps every row.  An element depends on its own inputs
-alone, so a row is the same bits whichever call builds it.
+count).  One Bessel kernel call fills a block's missing rows of every N,
+each written over its argument.  Without a memo a block's Bessel rows are
+its own and go with it; a memo (wigner_grid), which a run of calls shares
+and drops after it, keeps every row.  An element depends on its own
+inputs alone, so a row is the same bits whichever call builds it.  So
+is an ln d row: at x > 0 it comes from its own small_f kernel table
+(densmat._surface_table), and the result counts as fallbacks the points
+that the tables sent to the root-finder.
 
 Every quadrature mesh is a pure function of the call inputs (state, grid,
 N list), so results are bitwise reproducible.  A projection row's values
@@ -140,7 +143,8 @@ class SqueezeParams:
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Extrapolated ln w over a tensor (u, r) grid, shifted to max = 0."""
+    """Extrapolated ln w over a tensor (u, r) grid, shifted to max = 0;
+    fallbacks counts the mesh points its u^2 rows' tables left to the root-finder."""
 
     u: np.ndarray
     r: np.ndarray
@@ -149,11 +153,13 @@ class WignerGrid:
     ln_w_max: float
     quad_points: int
     v_max: float
+    fallbacks: int
 
 
 @dataclass(frozen=True)
 class ProjectionGrid:
-    """ln w over a physical (phi, pi) grid for one projection mode."""
+    """ln w over a physical (phi, pi) grid for one projection mode;
+    fallbacks as in WignerGrid."""
 
     phi: np.ndarray
     pi: np.ndarray
@@ -163,6 +169,7 @@ class ProjectionGrid:
     mode: ProjectionMode
     quad_points: int
     v_max: float
+    fallbacks: int
 
 
 def ln_w_gaussian_exact(state: ReducedState, u_sq, r_sq):
@@ -284,10 +291,12 @@ def _envelope(g, g_max, N, weight, out):
 
 
 def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
-    """ln w for each N at the points (u_sq[i], r_rows[i, k]): (nN, nu, nr).
+    """ln w for each N at the points (u_sq[i], r_rows[i, k]), (nN, nu, nr),
+    and the fallbacks of their distinct u^2 rows.
 
     r_rows has one row per u, or one row for every u (a tensor grid).  The
-    rows on the mesh v come from lnd_rows (u^2 -> ln d) and bessel_rows
+    rows on the mesh v come from lnd_rows (u^2 -> (ln d, its fallbacks),
+    one kernel table per row: densmat._surface_table) and bessel_rows
     (_fill_bessel, once per block), which get the rows they lack;
     bessel_rows None gives each block its own rows, freed with it.  Each
     N's table is copied from its rows as it is contracted.  Tables cover
@@ -296,10 +305,12 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
     todo = np.unique(u_sq)
     todo = todo[[u not in lnd_rows for u in todo.tolist()]]
     if todo.size:
-        lnd_rows.update(zip(todo.tolist(), _dm.ln_d_many(state, todo[:, None],
-                                                         (v * v)[None, :])))
-    lnd = np.array([lnd_rows[u] for u in u_sq.tolist()])  # (nu, nodes)
-    lnd_rows.update(zip(u_sq.tolist(), lnd))  # views of lnd: the solve's array is freed
+        grid, fallbacks = _dm._surface_table(state, todo, v * v, per_row=True)
+        lnd_rows.update(zip(todo.tolist(), zip(grid, fallbacks.tolist())))
+    counts = {u: lnd_rows[u][1] for u in u_sq.tolist()}
+    lnd = np.array([lnd_rows[u][0] for u in u_sq.tolist()])  # (nu, nodes)
+    # views of lnd, so the table's array is freed
+    lnd_rows.update((u, (row, counts[u])) for u, row in zip(u_sq.tolist(), lnd))
     ln_v = np.log(v)
     g_half = 0.5 * ln_v[None, :] + lnd
     g_full = ln_v[None, :] + lnd
@@ -355,7 +366,7 @@ def _assemble_per_n(state, u_sq, r_rows, n_list, v, w, lnd_rows, bessel_rows):
         flat[i_n, at0] = (0.5 * math.log(4.0 * math.pi * N)
                           - math.lgamma(N / 2.0) / N
                           + gmax_f[row0] + np.log(integral0) / N)
-    return out
+    return out, sum(counts.values())
 
 
 def _extrapolate(vals, n_list):
@@ -388,8 +399,8 @@ def _kept(memo, kind, key):
 
 def _mesh_and_assemble(state, u_sq, r_rows, n_list, memo=None):
     """Mesh for the points, its panels sized at the last N of n_list, then
-    ln w for each N of n_list -> (per_n, v_max, nodes); memo as in
-    wigner_grid."""
+    ln w for each N of n_list -> (per_n, the mesh's v_max, quad_points and
+    fallbacks); memo as in wigner_grid."""
     r_max = float(r_rows.max()) if r_rows.size else 0.0
     # the callers refuse non-finite inputs: these overflowed on the way
     if not (np.all(np.isfinite(u_sq)) and math.isfinite(n_list[-1] * r_max)):
@@ -398,20 +409,19 @@ def _mesh_and_assemble(state, u_sq, r_rows, n_list, memo=None):
     n_panels = _panel_count(v_max, n_list[-1], r_max)
     v, w = _gl_mesh(v_max, n_panels)
     mesh = (v_max, n_panels)  # _gl_mesh's inputs: the key names its bits
-    per_n = _assemble_per_n(state, u_sq, r_rows, n_list, v, w,
-                            _kept(memo, "ln_d", (state, mesh)),
-                            None if memo is None else _kept(memo, "bessel", mesh))
-    return per_n, v_max, n_panels * _GL_ORDER
+    per_n, fallbacks = _assemble_per_n(
+        state, u_sq, r_rows, n_list, v, w, _kept(memo, "ln_d", (state, mesh)),
+        None if memo is None else _kept(memo, "bessel", mesh))
+    return per_n, dict(v_max=v_max, quad_points=n_panels * _GL_ORDER, fallbacks=fallbacks)
 
 
 def _normalised(state, u_sq, r_rows, n_list, memo=None):
     """Extrapolated ln w at the points (u_sq[i], r_rows[i, k]), shifted to
     max = 0: the fields shared by WignerGrid and ProjectionGrid."""
-    per_n, v_max, n_quad = _mesh_and_assemble(state, u_sq, r_rows, n_list, memo)
+    per_n, fields = _mesh_and_assemble(state, u_sq, r_rows, n_list, memo)
     value, spread = _extrapolate(per_n, n_list)
     top = float(value.max())
-    return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top,
-                quad_points=n_quad, v_max=v_max)
+    return dict(ln_w_norm=value - top, spread=spread, ln_w_max=top, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +435,8 @@ def ln_w(state: ReducedState, u_sq: float, r_sq: float):
     """
     if not (0.0 <= u_sq < math.inf and 0.0 <= r_sq < math.inf):
         raise ValueError(f"u_sq and r_sq must be finite and >= 0, got ({u_sq}, {r_sq})")
-    per_n, _, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
-                                     np.array([[math.sqrt(r_sq)]]), N_LIST)
+    per_n, _ = _mesh_and_assemble(state, np.array([u_sq], dtype=float),
+                                  np.array([[math.sqrt(r_sq)]]), N_LIST)
     value, spread = map(float, _extrapolate(per_n[:, 0, 0], N_LIST))
     if spread > SPREAD_TOL:
         raise NotConverged(
@@ -482,7 +492,8 @@ def project_physical(sq: SqueezeParams, x: float, mode: ProjectionMode,
         u_sq = phi * phi / big_a
         if mode is ProjectionMode.PARA:
             diff = pi_arr[None, :] - rho * phi[:, None]
-            r_sq = 4.0 * big_a * diff * diff
+            # as perp's at rho = 0, to the bit: a pair shares its Bessel rows
+            r_sq = 4.0 * big_a * (diff * diff)
         elif mode is ProjectionMode.PERP:
             r_sq = 4.0 * big_a * (pi_arr[None, :] ** 2
                                   + (rho * phi[:, None]) ** 2)

@@ -171,12 +171,15 @@ def test_meta_records_the_presets_own_n(tmp_path, argv, n_list):
 ], ids=["fig6", "fig5"])
 def test_a_job_writes_the_same_bytes_alone(tmp_path, run, alone):
     # the last job of a run finds rows in the run's memo that the earlier
-    # jobs built; alone it builds them itself, to the same bits
+    # jobs built; alone it builds them itself, to the same bits and the
+    # same fallback count
     a, b = tmp_path / "run", tmp_path / "alone"
     assert cli.main(run + ["--out", str(a)]) == 0
     assert cli.main(run + alone + ["--out", str(b)]) == 0
     [job] = b.glob("*.csv")
     assert (a / job.name).read_bytes() == job.read_bytes()
+    key = f"{job.stem}.fallbacks"
+    assert _read_meta(a)[key] == _read_meta(b)[key]
 
 
 def test_a_run_builds_each_row_once_and_keeps_none(tmp_path, monkeypatch):
@@ -261,6 +264,24 @@ def test_default_surfaces_need_no_root_solve(tmp_path, preset, keys):
     meta = _read_meta(out)
     assert sorted(k for k in meta if k.endswith(".fallbacks")) == [f"{k}.fallbacks" for k in keys]
     assert all(meta[f"{k}.fallbacks"] == 0 for k in keys)
+
+
+@pytest.mark.parametrize("argv, keys, some", [
+    (["fig5_wigner", "--grid", "5x5"],
+     ["wigner_x0", "wigner_x0p5", "wigner_x1", "wigner_x15"], False),
+    (["fig6_contours", "--grid", "5x5", "--phi", "0"],
+     ["contours_phi0_para", "contours_phi0_perp"], False),
+    (["fig7_slice", "--grid", "9"], ["slice"], True),
+], ids=["fig5", "fig6", "fig7"])
+def test_wigner_artifacts_record_fallbacks(tmp_path, argv, keys, some):
+    # every Wigner artifact counts the mesh points its u^2 rows' kernel
+    # tables sent to the root-finder: none at fig5's and fig6's states,
+    # some at fig7's x = 3000, in the rows near u = 0
+    out = tmp_path / "fb"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    meta = _read_meta(out)
+    assert sorted(k for k in meta if k.endswith(".fallbacks")) == [f"{k}.fallbacks" for k in keys]
+    assert all((meta[f"{k}.fallbacks"] > 0) == some for k in keys)
 
 
 def test_json_format(tmp_path):

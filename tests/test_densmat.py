@@ -380,21 +380,28 @@ def _axis(top, size):
     return np.linspace(0.0, top, size) if size > 1 else np.array([top])
 
 
-def _check_table(state, u, v):
-    """d_surface's table path against per-point ln_d_many: the table's ln d
-    is Phi at its s, so it lies within the stated bound 4 eps max(1, |ln d|)
-    above ln d (and not below it: ln d is Phi's minimum), up to 4 eps of the
-    terms' sizes at the root for the rounding of either; returns the
-    fallbacks."""
-    u_sq, v_sq = (u * u)[:, None], (v * v)[None, :]
+def _within_table_bound(state, u_sq, v_sq, got):
+    """A table's ln d over the grid u_sq x v_sq (1-D axes, x > 0) against
+    per-point ln_d_many: the table's ln d is Phi at its s, so it lies
+    within the stated bound 4 eps max(1, |ln d|) above ln d (and not below
+    it: ln d is Phi's minimum), up to 4 eps of the terms' sizes at the
+    root for the rounding of either."""
+    u_sq, v_sq = u_sq[:, None], v_sq[None, :]
     ref = dm.ln_d_many(state, u_sq, v_sq)
-    got, fallbacks = dm._surface_table(state, u * u, v * v)
     terms = _exponent_terms(state, sd.solve_saddle_uv_many(state, u_sq, v_sq).s,
                             u_sq, v_sq)
     eps = np.finfo(float).eps
     slack = 4.0 * eps * sum(np.abs(t) for t in terms)
     assert np.all(got >= ref - slack)
     assert np.all(got <= ref + 4.0 * eps * np.maximum(1.0, np.abs(ref)) + slack)
+
+
+def _check_table(state, u, v):
+    """d_surface's one table within its bound (_within_table_bound);
+    returns its fallbacks."""
+    got, fallbacks = dm._surface_table(state, u * u, v * v)
+    _within_table_bound(state, u * u, v * v, got)
+    fallbacks = int(fallbacks.sum())
     surf = dm.d_surface(state, u, v)
     assert surf.fallbacks == fallbacks
     assert surf.ln_d_norm.tobytes() == (got - np.max(got)).tobytes()
@@ -455,6 +462,72 @@ def test_d_surface_table_blocks_split_rows(monkeypatch, shape):
     assert peak < 8 * 2 ** 20
     monkeypatch.setattr(dm, "_LN_D_CHUNK", 10 ** 9)
     assert dm.d_surface(st, u, v).ln_d_norm.tobytes() == blocked.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=hst.floats(-1.0, 2.0).map(lambda e: 10.0 ** e),
+       x=hst.floats(-3.0, 3.5).map(lambda e: 10.0 ** e),
+       u_max=hst.floats(0.1, 3.0), nu=hst.integers(1, 12))
+# fig7's state and window (n = 10, x = 3000, u to 1.4 times the ridge):
+# the rows near u = 0 send points to the root-finder
+@example(n=10.0, x=3000.0, u_max=1.4, nu=9)
+@example(n=10.0, x=0.0, u_max=1.5, nu=7)  # x = 0: ln_d_many's rows, bit for bit
+def test_wigner_mesh_rows_within_the_table_bound(n, x, u_max, nu):
+    # every ln d row of the quadrature's mesh, as the memo keeps it, lies
+    # within d_surface's stated bound of per-point ln_d_many, and the grid
+    # counts the fallbacks its rows keep
+    st = ReducedState.from_nx(n, x)
+    u = np.linspace(0.0, u_max * max(1.0, dm.ridge_u(st)), nu)
+    memo = {}
+    grid = wg.wigner_grid(st, u, [0.0], memo=memo)
+    (_, mesh), rows = memo["ln_d"]
+    v, _ = wg._gl_mesh(*mesh)
+    u_sq = np.array(sorted(rows))
+    got = np.array([rows[key][0] for key in u_sq.tolist()])
+    if x == 0.0:
+        ref = dm.ln_d_many(st, u_sq[:, None], (v * v)[None, :])
+        assert got.tobytes() == ref.tobytes()
+    else:
+        _within_table_bound(st, u_sq, v * v, got)
+    counts = [rows[key][1] for key in u_sq.tolist()]
+    assert grid.fallbacks == sum(counts)
+    assert (n, x, nu) != (10.0, 3000.0, 9) or grid.fallbacks > 0
+
+
+@pytest.mark.parametrize("x", [15.0, 3000.0])
+def test_a_wigner_mesh_row_alone_is_the_same_bits(monkeypatch, x):
+    # one table per u^2 row: a row built alone, in a call of many rows or
+    # in blocks of one row each has the same bits and fallback count; at
+    # x = 3000 rows fall back
+    st = ReducedState.from_nx(10.0, x)
+    u_sq = (np.linspace(0.0, 1.5, 9) * dm.ridge_u(st)) ** 2
+    v, _ = wg._gl_mesh(wg._auto_v_max(st, u_sq), 24)
+    many, counts = dm._surface_table(st, u_sq, v * v, per_row=True)
+    assert (counts.sum() > 0) == (x == 3000.0)
+    for i in range(u_sq.size):
+        alone, [count] = dm._surface_table(st, u_sq[i:i + 1], v * v, per_row=True)
+        assert alone.tobytes() == many[i:i + 1].tobytes() and count == counts[i]
+    monkeypatch.setattr(dm, "_LN_D_CHUNK", 1)
+    blocked, blocked_counts = dm._surface_table(st, u_sq, v * v, per_row=True)
+    assert blocked.tobytes() == many.tobytes()
+    assert blocked_counts.tolist() == counts.tolist()
+
+
+def test_wigner_mesh_tables_are_built_by_blocks_of_rows(monkeypatch):
+    # 800 u rows of 384 nodes: the assembly holds about five (rows, nodes)
+    # arrays (13.9 MiB in all), and the rows' tables add a block's
+    # temporaries, not the grid's (85 MiB as one block); one block of every
+    # row gives the same bits
+    st = ReducedState.from_nx(10.0, 15.0)
+    u, r = np.linspace(0.0, 25.0, 800), np.array([0.0, 1.0])
+    tracemalloc.start()
+    grid = wg.wigner_grid(st, u, r)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert grid.quad_points == 384
+    assert peak < 8 * u.size * grid.quad_points * 8 + 2 ** 21
+    monkeypatch.setattr(dm, "_LN_D_CHUNK", 10 ** 9)
+    assert wg.wigner_grid(st, u, r).ln_w_norm.tobytes() == grid.ln_w_norm.tobytes()
 
 
 def test_small_f_kernels_are_positive_falling_and_convex():

@@ -42,8 +42,8 @@ def _per_n(state, u_sq, r_sq, ns):
     """ln w at each N of ns at one point, each on ln_w's mesh: the list
     assembled ends in N_LIST[-1], which sizes the panels and the r = 0 cut."""
     n_list = tuple(ns) if ns[-1] == wg.N_LIST[-1] else (*ns, wg.N_LIST[-1])
-    per_n, _, _ = wg._mesh_and_assemble(state, np.array([u_sq]),
-                                        np.array([[math.sqrt(r_sq)]]), n_list)
+    per_n, _ = wg._mesh_and_assemble(state, np.array([u_sq]),
+                                     np.array([[math.sqrt(r_sq)]]), n_list)
     return per_n[:len(ns), 0, 0]
 
 
@@ -236,7 +236,7 @@ def test_scheme_agreement_on_normalized_grid():
     u = np.linspace(0.0, 1.5 * math.sqrt(dm.u_c_sq(st)), 21)
     r = np.linspace(0.0, 2.0, 21)
     rich = wg.wigner_grid(st, u, r)
-    per_n, _, _ = wg._mesh_and_assemble(st, u * u, r[None, :], wg.N_LIST)
+    per_n, _ = wg._mesh_and_assemble(st, u * u, r[None, :], wg.N_LIST)
     last = per_n[-1] - per_n[-1].max()
     assert np.abs(rich.ln_w_norm - last).max() < 5e-3
 
@@ -391,22 +391,22 @@ def test_bessel_blocks_match_one_table(monkeypatch):
 
 def _spy_rows(monkeypatch):
     """Record each Bessel row the engine builds, as (order, argument row),
-    and each u^2 whose ln d row an assembly solves: the assembly passes
-    v^2 as one row of the mesh, the envelope probe as a 1-D array."""
+    and each u^2 whose ln d row an assembly builds: the assembly takes its
+    rows on the mesh from densmat._surface_table, one table per row."""
     built = {"bessel": [], "ln_d": []}
-    bessel, ln_d = wg._sf._bessel_rows, wg._dm.ln_d_many
+    bessel, rows = wg._sf._bessel_rows, wg._dm._surface_table
 
     def spy_bessel(orders, argument):
         built["bessel"] += [(order, row.tobytes()) for order, row in zip(orders, argument)]
         return bessel(orders, argument)
 
-    def spy_ln_d(state, u_sq, v_sq):
-        if np.ndim(v_sq) == 2:
-            built["ln_d"] += np.ravel(u_sq).tolist()
-        return ln_d(state, u_sq, v_sq)
+    def spy_ln_d(state, u_sq, v_sq, per_row=False):
+        assert per_row
+        built["ln_d"] += u_sq.tolist()
+        return rows(state, u_sq, v_sq, per_row)
 
     monkeypatch.setattr(wg._sf, "_bessel_rows", spy_bessel)
-    monkeypatch.setattr(wg._dm, "ln_d_many", spy_ln_d)
+    monkeypatch.setattr(wg._dm, "_surface_table", spy_ln_d)
     return built
 
 
@@ -421,16 +421,19 @@ def _pair_projections(memo, phi=np.linspace(-1.0, 1.0, 9)):
 
 def test_memo_shares_rows_of_a_para_perp_pair(monkeypatch):
     # the symmetric phi axis of 9 points has 5 distinct u^2: a projection
-    # solves 5 ln d rows, not 9, and a pair sharing a memo solves them
-    # once; a second pair finds every ln d and Bessel row in the memo
+    # builds 5 ln d rows, not 9, and a pair sharing a memo builds them
+    # once; untilted, para and perp give each pi the same r to the bit, so
+    # the pair builds the 2 positive r x 4 N Bessel rows once, 8 not 8 + 8;
+    # a second pair finds every ln d and Bessel row in the memo
     built = _spy_rows(monkeypatch)
     alone = _pair_projections(None)
     assert len(built["ln_d"]) == 2 * 5
+    assert len(built["bessel"]) == 2 * 8
     del built["ln_d"][:], built["bessel"][:]
     memo = {}
     shared = _pair_projections(memo)
     assert len(built["ln_d"]) == len(set(built["ln_d"])) == 5
-    assert len(built["bessel"]) == len(set(built["bessel"]))
+    assert len(built["bessel"]) == len(set(built["bessel"])) == 8
     once = {key: list(rows) for key, rows in built.items()}
     again = _pair_projections(memo)
     assert built == once
@@ -461,6 +464,25 @@ def test_calls_without_a_memo_share_nothing(monkeypatch):
     assert memo["ln_d"][0] == (st, (first.v_max, first.quad_points // 16))
     wg.wigner_grid(ReducedState.from_nx(10.0, 2.0), u, r, memo=memo)
     assert memo["ln_d"][0][0] == ReducedState.from_nx(10.0, 2.0)
+
+
+def test_fallbacks_count_each_distinct_row_once_with_or_without_a_memo():
+    # at n = 1, x = 300 the three rows nearest u = 0 send points to the
+    # root-finder: a call counts the fallbacks of its own distinct u^2 rows,
+    # once each, and the same where it finds the rows, with their counts,
+    # in a memo that an earlier call filled
+    st = ReducedState.from_nx(1.0, 300.0)
+    u = np.linspace(0.0, 1.4 * dm.ridge_u(st), 9)
+    axes = {"all": u, "part": np.delete(u, 1), "twice": np.concatenate([u, u])}
+    alone = {key: wg.wigner_grid(st, axis, [0.0]) for key, axis in axes.items()}
+    assert alone["all"].fallbacks > alone["part"].fallbacks > 0
+    assert alone["twice"].fallbacks == alone["all"].fallbacks
+    memo = {}
+    for key, axis in axes.items():
+        got = wg.wigner_grid(st, axis, [0.0], memo=memo)
+        assert got.v_max == alone["all"].v_max  # one mesh: the rows are found
+        assert got.fallbacks == alone[key].fallbacks
+        assert got.ln_w_norm.tobytes() == alone[key].ln_w_norm.tobytes()
 
 
 def test_without_a_memo_a_block_keeps_only_its_own_rows(monkeypatch):
